@@ -26,6 +26,7 @@ from .errors import (
     NotDiagonalizable,
     NotInGenericSet,
     NoUnstableEigenvalue,
+    OverflowRisk,
     PulseOverlap,
     ScanExhausted,
     SignalDomainError,
@@ -182,6 +183,24 @@ def _check_eigvec_in_imP(P, vecs, tol):
             )
 
 
+def _real_eigen_signal(sys, lam, v, T, spec_tol, eigvec_in_imP_tol):
+    """Checked witness signal ``rho'(2t/T - 1) e^(lam t) v`` of a positive
+    real eigenpair with eigenvector in im P."""
+    if lam <= 0:
+        raise NonPositiveEigenvalue(f"need lam > 0, got {lam}")
+    if T <= 0:
+        raise ValueError("T must be positive")
+    if lam * T > 300.0:
+        raise OverflowRisk("lam * T too large: e^(lam t) would overflow; shrink T")
+    v = np.asarray(v, dtype=float).ravel()
+    nv = np.linalg.norm(v)
+    defect = np.linalg.norm(sys.A @ v - lam * v)
+    if defect > spec_tol * (1.0 + np.linalg.norm(sys.A)) * nv:
+        raise EigpairMismatch(f"||A v - lam v|| = {defect:.3e} too large")
+    _check_eigvec_in_imP(sys.P, [v], eigvec_in_imP_tol)
+    return signals.MollifierReal(lam=float(lam), v=v / nv, T=float(T))
+
+
 def witness_real_eigen(sys: linsys.LinearPortSystem, lam: float, v, T: float,
                        spec_tol: float = linsys.SPEC_TOL,
                        eigvec_in_imP_tol: float = 1e-8,
@@ -190,30 +209,11 @@ def witness_real_eigen(sys: linsys.LinearPortSystem, lam: float, v, T: float,
     ``u(t) = rho'(2t/T - 1) e^(lam t) v``.
 
     The energy is negative for every horizon; the returned W is the
-    quadrature value.
+    quadrature value.  Raises ``OverflowRisk`` when ``lam * T > 300``.
     """
-    if lam <= 0:
-        raise NonPositiveEigenvalue(f"need lam > 0, got {lam}")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if lam * T > 300.0:
-        raise ValueError("lam * T too large: e^(lam t) would overflow; shrink T")
-    v = np.asarray(v, dtype=float).ravel()
-    nv = np.linalg.norm(v)
-    defect = np.linalg.norm(sys.A @ v - lam * v)
-    if defect > spec_tol * (1.0 + np.linalg.norm(sys.A)) * nv:
-        raise EigpairMismatch(f"||A v - lam v|| = {defect:.3e} too large")
-    _check_eigvec_in_imP(sys.P, [v], eigvec_in_imP_tol)
-    sig = signals.MollifierReal(lam=float(lam), v=v / nv, T=float(T))
+    sig = _real_eigen_signal(sys, lam, v, T, spec_tol, eigvec_in_imP_tol)
     W, _ = energy_integral(sys, sig, T, steps)
     return sig, W
-
-
-def _rotation_energy_terms(v1, v2, alpha, beta, t):
-    """g(t) = e^(2 alpha t) |sin(beta t) v1 + cos(beta t) v2|^2 and g'(t)."""
-    w, q = _rotation_slope_factor(v1, v2, alpha, beta, t)
-    e = np.exp(2.0 * alpha * t)
-    return e * w, e * q
 
 
 def _rotation_slope_factor(v1, v2, alpha, beta, t):
@@ -232,19 +232,10 @@ def _rotation_slope_factor(v1, v2, alpha, beta, t):
     return w, 2.0 * alpha * w + wp
 
 
-def witness_complex_eigen(sys: linsys.LinearPortSystem, alpha: float, beta: float,
-                          v1, v2, T_hint: float = 1.0,
-                          spec_tol: float = linsys.SPEC_TOL,
-                          eigvec_in_imP_tol: float = 1e-8,
-                          steps: Optional[int] = None):
-    """Witness from an unstable complex pair ``alpha + i beta`` with both
-    eigenvector parts in im P.
-
-    Locates a time t0 where ``g(t) = e^(2 alpha t)|sin(beta t) v1 +
-    cos(beta t) v2|^2`` has positive slope, picks a window half-width eps with
-    g' > 0 throughout, and drives ``u(t) = h'(t) e^(alpha t)(sin(beta t) v1 +
-    cos(beta t) v2)`` with ``h = rho((t - t0)/eps)``.
-    """
+def _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
+                          eigvec_in_imP_tol):
+    """Checked windowed witness signal of an unstable complex pair with both
+    eigenvector parts in im P; its horizon is at least ``T_hint``."""
     if alpha <= 0:
         raise NonPositiveEigenvalue(f"need alpha > 0, got {alpha}")
     if beta == 0:
@@ -308,8 +299,26 @@ def witness_complex_eigen(sys: linsys.LinearPortSystem, alpha: float, beta: floa
     T = max(float(T_hint), t0 + 2.0 * eps)
     if alpha * T > 300.0:
         T = t0 + 1.05 * eps  # minimum viable horizon before e^(alpha t) overflows
-    sig = signals.MollifierComplex(alpha=float(alpha), beta=float(beta),
-                                   v1=v1, v2=v2, t0=t0, eps=float(eps), T=T)
+    return signals.MollifierComplex(alpha=float(alpha), beta=float(beta),
+                                    v1=v1, v2=v2, t0=t0, eps=float(eps), T=T)
+
+
+def witness_complex_eigen(sys: linsys.LinearPortSystem, alpha: float, beta: float,
+                          v1, v2, T_hint: float = 1.0,
+                          spec_tol: float = linsys.SPEC_TOL,
+                          eigvec_in_imP_tol: float = 1e-8,
+                          steps: Optional[int] = None):
+    """Witness from an unstable complex pair ``alpha + i beta`` with both
+    eigenvector parts in im P.
+
+    Locates a time t0 where ``g(t) = e^(2 alpha t)|sin(beta t) v1 +
+    cos(beta t) v2|^2`` has positive slope, picks a window half-width eps with
+    g' > 0 throughout, and drives ``u(t) = h'(t) e^(alpha t)(sin(beta t) v1 +
+    cos(beta t) v2)`` with ``h = rho((t - t0)/eps)``.
+    """
+    sig = _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
+                                eigvec_in_imP_tol)
+    T = sig.T
     if steps is None:
         steps = _resolved_steps(sig, T, None)
     W, _ = energy_integral(sys, sig, T, steps)
@@ -462,12 +471,14 @@ def _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes):
         v = spec.G[:, i]
         if abs(l.imag) <= 1e-10:
             vr = v.real if np.linalg.norm(v.real) > np.linalg.norm(v.imag) else v.imag
+            # keep lam * T at most 100, far below the overflow guard
+            T = min(1.0, 100.0 / float(l.real))
             try:
-                sig, _ = witness_real_eigen(sys, float(l.real), vr, T=1.0,
-                                            eigvec_in_imP_tol=in_imP_tol)
+                sig = _real_eigen_signal(sys, float(l.real), vr, T, linsys.SPEC_TOL,
+                                         in_imP_tol)
             except (EigpairMismatch, EigvecNotInImP, NonPositiveEigenvalue):
                 continue
-            rec = _verified_record(sys, sig, 1.0, cfg)
+            rec = _verified_record(sys, sig, T, cfg)
             if rec:
                 notes.append(f"witness: real eigenpair lam={l.real:.6g}")
                 return rec
@@ -476,13 +487,13 @@ def _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes):
                 continue  # near-real pair: the rotation period makes the
                           # windowed witness unaffordable; later routes cover it
             try:
-                sig, T, _ = witness_complex_eigen(sys, float(l.real), float(l.imag),
-                                                  v.real, v.imag, T_hint=1.0,
-                                                  eigvec_in_imP_tol=in_imP_tol)
+                sig = _complex_eigen_signal(sys, float(l.real), float(l.imag),
+                                            v.real, v.imag, 1.0, linsys.SPEC_TOL,
+                                            in_imP_tol)
             except (EigpairMismatch, EigvecNotInImP, NonPositiveEigenvalue,
                     NoPositiveSlopeFound):
                 continue
-            rec = _verified_record(sys, sig, T, cfg)
+            rec = _verified_record(sys, sig, sig.T, cfg)
             if rec:
                 notes.append(
                     f"witness: complex pair {l.real:.6g} +/- {l.imag:.6g}i"

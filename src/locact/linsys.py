@@ -8,6 +8,7 @@ integration on [0, T] with the initial state pinned at the origin.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +253,96 @@ def _segment_grid(T, knots, steps):
     return edges, counts
 
 
+# Steps per chunk of an integration: the per-step arrays (input samples, step
+# offsets, energy weights, states) exist for one chunk at a time, so the
+# working memory of an integration does not grow with its step count.
+_CHUNK_STEPS = 4096
+
+# The energy integrand <x, P u> is sampled at the four RK4 stage states.
+# Stage j pairs with input sample _STAGE_INPUT[j] (t, t + h/2, t + h/2, t + h)
+# and carries the weight _STAGE_WEIGHT[j] / 6.
+_STAGE_INPUT = (0, 1, 1, 2)
+_STAGE_WEIGHT = (1.0, 2.0, 2.0, 1.0)
+
+
+def _rk4_step(A, h, x, f1, f2, f3):
+    """One classical RK4 step of ``x' = A x + f`` on row-stacked states with
+    input samples f1, f2, f3 at the start, middle and end of the step.
+
+    Returns the next states and the four stage states (x, y1, y2, y3) at
+    which the energy integrand is sampled.
+    """
+    k1 = x @ A.T + f1
+    y1 = x + (0.5 * h) * k1
+    k2 = y1 @ A.T + f2
+    y2 = x + (0.5 * h) * k2
+    k3 = y2 @ A.T + f2
+    y3 = x + h * k3
+    k4 = y3 @ A.T + f3
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, y1, y2, y3)
+
+
+def _step_maps(A, h):
+    """The state part of one RK4 step, from the step applied to the basis.
+
+    Returns ``RT`` with ``x_{k+1} = x_k @ RT + c_k`` (``RT`` is the transpose
+    of ``R = I + hA + ... + (hA)^4/24``) and the energy weights ``E`` with
+    ``<x_k, F1_k @ E[0] + F2_k @ E[1] + F3_k @ E[2]>`` the part of the step's
+    energy increment that depends on ``x_k``.
+    """
+    n = A.shape[0]
+    RT, stages = _rk4_step(A, h, np.eye(n), 0.0, 0.0, 0.0)
+    E = np.zeros((3, n, n))
+    for S, slot, w in zip(stages, _STAGE_INPUT, _STAGE_WEIGHT):
+        E[slot] += (w * h / 6.0) * S.T
+    return RT, E
+
+
+def _input_terms(A, h, F):
+    """The input part of a chunk of RK4 steps with input samples F = (F1, F2,
+    F3): the offsets ``c_k`` of the step maps and the sum over the chunk of
+    the energy increments ``q_k`` that do not depend on the state."""
+    c, stages = _rk4_step(A, h, np.zeros((1, A.shape[0])), *F)
+    # stage 0 is the zero state and adds nothing
+    q = sum(w * float(np.einsum("ij,ij->", s, F[slot]))
+            for s, slot, w in zip(stages[1:], _STAGE_INPUT[1:], _STAGE_WEIGHT[1:]))
+    return c, (h / 6.0) * q
+
+
+def _powers(RT, B):
+    """``RT^0 .. RT^B`` stacked along the first axis."""
+    pows = np.empty((B + 1,) + RT.shape)
+    pows[0] = np.eye(RT.shape[0])
+    for j in range(1, B + 1):
+        pows[j] = pows[j - 1] @ RT
+    return pows
+
+
+def _affine_scan(pows, x0, c):
+    """States x_1..x_m of ``x_{k+1} = x_k @ RT + c_k`` from x_0, in blocks.
+
+    With B = len(pows) - 1 steps per block: B vectorised updates give every
+    block's states from a zero carry-in, one pass over the blocks carries the
+    state across block boundaries with ``RT^B``, and ``RT^1..RT^B`` add each
+    block's carry-in to its states.
+    """
+    m, n = c.shape
+    B = min(pows.shape[0] - 1, m)
+    nb = -(-m // B)
+    part = np.zeros((nb * B, n))
+    part[:m] = c
+    part = part.reshape(nb, B, n)
+    RT = pows[1]
+    for j in range(1, B):
+        part[:, j] += part[:, j - 1] @ RT
+    carry = np.empty((nb, n))
+    carry[0] = x0
+    for b in range(1, nb):
+        carry[b] = carry[b - 1] @ pows[B] + part[b - 1, B - 1]
+    states = np.tensordot(carry, pows[1:B + 1], axes=(1, 1)) + part
+    return states.reshape(nb * B, n)[:m]
+
+
 def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
                 want_states=True):
     """Classical RK4 for ``x' = A x + P u``, x(0) = 0, jointly integrating the
@@ -260,59 +351,62 @@ def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
     The grid is split at the signal's discontinuities so no step straddles a
     jump; on piecewise-constant signals each segment uses its midpoint value,
     which realizes the one-sided limits at the jump points.
+
+    On a segment of step h one RK4 step is the affine map
+    ``x_{k+1} = R x_k + c_k`` and adds ``<x_k, g_k> + q_k`` to the energy,
+    where ``c_k``, ``g_k`` and ``q_k`` depend only on the input samples.
+    They are computed for all steps at once, the recurrence is solved by a
+    blocked scan with about sqrt(m) steps per block, and the energy is a
+    reduction over the states.  Segments are processed in chunks of
+    ``_CHUNK_STEPS`` steps, carrying the state from chunk to chunk.
+
+    Returns (times, states, W); times and states are None unless
+    ``want_states``.
     """
     n = A.shape[0]
     edges, counts = _segment_grid(T, knots, steps)
     x = np.zeros(n)
     W = 0.0
     all_times = [np.array([0.0])]
-    all_states = [x[None, :].copy()] if want_states else None
+    all_states = [x[None, :].copy()]
     for (lo, hi), m in zip(zip(edges[:-1], edges[1:]), counts):
         h = (hi - lo) / m
-        grid = lo + h * np.arange(m + 1)
-        grid[-1] = hi
+        RT, E = _step_maps(A, h)
+        pows = _powers(RT, math.isqrt(min(m, _CHUNK_STEPS) - 1) + 1)
         if piecewise_constant:
-            const = evaluate(np.array([0.5 * (lo + hi)]))[0]
-            U1 = np.broadcast_to(const, (m, n))
-            U2, U3 = U1, U1
-        else:
-            U1 = evaluate(grid[:-1])
-            U2 = evaluate(grid[:-1] + 0.5 * h)
-            U3 = evaluate(grid[1:])
-        F1 = U1 @ P.T
-        F2 = U2 @ P.T
-        F3 = U3 @ P.T
-        states = np.empty((m, n)) if want_states else None
-        for k in range(m):
-            f1, f2, f3 = F1[k], F2[k], F3[k]
-            k1 = A @ x + f1
-            z1 = x @ f1
-            y = x + (0.5 * h) * k1
-            k2 = A @ y + f2
-            z2 = y @ f2
-            y = x + (0.5 * h) * k2
-            k3 = A @ y + f2
-            z3 = y @ f2
-            y = x + h * k3
-            k4 = A @ y + f3
-            z4 = y @ f3
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            W += (h / 6.0) * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
+            const = evaluate(np.array([0.5 * (lo + hi)]))[0] @ P.T
+        for first in range(0, m, _CHUNK_STEPS):
+            last = min(first + _CHUNK_STEPS, m)
+            grid = lo + h * np.arange(first, last + 1)
+            if last == m:
+                grid[-1] = hi
+            if piecewise_constant:
+                F = (np.broadcast_to(const, (last - first, n)),) * 3
+            else:
+                F = (evaluate(grid[:-1]) @ P.T, evaluate(grid[:-1] + 0.5 * h) @ P.T,
+                     evaluate(grid[1:]) @ P.T)
+            c, W_input = _input_terms(A, h, F)
+            states = _affine_scan(pows, x, c)
+            g = F[0] @ E[0]
+            g += F[1] @ E[1]
+            g += F[2] @ E[2]
+            W += W_input + float(x @ g[0] + np.einsum("ij,ij->", states[:-1], g[1:]))
+            x = states[-1]
             if want_states:
-                states[k] = x
-        all_times.append(grid[1:])
-        if want_states:
-            all_states.append(states)
-    times = np.concatenate(all_times)
-    states = np.concatenate(all_states) if want_states else None
-    return times, states, W
+                all_times.append(grid[1:])
+                all_states.append(states)
+    if not want_states:
+        return None, None, W
+    return np.concatenate(all_times), np.concatenate(all_states), W
 
 
 def solve_forced(sys: LinearPortSystem, u, T: float, steps: int) -> Trajectory:
     """Integrate ``x' = A x + P u(t)`` with x(0) = 0 on [0, T].
 
     Fixed-step classical RK4 on a uniform grid, split at the discontinuity
-    points of two-pulse signals.  ``u`` may be a Signal or a callable.
+    points of two-pulse signals.  The steps are written as affine maps and
+    solved by a blocked scan, in chunks of a fixed number of steps (see
+    ``_rk4_forced``).  ``u`` may be a Signal or a callable.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -324,7 +418,9 @@ def solve_forced(sys: LinearPortSystem, u, T: float, steps: int) -> Trajectory:
 
 
 def forced_energy(sys: LinearPortSystem, u, T: float, steps: int) -> float:
-    """Single-resolution energy integral; see :func:`locact.activity.energy_integral`
+    """Single-resolution energy integral ``int_0^T <x, P u> dt`` by the RK4
+    scheme of :func:`solve_forced` (affine step maps, blocked scan, fixed-size
+    chunks), keeping no states; see :func:`locact.activity.energy_integral`
     for the error-estimating wrapper."""
     if T <= 0:
         raise ValueError("T must be positive")

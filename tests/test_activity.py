@@ -24,6 +24,7 @@ from locact.errors import (
     NonPositiveEigenvalue,
     NotDiagonalizable,
     NoUnstableEigenvalue,
+    OverflowRisk,
     PulseOverlap,
     ZeroEigenvalue,
 )
@@ -131,6 +132,10 @@ class TestWitnessRealEigen:
     def test_nonpositive_eigenvalue_rejected(self):
         with pytest.raises(NonPositiveEigenvalue):
             witness_real_eigen(scalar_system(-1.0), -1.0, [1.0], T=1.0)
+
+    def test_overflowing_horizon_rejected(self):
+        with pytest.raises(OverflowRisk):
+            witness_real_eigen(scalar_system(400.0), 400.0, [1.0], T=1.0)
 
     def test_energy_decreasing_in_lambda(self):
         # -(lam T^2 / 4) int e^{2 lam t} q dt is strictly decreasing in lam

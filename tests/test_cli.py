@@ -64,6 +64,17 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out_path.read_text())["activity"]["status"] == "Active"
 
+    def test_large_real_eigenvalue_is_active(self, tmp_path, capsys):
+        # the real-eigenpair horizon shrinks with the eigenvalue, so e^(lam t)
+        # stays representable instead of tripping the overflow guard
+        A = write_matrix(tmp_path / "A.json", np.array([[400.0]]))
+        P = write_matrix(tmp_path / "P.json", np.array([[1.0]]))
+        code, out = run_cli(capsys, "analyze", A, P)
+        assert code == 0
+        report = json.loads(out)
+        assert report["activity"]["status"] == "Active"
+        assert report["activity"]["witness"]["W"] < 0.0
+
     def test_determinism_byte_identical(self, paper_pair, capsys):
         _, first = run_cli(capsys, "analyze", *paper_pair)
         _, second = run_cli(capsys, "analyze", *paper_pair)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locact import linsys
 from locact.errors import (
@@ -12,7 +14,14 @@ from locact.errors import (
     OverflowRisk,
     SignalDomainError,
 )
-from locact.signals import MollifierReal, TwoPulse, mollifier
+from locact.signals import (
+    MollifierComplex,
+    MollifierReal,
+    Sampled,
+    TwoPulse,
+    mollifier,
+    mollify_two_pulse,
+)
 
 
 class TestMakeSystem:
@@ -212,6 +221,126 @@ class TestSolveForced:
         sig = MollifierReal(lam=0.0, v=[1.0], T=1.0)
         with pytest.raises(SignalDomainError):
             linsys.solve_forced(sys, sig, 2.0, 64)
+
+
+def _rk4_loop_oracle(sys, u, T, steps):
+    """The integrator as a plain per-step RK4 loop.
+
+    Returns (times, states, W, mass), mass being the same quadrature of the
+    absolute integrand ``|<x, P u>|``.
+    """
+    A, P, n = sys.A, sys.P, sys.n
+    evaluate, knots, piecewise_constant = linsys._signal_hooks(u, T)
+    edges, counts = linsys._segment_grid(T, knots, steps)
+    x = np.zeros(n)
+    W = mass = 0.0
+    all_times = [np.array([0.0])]
+    all_states = [x[None, :].copy()]
+    for (lo, hi), m in zip(zip(edges[:-1], edges[1:]), counts):
+        h = (hi - lo) / m
+        grid = lo + h * np.arange(m + 1)
+        grid[-1] = hi
+        if piecewise_constant:
+            const = evaluate(np.array([0.5 * (lo + hi)]))[0]
+            U1 = np.broadcast_to(const, (m, n))
+            U2, U3 = U1, U1
+        else:
+            U1 = evaluate(grid[:-1])
+            U2 = evaluate(grid[:-1] + 0.5 * h)
+            U3 = evaluate(grid[1:])
+        F1 = U1 @ P.T
+        F2 = U2 @ P.T
+        F3 = U3 @ P.T
+        states = np.empty((m, n))
+        for k in range(m):
+            f1, f2, f3 = F1[k], F2[k], F3[k]
+            k1 = A @ x + f1
+            z1 = x @ f1
+            y = x + (0.5 * h) * k1
+            k2 = A @ y + f2
+            z2 = y @ f2
+            y = x + (0.5 * h) * k2
+            k3 = A @ y + f2
+            z3 = y @ f2
+            y = x + h * k3
+            k4 = A @ y + f3
+            z4 = y @ f3
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            W += (h / 6.0) * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
+            mass += (h / 6.0) * (abs(z1) + 2.0 * abs(z2) + 2.0 * abs(z3) + abs(z4))
+            states[k] = x
+        all_times.append(grid[1:])
+        all_states.append(states)
+    return np.concatenate(all_times), np.concatenate(all_states), W, mass
+
+
+SIGNAL_FAMILIES = ("two_pulse", "mollifier_real", "mollifier_complex",
+                   "mollified_two_pulse", "sampled", "callable")
+
+
+def _random_signal(rng, family, n):
+    """A signal of the given family on R^n and its horizon."""
+    if family in ("two_pulse", "mollified_two_pulse"):
+        T = float(rng.uniform(2.2, 4.0))
+        base = TwoPulse(a=float(rng.uniform(-2, 2)), b=float(rng.uniform(-2, 2)),
+                        k=float(rng.uniform(2.0 / T + 0.05, 3.0)), T=T,
+                        direction=rng.standard_normal(n))
+        if family == "two_pulse":
+            return base, T
+        limit = min(0.5 / base.k, 0.5 * (T - 2.0 / base.k))
+        return mollify_two_pulse(base, float(rng.uniform(0.1, 0.9)) * limit), T
+    if family == "mollifier_real":
+        T = float(rng.uniform(0.5, 3.0))
+        return MollifierReal(lam=float(rng.uniform(0, 2)), v=rng.standard_normal(n), T=T), T
+    if family == "mollifier_complex":
+        T = float(rng.uniform(1.0, 3.0))
+        eps = float(rng.uniform(0.05, 0.45 * T))
+        return MollifierComplex(alpha=float(rng.uniform(0, 1)), beta=float(rng.uniform(0.5, 6)),
+                                v1=rng.standard_normal(n), v2=rng.standard_normal(n),
+                                t0=float(rng.uniform(eps, T - eps)), eps=eps, T=T), T
+    if family == "sampled":
+        T = float(rng.uniform(0.5, 3.0))
+        knots = int(rng.integers(2, 20))
+        times = np.unique(np.concatenate(([0.0], rng.uniform(0, T, knots - 2), [T])))
+        return Sampled(times=times, values=rng.standard_normal((times.size, n))), T
+    T = float(rng.uniform(0.5, 3.0))
+    omega, phase = rng.uniform(0.5, 5, n), rng.uniform(0, 2 * np.pi, n)
+    return (lambda t: np.sin(np.outer(t, omega) + phase)), T
+
+
+def _random_projection(rng, kind, n):
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "e1":
+        P = np.zeros((n, n))
+        P[0, 0] = 1.0
+        return P
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    basis = Q[:, :int(rng.integers(1, n + 1))]
+    return basis @ basis.T
+
+
+class TestBlockedIntegrator:
+    """The blocked affine scan against the per-step loop it replaces."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           ports=st.sampled_from(("identity", "e1", "orthogonal")),
+           family=st.sampled_from(SIGNAL_FAMILIES),
+           steps=st.one_of(st.integers(2, 400),
+                           st.integers(linsys._CHUNK_STEPS - 16, linsys._CHUNK_STEPS + 16)))
+    def test_matches_loop_oracle(self, seed, n, ports, family, steps):
+        rng = np.random.default_rng(seed)
+        sys = linsys.make_system(rng.uniform(-2, 2, (n, n)), _random_projection(rng, ports, n))
+        u, T = _random_signal(rng, family, n)
+        times, states, W, mass = _rk4_loop_oracle(sys, u, T, steps)
+        traj = linsys.solve_forced(sys, u, T, steps)
+        assert np.array_equal(traj.times, times)
+        assert np.abs(traj.states - states).max() <= 1e-9 * np.abs(states).max()
+        # relative to |W|; where the integrand cancels to a W far below its
+        # absolute mass, relative to 1% of that mass
+        W_tol = 1e-9 * max(abs(W), 1e-2 * mass)
+        assert abs(linsys.forced_energy(sys, u, T, steps) - W) <= W_tol
 
 
 class TestMatrixIO:
