@@ -385,15 +385,19 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
     # terminates far earlier when it is going to terminate at all
     T_max = min(_scan_T_max(cfg, max_re), 500.0 / max_re)
     Ts = np.arange(2.0, T_max + 0.5 * cfg.T_scan_step, cfg.T_scan_step)
+    # mollification needs strictly separated smoothed pulses, so candidates
+    # keep a small gap between the pulse ends (k = 1: T > 2)
+    mollifiable = Ts >= 2.0 + 0.04
+    if not mollifiable.any():
+        raise ScanExhausted(
+            f"no mollifiable horizon T >= 2.04 up to T_max = {T_max}"
+        )
     gh = g_row * h_col
     sq_term = (2.0 / lam**2) * (np.exp(lam) - 1.0) - 2.0 / lam
     eta = complex(np.sum(gh * sq_term)).real
     coeff = gh * (1.0 / lam**2) * (1.0 - np.exp(-lam)) ** 2
     # W(a, T) = eta + a * Re sum_l coeff_l e^(lam_l T), vectorized over the scan
     osc = (np.exp(np.outer(Ts, lam)) * coeff).sum(axis=1).real
-    # mollification needs strictly separated smoothed pulses, so candidates
-    # keep a small gap between the pulse ends (k = 1: T > 2)
-    mollifiable = Ts >= 2.0 + 0.04
     hit = None
     for i, T in enumerate(Ts):
         if not mollifiable[i]:

@@ -128,10 +128,6 @@ class NoConvergence(LocactError):
         self.best_residual = best_residual
 
 
-class SingularJacobian(LocactError):
-    pass
-
-
 class NotAnEquilibrium(LocactError):
     pass
 

@@ -358,7 +358,9 @@ def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
     They are computed for all steps at once, the recurrence is solved by a
     blocked scan with about sqrt(m) steps per block, and the energy is a
     reduction over the states.  Segments are processed in chunks of
-    ``_CHUNK_STEPS`` steps, carrying the state from chunk to chunk.
+    ``_CHUNK_STEPS`` steps, carrying the state from chunk to chunk.  A chunk
+    of m steps samples the input 2m + 1 times: each grid point once (the end
+    of one step is the start of the next) and each step midpoint once.
 
     Returns (times, states, W); times and states are None unless
     ``want_states``.
@@ -383,8 +385,9 @@ def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
             if piecewise_constant:
                 F = (np.broadcast_to(const, (last - first, n)),) * 3
             else:
-                F = (evaluate(grid[:-1]) @ P.T, evaluate(grid[:-1] + 0.5 * h) @ P.T,
-                     evaluate(grid[1:]) @ P.T)
+                ends = evaluate(grid)
+                F = (ends[:-1] @ P.T, evaluate(grid[:-1] + 0.5 * h) @ P.T,
+                     ends[1:] @ P.T)
             c, W_input = _input_terms(A, h, F)
             states = _affine_scan(pows, x, c)
             g = F[0] @ E[0]

@@ -58,31 +58,40 @@ def mollifier_mass() -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _N_PANELS = 12
+# panel ends of the composite rule on [-1, y], as fractions of y + 1
+_PANEL_OFFSETS = np.linspace(0.0, 1.0, _N_PANELS + 1)
 
 
 def mollifier_cdf(y):
     """Normalized antiderivative ``int_{-1}^{y} rho / int rho``, clamped to [0, 1].
 
     Composite Gauss-Legendre on the support; there is no closed-form
-    antiderivative.
+    antiderivative.  Only samples with ``-1 < y < 1`` are integrated: the
+    rest are exactly 0 (``y <= -1``) or 1 (``y >= 1``), and NaN stays NaN.
+    The node weights are still applied by one matrix-vector product over
+    the whole batch, with zero rows at the exterior samples: the product's
+    summation order depends on a row's position in the batch, so this keeps
+    every value bit-identical to integrating all samples.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
-    y = np.atleast_1d(y).astype(float)
-    yc = np.clip(y, -1.0, 1.0)
-    acc = np.zeros_like(yc)
-    span = yc + 1.0
-    offsets = np.linspace(0.0, 1.0, _N_PANELS + 1)
-    for p in range(_N_PANELS):
-        lo = -1.0 + span * offsets[p]
-        hi = -1.0 + span * offsets[p + 1]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        s = half[:, None] * _GL_NODES[None, :] + mid[:, None]
-        acc += half * (mollifier(s.ravel()).reshape(s.shape) @ _GL_WEIGHTS)
-    out = acc / mollifier_mass()
-    out[y <= -1.0] = 0.0
-    out[y >= 1.0] = 1.0
+    y = np.atleast_1d(y)
+    out = (y >= 1.0).astype(float)
+    out[np.isnan(y)] = np.nan
+    inside = np.abs(y) < 1.0
+    if inside.any():
+        span = y[inside] + 1.0
+        acc = np.zeros_like(span)
+        rho = np.zeros((y.size, _GL_NODES.size))
+        for p in range(_N_PANELS):
+            lo = -1.0 + span * _PANEL_OFFSETS[p]
+            hi = -1.0 + span * _PANEL_OFFSETS[p + 1]
+            half = 0.5 * (hi - lo)
+            mid = 0.5 * (hi + lo)
+            s = half[:, None] * _GL_NODES[None, :] + mid[:, None]
+            rho[inside] = mollifier(s.ravel()).reshape(s.shape)
+            acc += half * (rho @ _GL_WEIGHTS)[inside]
+        out[inside] = acc / mollifier_mass()
     return float(out[0]) if scalar else out
 
 
@@ -228,20 +237,6 @@ def is_signal(u) -> bool:
 
 def horizon(sig) -> float:
     return float(sig.T)
-
-
-def dimension(sig) -> int:
-    if isinstance(sig, TwoPulse):
-        return sig.direction.size
-    if isinstance(sig, MollifierReal):
-        return sig.v.size
-    if isinstance(sig, MollifierComplex):
-        return sig.v1.size
-    if isinstance(sig, MollifiedTwoPulse):
-        return sig.base.direction.size
-    if isinstance(sig, Sampled):
-        return sig.values.shape[1]
-    raise TypeError(f"not a signal: {type(sig)!r}")
 
 
 def breakpoints(sig):

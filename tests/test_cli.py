@@ -19,6 +19,18 @@ def paper_pair(tmp_path):
     return A, P
 
 
+@pytest.fixture
+def large_abscissa_pair(tmp_path):
+    # spectral abscissa about 387, one port
+    U = np.array([[0.55, -0.92, -1.84, -1.93],
+                  [1.25, 1.65, 0.43, 0.92],
+                  [0.17, 1.74, 1.26, -1.99],
+                  [1.43, -1.87, 0.92, -1.3]])
+    A = write_matrix(tmp_path / "A.json", 200.0 * U)
+    P = write_matrix(tmp_path / "P.json", np.diag([1.0, 0.0, 0.0, 0.0]))
+    return A, P
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -75,6 +87,16 @@ class TestAnalyze:
         assert report["activity"]["status"] == "Active"
         assert report["activity"]["witness"]["W"] < 0.0
 
+    def test_large_spectral_abscissa_is_inconclusive(self, large_abscissa_pair, capsys):
+        # the scan horizon 200/max_re is below 2, so the scan holds no
+        # mollifiable two-pulse horizon; the verdict says so instead of crashing
+        code, out = run_cli(capsys, "analyze", *large_abscissa_pair)
+        assert code == 0
+        activity = json.loads(out)["activity"]
+        assert activity["status"] == "Inconclusive"
+        assert "ScanExhausted" in activity["notes"]
+        assert "T_max" in activity["notes"]
+
     def test_determinism_byte_identical(self, paper_pair, capsys):
         _, first = run_cli(capsys, "analyze", *paper_pair)
         _, second = run_cli(capsys, "analyze", *paper_pair)
@@ -103,6 +125,11 @@ class TestWitness:
         code, out = run_cli(capsys, "witness", A, P)
         assert code == 3
         assert json.loads(out)["status"] == "Passive"
+
+    def test_large_spectral_abscissa_exits_3(self, large_abscissa_pair, capsys):
+        code, out = run_cli(capsys, "witness", *large_abscissa_pair)
+        assert code == 3
+        assert json.loads(out)["status"] == "Inconclusive"
 
     def test_inconclusive_input_exits_3_with_notes(self, tmp_path, capsys):
         A = write_matrix(tmp_path / "A.json", -np.eye(2))

@@ -343,6 +343,31 @@ class TestBlockedIntegrator:
         assert abs(linsys.forced_energy(sys, u, T, steps) - W) <= W_tol
 
 
+class TestInputSamples:
+    """A chunk of m steps samples the input at its m + 1 grid points and its
+    m midpoints, each once."""
+
+    @pytest.mark.parametrize("steps", [2, 3, 100, linsys._CHUNK_STEPS,
+                                       linsys._CHUNK_STEPS + 16])
+    @pytest.mark.parametrize("want_states", [True, False])
+    def test_sample_count(self, steps, want_states):
+        sampled = []
+
+        def u(t):
+            sampled.append(np.array(t, dtype=float))
+            return np.sin(np.outer(t, [1.0, 2.0]))
+
+        sys = linsys.make_system([[-1.0, 2.0], [0.5, -0.3]], np.eye(2))
+        if want_states:
+            linsys.solve_forced(sys, u, 1.5, steps)
+        else:
+            linsys.forced_energy(sys, u, 1.5, steps)
+        chunks = [min(linsys._CHUNK_STEPS, steps - first)
+                  for first in range(0, steps, linsys._CHUNK_STEPS)]
+        assert sum(t.size for t in sampled) == sum(2 * m + 1 for m in chunks)
+        assert np.unique(np.concatenate(sampled)).size == 2 * steps + 1
+
+
 class TestMatrixIO:
     def test_json_round_trip_bit_exact(self, rng):
         M = rng.standard_normal((3, 3)) * np.pi

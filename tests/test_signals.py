@@ -76,6 +76,64 @@ class TestMollifier:
             assert mollifier_cdf(y) == pytest.approx(dense[i], abs=1e-6)
 
 
+def _cdf_all_points_oracle(y):
+    """``mollifier_cdf`` as the quadrature of every sample: the exterior
+    samples are integrated too (clipped to the support) and then overwritten."""
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y).astype(float)
+    yc = np.clip(y, -1.0, 1.0)
+    acc = np.zeros_like(yc)
+    span = yc + 1.0
+    offsets = np.linspace(0.0, 1.0, signals._N_PANELS + 1)
+    for p in range(signals._N_PANELS):
+        lo = -1.0 + span * offsets[p]
+        hi = -1.0 + span * offsets[p + 1]
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        s = half[:, None] * signals._GL_NODES[None, :] + mid[:, None]
+        acc += half * (mollifier(s.ravel()).reshape(s.shape) @ signals._GL_WEIGHTS)
+    out = acc / signals.mollifier_mass()
+    out[y <= -1.0] = 0.0
+    out[y >= 1.0] = 1.0
+    return float(out[0]) if scalar else out
+
+
+CDF_EDGES = (1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+             np.inf, -np.inf, np.nan)
+
+
+class TestCdfOracle:
+    """The interior-only ``mollifier_cdf`` against the all-points quadrature."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_uniform_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 3, 5, 31, 300, 4097):
+            y = rng.uniform(-1.5, 1.5, size)
+            assert np.array_equal(mollifier_cdf(y), _cdf_all_points_oracle(y),
+                                  equal_nan=True)
+
+    def test_edge_inputs(self):
+        edges = np.array(CDF_EDGES)
+        assert np.array_equal(mollifier_cdf(edges), _cdf_all_points_oracle(edges),
+                              equal_nan=True)
+        mixed = np.concatenate([edges, np.linspace(-0.99, 0.99, 9), edges])
+        assert np.array_equal(mollifier_cdf(mixed), _cdf_all_points_oracle(mixed),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("y", CDF_EDGES + (0.0, 0.37))
+    def test_scalar_input(self, y):
+        value = mollifier_cdf(y)
+        assert isinstance(value, float)
+        assert np.array_equal(value, _cdf_all_points_oracle(y), equal_nan=True)
+
+    def test_all_exterior_array(self):
+        y = np.array([-3.0, -1.0, 1.0, 2.5, np.inf, -np.inf])
+        assert np.array_equal(mollifier_cdf(y), _cdf_all_points_oracle(y))
+        assert np.array_equal(mollifier_cdf(y), [0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+
+
 class TestEvalSignal:
     def test_two_pulse_on_first_pulse(self):
         sig = TwoPulse(a=1.0, b=1.0, k=1.0, T=2.0, direction=[1.0, 0.0, 0.0])
