@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys as _sysmod
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,15 +29,6 @@ _TOL_KEYS = {
     "on_axis_tol", "resid_tol", "axis_val_tol", "cluster_tol",
     "newton_tol", "genericity_tol",
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    overrides: dict = field(default_factory=dict)
-    seed: int = 0
-    output: str | None = None
-    fmt: str = "json"
 
 
 class InputError(Exception):
@@ -168,20 +158,15 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
     return 0
 
 
-def _fhn_point_report(mu, beta, gamma, xi, cfg, tols, x_guess=None):
-    sys = nonlinear.fhn_system(mu, beta, gamma, xi)
-    guess = x_guess if x_guess is not None else \
-        nonlinear.fhn_equilibrium_guesses(mu, beta, gamma, xi)[0]
-    return nonlinear.analyze_equilibrium_pipeline(sys, guess, cfg)
-
-
 def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
             sweep_csv=None):
     cfg = _witness_config(overrides)
     tols = _classifier_tols(overrides)
     report = {"params": {"mu": mu, "beta": beta, "gamma": gamma, "xi": xi}}
     try:
-        report["pipeline"] = _fhn_point_report(mu, beta, gamma, xi, cfg, tols)
+        report["pipeline"] = nonlinear.analyze_equilibrium_pipeline(
+            nonlinear.fhn_system(mu, beta, gamma, xi),
+            nonlinear.fhn_equilibrium_guesses(mu, beta, gamma, xi)[0], cfg, tols)
     except StageError as exc:
         report["pipeline"] = {"error": str(exc), "stage": exc.stage}
 
@@ -383,25 +368,23 @@ def main(argv=None) -> int:
         seed = args.seed
         if seed is None:
             seed = int(os.environ.get("LOCACT_SEED", "0"))
-        cfg = RunConfig(command=args.command, overrides=overrides, seed=seed,
-                        output=args.output)
-        if cfg.command == "analyze":
-            return cmd_analyze_linear(args.matrix, args.projection,
-                                      cfg.overrides, output=cfg.output)
-        if cfg.command == "witness":
-            return cmd_witness(args.matrix, args.projection, cfg.overrides,
-                               output=cfg.output, csv_path=args.csv)
-        if cfg.command == "fhn":
+        if args.command == "analyze":
+            return cmd_analyze_linear(args.matrix, args.projection, overrides,
+                                      output=args.output)
+        if args.command == "witness":
+            return cmd_witness(args.matrix, args.projection, overrides,
+                               output=args.output, csv_path=args.csv)
+        if args.command == "fhn":
             sweep = _parse_sweep(args.sweep) if args.sweep else None
-            return cmd_fhn(args.mu, args.beta, args.gamma, args.xi,
-                           cfg.overrides, output=cfg.output, sweep=sweep,
+            return cmd_fhn(args.mu, args.beta, args.gamma, args.xi, overrides,
+                           output=args.output, sweep=sweep,
                            sweep_csv=args.sweep_csv)
-        if cfg.command == "rd-cell":
-            return cmd_rd_cell(args.spec, cfg.overrides, output=cfg.output)
-        if cfg.command == "genericity":
-            return cmd_genericity(args.n, args.samples, cfg.seed, cfg.overrides,
-                                  output=cfg.output)
-        raise InputError(f"unknown command {cfg.command!r}")
+        if args.command == "rd-cell":
+            return cmd_rd_cell(args.spec, overrides, output=args.output)
+        if args.command == "genericity":
+            return cmd_genericity(args.n, args.samples, seed, overrides,
+                                  output=args.output)
+        raise InputError(f"unknown command {args.command!r}")
     except InputError as exc:
         _sysmod.stdout.write(dumps_canonical({"error": str(exc)}) + "\n")
         return 2

@@ -187,6 +187,25 @@ def _axis_exclusions(rf, on_axis_tol, cluster_tol):
     return wins
 
 
+def _re_on_axis(num, den, w):
+    """``np.real(polyval(1j*w, num) / polyval(1j*w, den))`` bit for bit, in
+    Python floats, for finite coefficients; see :func:`min_real_on_axis`."""
+    sr, si = 0.0 * w - 0.0, 0.0 + w  # 1j * w: (0, 1) times (w, 0)
+    # Horner steps: numpy's complex product and real-plus-complex sum on (re, im)
+    nr = ni = dr = di = 0.0
+    for a in reversed(num):
+        nr, ni = a + (nr * sr - ni * si), 0.0 + (nr * si + ni * sr)
+    for a in reversed(den):
+        dr, di = a + (dr * sr - di * si), 0.0 + (dr * si + di * sr)
+    if abs(dr) >= abs(di):
+        if dr == 0.0 and di == 0.0:
+            return math.nan if nr != nr or nr == 0.0 else math.copysign(math.inf, nr)
+        rat = di / dr
+        return (nr + ni * rat) * (1.0 / (dr + di * rat))
+    rat = dr / di
+    return (nr * rat + ni) * (1.0 / (di + dr * rat))
+
+
 def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
                      grid: int = 4096, on_axis_tol: float = 1e-7,
                      cluster_tol: float = CLUSTER_TOL):
@@ -198,6 +217,13 @@ def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
     unbounded behavior is decided analytically.  Samples inside small windows
     around imaginary-axis poles are excluded, with extra samples placed just
     outside the windows.
+
+    The grid is one vectorised ``polyval``; scalar probes use
+    :func:`_re_on_axis`, which repeats numpy's complex Horner steps and Smith
+    division (times ``1/(dr + di*rat)``) in Python floats, bit for bit and
+    without numpy's per-call overhead.  Python's ``complex`` would divide,
+    moving the last bit, and raise on a zero denominator where numpy gives
+    ``nr/0``.
     """
     num = np.asarray(rf.num, dtype=float)
     den = np.asarray(rf.den, dtype=float)
@@ -208,12 +234,6 @@ def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
         omega_max = 1e4 * max(1.0, min(ratio, 1e6))
 
     exclusions = _axis_exclusions(rf, on_axis_tol, cluster_tol)
-
-    def re_axis(w):
-        w = np.asarray(w, dtype=float)
-        s = 1j * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.real(npoly.polyval(s, num) / npoly.polyval(s, den))
 
     half = max(grid // 2, 16)
     lin = np.linspace(0.0, min(10.0, omega_max), half)
@@ -229,7 +249,8 @@ def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
     for center, radius in exclusions:
         keep &= np.abs(ws - center) > radius
     ws = ws[keep]
-    vals = re_axis(ws)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.real(npoly.polyval(1j * ws, num) / npoly.polyval(1j * ws, den))
     finite = np.isfinite(vals)
     ws, vals = ws[finite], vals[finite]
     idx = int(np.argmin(vals))
@@ -242,16 +263,16 @@ def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
     a_, b_ = float(lo), float(hi)
     c_ = b_ - phi * (b_ - a_)
     d_ = a_ + phi * (b_ - a_)
-    fc, fd = float(re_axis(c_)), float(re_axis(d_))
+    fc, fd = _re_on_axis(rf.num, rf.den, c_), _re_on_axis(rf.num, rf.den, d_)
     for _ in range(80):
         if fc < fd:
             b_, d_, fd = d_, c_, fc
             c_ = b_ - phi * (b_ - a_)
-            fc = float(re_axis(c_))
+            fc = _re_on_axis(rf.num, rf.den, c_)
         else:
             a_, c_, fc = c_, d_, fd
             d_ = a_ + phi * (b_ - a_)
-            fd = float(re_axis(d_))
+            fd = _re_on_axis(rf.num, rf.den, d_)
     w_ref = c_ if fc < fd else d_
     v_ref = min(fc, fd)
     if np.isfinite(v_ref) and v_ref < v_star and \
@@ -259,11 +280,11 @@ def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
         w_star, v_star = float(w_ref), float(v_ref)
 
     # analytic tail: if Re Y is eventually negative, chase it past the grid
-    if asymptotic_axis_sign(rf) < 0 and v_star >= 0.0:
+    if v_star >= 0.0 and asymptotic_axis_sign(rf) < 0:
         w_tail = omega_max
         for _ in range(12):
             w_tail *= 10.0
-            v_tail = float(re_axis(np.array([w_tail]))[0])
+            v_tail = _re_on_axis(rf.num, rf.den, w_tail)
             if np.isfinite(v_tail) and v_tail < 0.0:
                 w_star, v_star = w_tail, v_tail
                 break

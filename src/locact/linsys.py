@@ -22,14 +22,14 @@ from .errors import (
     OverflowRisk,
     SignalDomainError,
 )
+from . import signals as _sig
+from .signals import _DOMAIN_SLACK, _frozen
 
 # Default tolerances; every operation accepts an override.
 PROJ_TOL = 1e-10
 SPEC_TOL = 1e-8
-EXP_TOL = 1e-12
 SYM_TOL = 1e-12
-
-_DOMAIN_SLACK = 1e-9
+EXP_TOL = 1e-12  # relative accuracy expected of matrix_exponential
 
 
 def _as_square_matrix(M, name):
@@ -39,12 +39,6 @@ def _as_square_matrix(M, name):
     if not np.all(np.isfinite(M)):
         raise NonFiniteEntry(f"{name} contains non-finite entries")
     return M
-
-
-def _freeze(a):
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ def make_system(A, P, proj_tol: float = PROJ_TOL) -> LinearPortSystem:
     defect = np.linalg.norm(P @ P - P)
     if defect > proj_tol * max(1.0, np.linalg.norm(P)):
         raise NotAProjection(f"||P@P - P||_F = {defect:.3e} exceeds tolerance")
-    return LinearPortSystem(A=_freeze(A), P=_freeze(P), n=A.shape[0])
+    return LinearPortSystem(A=_frozen(A), P=_frozen(P), n=A.shape[0])
 
 
 def _eig_order(eigenvalues):
@@ -157,16 +151,16 @@ def spectrum(A, spec_tol: float = SPEC_TOL) -> Spectrum:
         H = np.linalg.pinv(G)
     cond_G = float(np.linalg.cond(G))
     return Spectrum(
-        eigenvalues=_freeze(eigenvalues),
-        G=_freeze(G),
-        H=_freeze(H),
+        eigenvalues=_frozen(eigenvalues),
+        G=_frozen(G),
+        H=_frozen(H),
         diagonalizable=bool(diagonalizable),
         cond_G=cond_G,
         min_gap=min_gap,
     )
 
 
-def matrix_exponential(A, t: float, exp_tol: float = EXP_TOL) -> np.ndarray:
+def matrix_exponential(A, t: float) -> np.ndarray:
     """Matrix exponential ``exp(A t)`` via scaling-and-squaring Pade.
 
     Raises ``OverflowRisk`` when the result is not representable in double
@@ -212,8 +206,6 @@ def _signal_hooks(u, T):
     Accepts the Signal dataclasses from :mod:`locact.signals` or any callable
     t -> R^n.
     """
-    from . import signals as _sig
-
     if _sig.is_signal(u):
         if _sig.horizon(u) < T * (1.0 - _DOMAIN_SLACK):
             raise SignalDomainError(
@@ -417,7 +409,7 @@ def solve_forced(sys: LinearPortSystem, u, T: float, steps: int) -> Trajectory:
         raise ValueError("steps must be at least 2")
     evaluate, knots, pwc = _signal_hooks(u, T)
     times, states, _ = _rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc)
-    return Trajectory(times=_freeze(times), states=_freeze(states), T=float(T))
+    return Trajectory(times=_frozen(times), states=_frozen(states), T=float(T))
 
 
 def forced_energy(sys: LinearPortSystem, u, T: float, steps: int) -> float:

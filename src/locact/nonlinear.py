@@ -382,10 +382,11 @@ def rd_single_cell(f_a: Callable, f_b: Callable, D_coeffs, m: int,
 
 
 def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
-                                 cfg: Optional[activity.WitnessSearchConfig] = None) -> dict:
+                                 cfg: Optional[activity.WitnessSearchConfig] = None,
+                                 tols=None) -> dict:
     """Equilibrium -> kinetic linearization -> activity verdict -> genericity
-    membership, plus the edge-of-chaos classification for the FitzHugh-Nagumo
-    family; stage failures raise ``StageError`` labelled with the stage."""
+    membership, plus the edge-of-chaos classification under ``tols`` for the
+    FitzHugh-Nagumo family; stage failures raise ``StageError`` by stage."""
     from . import complexity
 
     def run(stage, fn, *args, **kwargs):
@@ -406,7 +407,7 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
     if sys.family == "fhn":
         rf = complexity.fhn_rational(float(eq.x_star[0]), sys.params["beta"],
                                      sys.params["xi"])
-        edge = run("edge_of_chaos_classify", complexity.edge_of_chaos_classify, rf)
+        edge = run("edge_of_chaos_classify", complexity.edge_of_chaos_classify, rf, tols)
         edge_json = complexity.classification_to_json(edge)
         edge_json["Y"] = complexity.rational_to_json(rf)
     return {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from locact import cli, linsys
+from test_complexity import _use_numpy_evaluator
 
 
 def write_matrix(path, M, fmt="json"):
@@ -163,6 +164,23 @@ class TestFhn:
         rows = csv_path.read_text().strip().splitlines()
         assert rows[0] == "mu,x_d,y_d,maxReEig_full,edge_of_chaos"
         assert len(rows) == 22
+
+    def test_sweep_bytes_match_numpy_evaluation(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "sweep.csv"
+        argv = ("fhn", "--mu", "0.05", "--sweep", "0:0.1:41", "--sweep-csv", str(csv_path))
+        shipped = run_cli(capsys, *argv), csv_path.read_bytes()
+        _use_numpy_evaluator(monkeypatch)
+        assert (run_cli(capsys, *argv), csv_path.read_bytes()) == shipped
+
+    def test_classifier_tolerances_reach_point_report(self, capsys):
+        code, out = run_cli(capsys, "fhn", "--mu", "0.05")
+        default = json.loads(out)["pipeline"]["edge_of_chaos"]
+        assert default["cond_iv"] is True and default["evidence"]["iv"]["re_Y"] < -0.1
+        code, out = run_cli(capsys, "fhn", "--mu", "0.05", "--tol.axis_val_tol=10")
+        assert code == 0
+        edge = json.loads(out)["pipeline"]["edge_of_chaos"]
+        assert edge["cond_iv"] is False and edge["edge_of_chaos"] is False
+        assert edge["evidence"] == default["evidence"]
 
     def test_bad_sweep_spec_exits_2(self, capsys):
         code, out = run_cli(capsys, "fhn", "--sweep", "0:0.1")

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from locact import complexity
 from locact.complexity import (
@@ -140,6 +143,107 @@ class TestMinRealOnAxis:
         rf = make_rational(num, den)
         w = np.linspace(0.1, 50.0, 101)
         npt.assert_allclose(np.real(rf(1j * w)), np.real(rf(-1j * w)), atol=1e-12)
+
+
+def _re_axis_oracle(num, den, w):
+    """Re Y(i w) as min_real_on_axis evaluated it before the float evaluator:
+    numpy complex polyval and division (scalar or array ``w``)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = 1j * np.asarray(w, dtype=float)
+        return np.real(npoly.polyval(s, np.asarray(num, dtype=float))
+                       / npoly.polyval(s, np.asarray(den, dtype=float)))
+
+
+def _use_numpy_evaluator(monkeypatch):
+    """Route the scalar probes of min_real_on_axis through the oracle."""
+    monkeypatch.setattr(complexity, "_re_on_axis",
+                        lambda num, den, w: float(_re_axis_oracle(num, den, w)))
+
+
+def _same_float(a, b):
+    """Equal values with equal signs of zero; any NaN equals any NaN."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _random_coeffs(rng, degree):
+    """Magnitudes 1e-3..1e3 with random signs; about one in five entries is
+    replaced by 0.0, -0.0 or 1.0."""
+    c = 10.0 ** rng.uniform(-3.0, 3.0, degree + 1) * rng.choice([-1.0, 1.0], degree + 1)
+    swap = rng.random(degree + 1) < 0.2
+    c[swap] = rng.choice([0.0, -0.0, 1.0], int(swap.sum()))
+    return c.tolist()
+
+
+# omega = 0, 1e-12, a 1e22 tail and beyond, where terms overflow to inf
+_SPECIAL_OMEGAS = (0.0, 1e-12, 1.0, 10.0, 1e8, 1e22, 1e60, 1e160, 1e300, math.inf)
+
+_coefficient = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0)),
+    st.builds(lambda m, neg: -m if neg else m,
+              st.floats(1e-3, 1e3), st.booleans()),
+)
+_omega = st.one_of(st.sampled_from(_SPECIAL_OMEGAS), st.floats(0.0, 1e22),
+                   st.floats(-12.0, 22.0).map(lambda e: 10.0 ** e))
+
+
+class TestReOnAxis:
+    """The float evaluator against numpy's complex evaluation, bit for bit."""
+
+    def _assert_matches(self, num, den, omegas):
+        array = _re_axis_oracle(num, den, np.array(omegas))
+        for w, from_array in zip(omegas, array):
+            got = complexity._re_on_axis(num, den, w)
+            assert _same_float(got, _re_axis_oracle(num, den, w)), (num, den, w)
+            assert _same_float(got, from_array), (num, den, w)
+
+    def test_seeded_degrees_and_omegas(self):
+        rng = np.random.default_rng(20)
+        grid = np.unique(np.concatenate([np.linspace(0.0, 10.0, 64),
+                                         np.geomspace(1e-2, 1e8, 64)])).tolist()
+        for _ in range(300):
+            num = _random_coeffs(rng, int(rng.integers(0, 7)))
+            den = _random_coeffs(rng, int(rng.integers(0, 7)))
+            tail = (10.0 ** rng.uniform(8.0, 22.0, 8)).tolist()
+            self._assert_matches(num, den, grid + tail + list(_SPECIAL_OMEGAS))
+
+    def test_denominator_zero_on_axis(self):
+        # den = 1 + s^2 vanishes exactly at omega = 1, where numpy returns
+        # nr / 0: inf, -inf, or NaN for a zero numerator
+        den = [1.0, 0.0, 1.0]
+        for num in ([1.0], [-2.0, 1.0], [0.0], [1.0, 0.0, 1.0], [0.5, 3.0, 0.0, 2.0]):
+            self._assert_matches(num, den, [0.0, 1.0, 2.0])
+        assert complexity._re_on_axis([1.0], den, 1.0) == math.inf
+        assert complexity._re_on_axis([-2.0, 1.0], den, 1.0) == -math.inf
+        assert math.isnan(complexity._re_on_axis([1.0, 0.0, 1.0], den, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.lists(_coefficient, min_size=1, max_size=7),
+           den=st.lists(_coefficient, min_size=1, max_size=7),
+           omegas=st.lists(_omega, min_size=1, max_size=8))
+    def test_matches_numpy(self, num, den, omegas):
+        self._assert_matches(num, den, omegas)
+
+    def test_min_real_on_axis_matches_old_closure(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        rationals = [fhn_rational(float(xd), BETA, XI)
+                     for xd in np.linspace(-1.6, 1.6, 33)]
+        rationals += [fhn_complexity_function(float(mu), BETA, GAMMA, XI)
+                      for mu in np.linspace(-0.5, 1.5, 21)]
+        while len(rationals) < 160:
+            num = _random_coeffs(rng, int(rng.integers(0, 5)))
+            den = _random_coeffs(rng, int(rng.integers(0, 5)))
+            try:
+                rationals.append(make_rational(num, den))
+            except ValueError:
+                continue
+        shipped = [min_real_on_axis(rf) for rf in rationals]
+        _use_numpy_evaluator(monkeypatch)
+        for rf, got in zip(rationals, shipped):
+            expected = min_real_on_axis(rf)
+            assert _same_float(got[0], expected[0]) and _same_float(got[1], expected[1]), rf
 
 
 class TestReduction:
