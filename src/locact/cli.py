@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Grammar: ``locact <analyze|witness|fhn|rd-cell|genericity> [flags]``.
-Every tolerance is exposed as ``--tol.<name>=<value>``; output is
-machine-first JSON (17-significant-digit floats, fixed key order) plus CSV
-where a command emits trajectories or sweeps.
+Every tolerance a command uses is exposed as ``--tol.<name>=<value>``;
+output is machine-first JSON (17-significant-digit floats, fixed key order)
+plus CSV where a command emits trajectories or sweeps.
 
 Exit codes: 0 = a verdict/report was produced, 2 = input error,
 3 = no witness available (``witness`` on a non-Active system).
@@ -23,11 +23,10 @@ from .errors import LocactError, StageError
 from .serialize import dumps_canonical, format_csv_row
 
 _TOL_KEYS = {
-    "proj_tol", "spec_tol", "exp_tol", "sym_tol",
-    "cert_tol", "eigvec_in_imP_tol", "imag_tol",
+    "proj_tol", "cert_tol", "eigvec_in_imP_tol",
     "T_max", "T_scan_step", "quad_steps_per_unit_time",
     "on_axis_tol", "resid_tol", "axis_val_tol", "cluster_tol",
-    "newton_tol", "genericity_tol",
+    "genericity_tol",
 }
 
 
@@ -143,12 +142,7 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
             fh.write(csv_text)
     report = {
         "status": verdict.status,
-        "witness": {
-            "signal": signals.signal_to_json(wit.signal),
-            "T": wit.T,
-            "W": wit.W,
-            "quadrature_error_estimate": wit.quadrature_error_estimate,
-        },
+        "witness": activity.verdict_to_json(verdict)["witness"],
         "notes": verdict.notes,
         "trajectory_csv": csv_path,
     }
@@ -160,6 +154,9 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
 
 def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
             sweep_csv=None):
+    for name, value in (("mu", mu), ("beta", beta), ("gamma", gamma), ("xi", xi)):
+        if not np.isfinite(value):
+            raise InputError(f"--{name} must be finite, got {value}")
     cfg = _witness_config(overrides)
     tols = _classifier_tols(overrides)
     report = {"params": {"mu": mu, "beta": beta, "gamma": gamma, "xi": xi}}
@@ -365,9 +362,6 @@ def main(argv=None) -> int:
             args = parser.parse_args(rest)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("LOCACT_SEED", "0"))
         if args.command == "analyze":
             return cmd_analyze_linear(args.matrix, args.projection, overrides,
                                       output=args.output)
@@ -382,6 +376,12 @@ def main(argv=None) -> int:
         if args.command == "rd-cell":
             return cmd_rd_cell(args.spec, overrides, output=args.output)
         if args.command == "genericity":
+            seed = args.seed
+            if seed is None:
+                try:
+                    seed = int(os.environ.get("LOCACT_SEED", "0"))
+                except ValueError as exc:
+                    raise InputError(f"bad LOCACT_SEED value: {exc}") from exc
             return cmd_genericity(args.n, args.samples, seed, overrides,
                                   output=args.output)
         raise InputError(f"unknown command {args.command!r}")

@@ -73,13 +73,7 @@ def port_transform(sys: linsys.LinearPortSystem):
 def _eig_side_report(A, tol):
     spect = linsys.spectrum(A)
     lam = spect.eigenvalues
-    n = lam.size
     min_abs = float(np.min(np.abs(lam)))
-    if n > 1:
-        diffs = np.abs(lam[:, None] - lam[None, :])
-        min_gap = float(diffs[~np.eye(n, dtype=bool)].min())
-    else:
-        min_gap = np.inf
     lam1 = lam[0]
     rest = list(lam[1:])
     if lam1.imag != 0.0:
@@ -92,20 +86,20 @@ def _eig_side_report(A, tol):
         dominance = float(lam1.real - max(l.real for l in rest))
     else:
         dominance = np.inf  # max over the empty set is -inf
-    in_N = (min_abs > tol) and (min_gap > tol) and (dominance > tol)
-    return spect, in_N, min_gap, min_abs, dominance
+    in_N = (min_abs > tol) and (spect.min_gap > tol) and (dominance > tol)
+    return spect, in_N, min_abs, dominance
 
 
 def in_generic_N(A, tol: float = 1e-8) -> GenericityReport:
     """Eigenvalue-side membership: nonzero spectrum, distinct eigenvalues,
     strictly dominating real part; every strict inequality uses margin
     ``tol``."""
-    _, in_N, min_gap, min_abs, dominance = _eig_side_report(A, tol)
+    spect, in_N, min_abs, dominance = _eig_side_report(A, tol)
     notes = ""
     if not np.isfinite(dominance):
         notes = "dominance over empty remainder (max of empty set = -inf)"
     return GenericityReport(
-        in_N=in_N, in_M=None, min_eig_gap=min_gap, min_abs_eig=min_abs,
+        in_N=in_N, in_M=None, min_eig_gap=spect.min_gap, min_abs_eig=min_abs,
         dominance_gap=dominance, g11h11=None, port_product_margin=None,
         Q=None, tol=tol, notes=notes,
     )
@@ -116,7 +110,7 @@ def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityR
     test and the dominant port product g11 * h11 is nonzero at margin ``tol``
     (after scale normalization)."""
     Q, transformed = port_transform(sys)
-    spect, in_N, min_gap, min_abs, dominance = _eig_side_report(transformed.A, tol)
+    spect, in_N, min_abs, dominance = _eig_side_report(transformed.A, tol)
     g11h11 = complex(spect.G[0, 0] * spect.H[0, 0])
     denom = float(np.linalg.norm(spect.G[:, 0]) * np.linalg.norm(spect.H[0, :]))
     margin = abs(g11h11) / denom if denom > 0 else 0.0
@@ -131,7 +125,7 @@ def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityR
     if not np.isfinite(dominance):
         notes.append("dominance over empty remainder (max of empty set = -inf)")
     return GenericityReport(
-        in_N=in_N, in_M=in_M, min_eig_gap=min_gap, min_abs_eig=min_abs,
+        in_N=in_N, in_M=in_M, min_eig_gap=spect.min_gap, min_abs_eig=min_abs,
         dominance_gap=dominance, g11h11=g11h11, port_product_margin=margin,
         Q=Q, tol=tol, notes="; ".join(notes),
     )

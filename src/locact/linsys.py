@@ -67,7 +67,6 @@ class Spectrum:
     G: np.ndarray
     H: np.ndarray
     diagonalizable: bool
-    cond_G: float
     min_gap: float
 
 
@@ -149,13 +148,11 @@ def spectrum(A, spec_tol: float = SPEC_TOL) -> Spectrum:
         diagonalizable = recon <= spec_tol * scale
     if not diagonalizable:
         H = np.linalg.pinv(G)
-    cond_G = float(np.linalg.cond(G))
     return Spectrum(
         eigenvalues=_frozen(eigenvalues),
         G=_frozen(G),
         H=_frozen(H),
         diagonalizable=bool(diagonalizable),
-        cond_G=cond_G,
         min_gap=min_gap,
     )
 
@@ -203,17 +200,17 @@ def top_sym_eigenpair(M):
 def _signal_hooks(u, T):
     """Return (vector_eval, knots, piecewise_constant) for a signal-like u.
 
-    Accepts the Signal dataclasses from :mod:`locact.signals` or any callable
+    Accepts the signal families of :mod:`locact.signals` or any callable
     t -> R^n.
     """
     if _sig.is_signal(u):
-        if _sig.horizon(u) < T * (1.0 - _DOMAIN_SLACK):
+        if u.T < T * (1.0 - _DOMAIN_SLACK):
             raise SignalDomainError(
-                f"signal horizon {_sig.horizon(u)} is shorter than T={T}"
+                f"signal horizon {float(u.T)} is shorter than T={T}"
             )
         def evaluate(ts):
             return np.atleast_2d(_sig.eval_signal(u, ts))
-        return evaluate, _sig.breakpoints(u), _sig.is_piecewise_constant(u)
+        return evaluate, u.breakpoints(), u.piecewise_constant
     if callable(u):
         def evaluate(ts):
             ts = np.atleast_1d(ts)
@@ -401,7 +398,7 @@ def solve_forced(sys: LinearPortSystem, u, T: float, steps: int) -> Trajectory:
     Fixed-step classical RK4 on a uniform grid, split at the discontinuity
     points of two-pulse signals.  The steps are written as affine maps and
     solved by a blocked scan, in chunks of a fixed number of steps (see
-    ``_rk4_forced``).  ``u`` may be a Signal or a callable.
+    ``_rk4_forced``).  ``u`` may be a signal family or a callable.
     """
     if T <= 0:
         raise ValueError("T must be positive")

@@ -2,13 +2,14 @@
 two-pulse signals, their mollified continuous approximations, and sampled
 signals with linear interpolation.
 
-All signals live on a finite horizon [0, T]; evaluation outside the horizon
+Each family carries its own evaluation, integration knots and JSON.  All
+signals live on a finite horizon [0, T]; evaluation outside the horizon
 raises ``SignalDomainError`` rather than zero-extending.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -116,8 +117,38 @@ def _frozen(a):
     return a
 
 
+class _Family:
+    """Base of the signal families: frozen dataclasses with a horizon ``T``
+    that evaluate themselves on [0, T] and name their knots; subclassing
+    registers a family for ``signal_from_json``."""
+
+    piecewise_constant = False
+    _registry = {}  # class name -> family, for signal_from_json
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _Family._registry[cls.__name__] = cls
+
+    def breakpoints(self):
+        """Interior times where the signal is not smooth, or where its
+        support starts and ends (integration grid knots)."""
+        return ()
+
+    def to_json(self) -> dict:
+        """Tagged-union dict representation, ``{"variant": ..., fields...}``."""
+        out = {"variant": type(self).__name__}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, _Family):
+                value = value.to_json()
+            out[f.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class TwoPulse:
+class TwoPulse(_Family):
     """Scalar two-pulse profile ``a X_[0,1/k] + b X_[T-1/k,T]`` along a unit
     direction; left-continuous at the interior jumps."""
 
@@ -127,6 +158,8 @@ class TwoPulse:
     T: float
     direction: np.ndarray
 
+    piecewise_constant = True
+
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("T must be positive")
@@ -134,9 +167,17 @@ class TwoPulse:
             raise ValueError(f"k must be at least 2/T = {2.0 / self.T}; pulses overlap")
         object.__setattr__(self, "direction", _frozen(_unit(self.direction, "direction")))
 
+    def breakpoints(self):
+        return (1.0 / self.k, self.T - 1.0 / self.k)
+
+    def evaluate(self, t):
+        first = t <= 1.0 / self.k
+        second = t > self.T - 1.0 / self.k
+        return np.outer(self.a * first + self.b * second, self.direction)
+
 
 @dataclass(frozen=True)
-class MollifierReal:
+class MollifierReal(_Family):
     """``u(t) = rho'(2t/T - 1) e^(lam t) v`` driving a real eigendirection."""
 
     lam: float
@@ -148,9 +189,12 @@ class MollifierReal:
             raise ValueError("T must be positive")
         object.__setattr__(self, "v", _frozen(_finite_vec(self.v, "v")))
 
+    def evaluate(self, t):
+        return np.outer(mollifier_derivative(2.0 * t / self.T - 1.0) * np.exp(self.lam * t), self.v)
+
 
 @dataclass(frozen=True)
-class MollifierComplex:
+class MollifierComplex(_Family):
     """``u(t) = h'(t) e^(alpha t) (sin(beta t) v1 + cos(beta t) v2)`` with the
     window ``h(t) = rho((t - t0)/eps)``."""
 
@@ -176,9 +220,18 @@ class MollifierComplex:
         object.__setattr__(self, "v1", _frozen(v1))
         object.__setattr__(self, "v2", _frozen(v2))
 
+    def breakpoints(self):
+        return (self.t0 - self.eps, self.t0 + self.eps)
+
+    def evaluate(self, t):
+        hprime = mollifier_derivative((t - self.t0) / self.eps) / self.eps
+        amp = hprime * np.exp(self.alpha * t)
+        return (amp * np.sin(self.beta * t))[:, None] * self.v1 + \
+               (amp * np.cos(self.beta * t))[:, None] * self.v2
+
 
 @dataclass(frozen=True)
-class MollifiedTwoPulse:
+class MollifiedTwoPulse(_Family):
     """Continuous approximation of a two-pulse: convolution with the
     normalized mollifier of width ``eps_s``."""
 
@@ -199,9 +252,22 @@ class MollifiedTwoPulse:
     def T(self):
         return self.base.T
 
+    def breakpoints(self):
+        b = self.base
+        e = self.eps_s
+        return (e, 1.0 / b.k - e, 1.0 / b.k + e,
+                b.T - 1.0 / b.k - e, b.T - 1.0 / b.k + e, b.T - e)
+
+    def evaluate(self, t):
+        b, e = self.base, self.eps_s
+        def window(lo, hi):
+            return mollifier_cdf((t - lo) / e) - mollifier_cdf((t - hi) / e)
+        profile = b.a * window(0.0, 1.0 / b.k) + b.b * window(b.T - 1.0 / b.k, b.T)
+        return np.outer(profile, b.direction)
+
 
 @dataclass(frozen=True)
-class Sampled:
+class Sampled(_Family):
     """Knot-value pairs with linear interpolation between knots."""
 
     times: np.ndarray
@@ -227,88 +293,36 @@ class Sampled:
     def T(self):
         return float(self.times[-1])
 
+    def breakpoints(self):
+        return tuple(self.times[1:-1]) if self.times.size <= 257 else ()
 
-Signal = (TwoPulse, MollifierReal, MollifierComplex, MollifiedTwoPulse, Sampled)
+    def evaluate(self, t):
+        return np.stack(
+            [np.interp(t, self.times, self.values[:, j]) for j in range(self.values.shape[1])],
+            axis=1,
+        )
 
 
 def is_signal(u) -> bool:
-    return isinstance(u, Signal)
-
-
-def horizon(sig) -> float:
-    return float(sig.T)
+    return isinstance(u, _Family)
 
 
 def breakpoints(sig):
-    """Interior times where the signal is not smooth, or where its support
-    starts and ends (integration grid knots)."""
-    if isinstance(sig, TwoPulse):
-        return (1.0 / sig.k, sig.T - 1.0 / sig.k)
-    if isinstance(sig, MollifierComplex):
-        return (sig.t0 - sig.eps, sig.t0 + sig.eps)
-    if isinstance(sig, MollifiedTwoPulse):
-        b = sig.base
-        e = sig.eps_s
-        return tuple(
-            t for t in (e, 1.0 / b.k - e, 1.0 / b.k + e,
-                        b.T - 1.0 / b.k - e, b.T - 1.0 / b.k + e, b.T - e)
-        )
-    if isinstance(sig, Sampled) and sig.times.size <= 257:
-        return tuple(sig.times[1:-1])
-    return ()
+    return sig.breakpoints()
 
 
-def is_piecewise_constant(sig) -> bool:
-    return isinstance(sig, TwoPulse)
-
-
-def _check_domain(sig, t):
-    T = horizon(sig)
-    slack = _DOMAIN_SLACK * max(1.0, T)
+def eval_signal(sig, t):
+    """Evaluate a signal at scalar or array times; returns shape (n,) or (m, n)."""
     t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    T = float(sig.T)
+    slack = _DOMAIN_SLACK * max(1.0, T)
     if np.any(t < -slack) or np.any(t > T + slack):
         raise SignalDomainError(
             f"evaluation time outside [0, {T}] (got range "
             f"[{float(np.min(t))}, {float(np.max(t))}])"
         )
-    return np.clip(t, 0.0, T)
-
-
-def _two_pulse_profile(sig: TwoPulse, t):
-    first = t <= 1.0 / sig.k
-    second = t > sig.T - 1.0 / sig.k
-    return sig.a * first + sig.b * second
-
-
-def _mollified_profile(sig: MollifiedTwoPulse, t):
-    b, e = sig.base, sig.eps_s
-    def window(lo, hi):
-        return mollifier_cdf((t - lo) / e) - mollifier_cdf((t - hi) / e)
-    return b.a * window(0.0, 1.0 / b.k) + b.b * window(b.T - 1.0 / b.k, b.T)
-
-
-def eval_signal(sig, t):
-    """Evaluate a signal at scalar or array times; returns shape (n,) or (m, n)."""
-    scalar = np.asarray(t).ndim == 0
-    t = np.atleast_1d(_check_domain(sig, t))
-    if isinstance(sig, TwoPulse):
-        out = np.outer(_two_pulse_profile(sig, t), sig.direction)
-    elif isinstance(sig, MollifierReal):
-        out = np.outer(mollifier_derivative(2.0 * t / sig.T - 1.0) * np.exp(sig.lam * t), sig.v)
-    elif isinstance(sig, MollifierComplex):
-        hprime = mollifier_derivative((t - sig.t0) / sig.eps) / sig.eps
-        amp = hprime * np.exp(sig.alpha * t)
-        out = (amp * np.sin(sig.beta * t))[:, None] * sig.v1 + \
-              (amp * np.cos(sig.beta * t))[:, None] * sig.v2
-    elif isinstance(sig, MollifiedTwoPulse):
-        out = np.outer(_mollified_profile(sig, t), sig.base.direction)
-    elif isinstance(sig, Sampled):
-        out = np.stack(
-            [np.interp(t, sig.times, sig.values[:, j]) for j in range(sig.values.shape[1])],
-            axis=1,
-        )
-    else:
-        raise TypeError(f"not a signal: {type(sig)!r}")
+    out = sig.evaluate(np.atleast_1d(np.clip(t, 0.0, T)))
     return out[0] if scalar else out
 
 
@@ -333,43 +347,13 @@ def l2_distance(sig_a, sig_b, T: float, samples: int = 20001) -> float:
 
 
 def signal_to_json(sig) -> dict:
-    """Tagged-union dict representation, ``{"variant": ..., parameters...}``."""
-    if isinstance(sig, TwoPulse):
-        return {"variant": "TwoPulse", "a": sig.a, "b": sig.b, "k": sig.k,
-                "T": sig.T, "direction": sig.direction.tolist()}
-    if isinstance(sig, MollifierReal):
-        return {"variant": "MollifierReal", "lam": sig.lam, "v": sig.v.tolist(),
-                "T": sig.T}
-    if isinstance(sig, MollifierComplex):
-        return {"variant": "MollifierComplex", "alpha": sig.alpha, "beta": sig.beta,
-                "v1": sig.v1.tolist(), "v2": sig.v2.tolist(), "t0": sig.t0,
-                "eps": sig.eps, "T": sig.T}
-    if isinstance(sig, MollifiedTwoPulse):
-        return {"variant": "MollifiedTwoPulse", "base": signal_to_json(sig.base),
-                "eps_s": sig.eps_s}
-    if isinstance(sig, Sampled):
-        return {"variant": "Sampled", "times": sig.times.tolist(),
-                "values": sig.values.tolist()}
-    raise TypeError(f"not a signal: {type(sig)!r}")
+    return sig.to_json()
 
 
 def signal_from_json(obj: dict):
-    variant = obj.get("variant")
-    if variant == "TwoPulse":
-        return TwoPulse(a=obj["a"], b=obj["b"], k=obj["k"], T=obj["T"],
-                        direction=np.asarray(obj["direction"], dtype=float))
-    if variant == "MollifierReal":
-        return MollifierReal(lam=obj["lam"], v=np.asarray(obj["v"], dtype=float),
-                             T=obj["T"])
-    if variant == "MollifierComplex":
-        return MollifierComplex(alpha=obj["alpha"], beta=obj["beta"],
-                                v1=np.asarray(obj["v1"], dtype=float),
-                                v2=np.asarray(obj["v2"], dtype=float),
-                                t0=obj["t0"], eps=obj["eps"], T=obj["T"])
-    if variant == "MollifiedTwoPulse":
-        return MollifiedTwoPulse(base=signal_from_json(obj["base"]),
-                                 eps_s=obj["eps_s"])
-    if variant == "Sampled":
-        return Sampled(times=np.asarray(obj["times"], dtype=float),
-                       values=np.asarray(obj["values"], dtype=float))
-    raise ValueError(f"unknown signal variant: {variant!r}")
+    cls = _Family._registry.get(obj.get("variant"))
+    if cls is None:
+        raise ValueError(f"unknown signal variant: {obj.get('variant')!r}")
+    kwargs = {f.name: obj[f.name] for f in fields(cls)}
+    return cls(**{name: signal_from_json(v) if isinstance(v, dict) else v
+                  for name, v in kwargs.items()})

@@ -67,6 +67,20 @@ class TestAnalyze:
         assert code == 2
         assert "bogus" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("key", ["spec_tol", "exp_tol", "sym_tol", "imag_tol",
+                                     "newton_tol"])
+    def test_unused_tolerance_key_exits_2(self, paper_pair, capsys, key):
+        # these keys reached no computation, so the CLI no longer accepts them
+        code, out = run_cli(capsys, "analyze", *paper_pair, f"--tol.{key}=1e-3")
+        assert code == 2
+        assert key in json.loads(out)["error"]
+
+    def test_bad_env_seed_is_ignored(self, paper_pair, capsys, monkeypatch):
+        monkeypatch.setenv("LOCACT_SEED", "abc")
+        code, out = run_cli(capsys, "analyze", *paper_pair)
+        assert code == 0
+        assert json.loads(out)["activity"]["status"] == "Active"
+
     def test_tolerance_override_accepted(self, paper_pair, capsys):
         code, out = run_cli(capsys, "analyze", *paper_pair, "--tol.cert_tol=1e-6")
         assert code == 0
@@ -186,6 +200,13 @@ class TestFhn:
         code, out = run_cli(capsys, "fhn", "--sweep", "0:0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--mu", "--beta", "--gamma", "--xi"])
+    def test_non_finite_parameter_exits_2(self, capsys, flag, value):
+        code, out = run_cli(capsys, "fhn", flag, value)
+        assert code == 2
+        assert flag in json.loads(out)["error"]
+
     def test_degenerate_xi_zero_completes_with_flag(self, capsys):
         code, out = run_cli(capsys, "fhn", "--mu", "0.05", "--xi", "0")
         assert code == 0
@@ -256,6 +277,12 @@ class TestGenericityCommand:
         code, out = run_cli(capsys, "genericity", "--n", "2", "--samples", "50")
         assert code == 0
         assert json.loads(out)["seed"] == 9
+
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOCACT_SEED", "abc")
+        code, out = run_cli(capsys, "genericity", "--n", "2", "--samples", "50")
+        assert code == 2
+        assert "LOCACT_SEED" in json.loads(out)["error"]
 
     def test_zero_n_exits_2(self, capsys):
         code, out = run_cli(capsys, "genericity", "--n", "0")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -253,9 +254,41 @@ class TestSerialization:
     def test_round_trip(self, sig):
         back = signal_from_json(signal_to_json(sig))
         assert type(back) is type(sig)
-        t = np.linspace(0.0, signals.horizon(sig), 50)
+        t = np.linspace(0.0, sig.T, 50)
         npt.assert_allclose(eval_signal(back, t), eval_signal(sig, t), atol=1e-14)
+        assert signal_to_json(back) == signal_to_json(sig)
+
+    @pytest.mark.parametrize("sig, expected", [
+        (TwoPulse(a=1.0, b=-1.0, k=2.0, T=3.0, direction=[3.0, 4.0]),
+         {"variant": "TwoPulse", "a": 1.0, "b": -1.0, "k": 2.0, "T": 3.0,
+          "direction": [0.6, 0.8]}),
+        (MollifierReal(lam=0.7, v=[1.0, 2.0], T=2.0),
+         {"variant": "MollifierReal", "lam": 0.7, "v": [1.0, 2.0], "T": 2.0}),
+        (MollifierComplex(alpha=0.1, beta=2.0, v1=[1.0, 0.0], v2=[0.0, 1.0],
+                          t0=1.0, eps=0.5, T=3.0),
+         {"variant": "MollifierComplex", "alpha": 0.1, "beta": 2.0,
+          "v1": [1.0, 0.0], "v2": [0.0, 1.0], "t0": 1.0, "eps": 0.5, "T": 3.0}),
+        (MollifiedTwoPulse(base=TwoPulse(a=1.0, b=2.0, k=1.0, T=4.0,
+                                         direction=[-2.0]), eps_s=0.1),
+         {"variant": "MollifiedTwoPulse",
+          "base": {"variant": "TwoPulse", "a": 1.0, "b": 2.0, "k": 1.0, "T": 4.0,
+                   "direction": [-1.0]},
+          "eps_s": 0.1}),
+        (Sampled(times=[0.0, 0.5, 1.0], values=[[0.0, 1.0], [1.0, 2.0], [0.0, 3.0]]),
+         {"variant": "Sampled", "times": [0.0, 0.5, 1.0],
+          "values": [[0.0, 1.0], [1.0, 2.0], [0.0, 3.0]]}),
+    ])
+    def test_json_keys_and_values(self, sig, expected):
+        # the key order is part of the report bytes, nested dicts included
+        assert json.dumps(signal_to_json(sig)) == json.dumps(expected)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             signal_from_json({"variant": "Nope"})
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(KeyError):
+            signal_from_json({"variant": "MollifierReal", "lam": 0.7, "T": 2.0})
+        with pytest.raises(KeyError):
+            signal_from_json({"variant": "MollifiedTwoPulse", "eps_s": 0.1,
+                              "base": {"variant": "TwoPulse", "a": 1.0}})
