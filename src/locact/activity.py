@@ -144,7 +144,10 @@ def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
     """Exact two-pulse energy from the eigenvalue sum
 
     ``W = sum_l g_1l h_l1 [ (a^2+b^2)/l^2 (e^{l/k}-1)
-          + ab/l^2 e^{lT} (1-e^{-l/k})^2 - (a^2+b^2)/(k l) ]``
+          + ab/l^2 e^{l(T-2/k)} (e^{l/k}-1)^2 - (a^2+b^2)/(k l) ]``
+
+    (the middle term is ``ab/l^2 e^{lT} (1-e^{-l/k})^2``, whose last factor
+    overflows for a strongly stable mode)
 
     valid for diagonalizable systems with no zero eigenvalue and
     non-overlapping pulses (k >= 2/T).  The imaginary residue of the sum must
@@ -162,8 +165,9 @@ def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
     if g.size != lam.size or h.size != lam.size:
         raise ValueError("port entries must have one value per eigenvalue")
     sq = a * a + b * b
-    term = (sq / lam**2) * (np.exp(lam / k) - 1.0) \
-        + (a * b / lam**2) * np.exp(lam * T) * (1.0 - np.exp(-lam / k)) ** 2 \
+    ramp = np.exp(lam / k) - 1.0
+    term = (sq / lam**2) * ramp \
+        + (a * b / lam**2) * np.exp(lam * (T - 2.0 / k)) * ramp**2 \
         - sq / (k * lam)
     W = complex(np.sum(g * h * term))
     if abs(W.imag) > imag_tol * (1.0 + abs(W.real)):
@@ -393,11 +397,14 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
             f"no mollifiable horizon T >= 2.04 up to T_max = {T_max}"
         )
     gh = g_row * h_col
-    sq_term = (2.0 / lam**2) * (np.exp(lam) - 1.0) - 2.0 / lam
+    ramp = np.exp(lam) - 1.0
+    sq_term = (2.0 / lam**2) * ramp - 2.0 / lam
     eta = complex(np.sum(gh * sq_term)).real
-    coeff = gh * (1.0 / lam**2) * (1.0 - np.exp(-lam)) ** 2
-    # W(a, T) = eta + a * Re sum_l coeff_l e^(lam_l T), vectorized over the scan
-    osc = (np.exp(np.outer(Ts, lam)) * coeff).sum(axis=1).real
+    # W(a, T) = eta + a * Re sum_l coeff_l e^(lam_l (T - 2)), vectorized over
+    # the scan; e^(lam (T - 2)) (e^lam - 1)^2 equals e^(lam T) (1 - e^(-lam))^2,
+    # whose last factor overflows for Re(lam) below about -355
+    coeff = gh / lam**2 * ramp**2
+    osc = (np.exp(np.outer(Ts - 2.0, lam)) * coeff).sum(axis=1).real
     hit = None
     for i, T in enumerate(Ts):
         if not mollifiable[i]:

@@ -61,18 +61,54 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _N_PANELS = 12
 # panel ends of the composite rule on [-1, y], as fractions of y + 1
 _PANEL_OFFSETS = np.linspace(0.0, 1.0, _N_PANELS + 1)
+_TABLE_PANELS = 256  # uniform panels of the CDF table on (-1, 1)
+_TABLE_DEGREE = 7  # degree of the polynomial on each panel
+
+
+def _cdf_quadrature(y):
+    """The normalized antiderivative at interior points ``-1 < y < 1`` by a
+    composite 12-panel, 32-node Gauss-Legendre rule on [-1, y]; the
+    reference that ``_cdf_table`` is fitted to."""
+    span = y + 1.0
+    acc = np.zeros_like(span)
+    for p in range(_N_PANELS):
+        lo = -1.0 + span * _PANEL_OFFSETS[p]
+        hi = -1.0 + span * _PANEL_OFFSETS[p + 1]
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        s = half[:, None] * _GL_NODES + mid[:, None]
+        acc += half * (mollifier(s.ravel()).reshape(s.shape) * _GL_WEIGHTS).sum(axis=1)
+    return acc / mollifier_mass()
+
+
+@lru_cache(maxsize=1)
+def _cdf_table():
+    """Monomial coefficients, shape ``(degree + 1, panels)``, of the
+    interpolant of ``_cdf_quadrature`` at the Chebyshev points of each
+    panel, in the panel's local variable ``u`` in [-1, 1]; read-only."""
+    cheb = np.cos((2 * np.arange(_TABLE_DEGREE + 1) + 1) * np.pi / (2 * _TABLE_DEGREE + 2))
+    left = -1.0 + (2.0 / _TABLE_PANELS) * np.arange(_TABLE_PANELS)
+    # one quadrature batch per Chebyshev point, so the build's temporaries
+    # stay small
+    values = np.stack([_cdf_quadrature(left + (c + 1.0) / _TABLE_PANELS) for c in cheb])
+    table = np.linalg.solve(np.vander(cheb, increasing=True), values)
+    table.setflags(write=False)
+    return table
 
 
 def mollifier_cdf(y):
     """Normalized antiderivative ``int_{-1}^{y} rho / int rho``, clamped to [0, 1].
 
-    Composite Gauss-Legendre on the support; there is no closed-form
-    antiderivative.  Only samples with ``-1 < y < 1`` are integrated: the
-    rest are exactly 0 (``y <= -1``) or 1 (``y >= 1``), and NaN stays NaN.
-    The node weights are still applied by one matrix-vector product over
-    the whole batch, with zero rows at the exterior samples: the product's
-    summation order depends on a row's position in the batch, so this keeps
-    every value bit-identical to integrating all samples.
+    There is no closed-form antiderivative.  Samples outside the support
+    are exact: 0 for ``y <= -1``, 1 for ``y >= 1``, and NaN stays NaN.
+    Inside, the value comes from a table built once, on first use, from
+    the composite Gauss-Legendre quadrature ``_cdf_quadrature``: a
+    degree-7 interpolant at the Chebyshev points of each of 256 uniform
+    panels, evaluated by Horner's rule.  It agrees with the quadrature to
+    within about 1e-15 absolute (tested to 1e-14).  Each value is computed
+    by elementwise operations on its own sample alone, so it does not
+    depend on the sample's position in the batch, the batch length or the
+    BLAS thread count.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
@@ -81,18 +117,14 @@ def mollifier_cdf(y):
     out[np.isnan(y)] = np.nan
     inside = np.abs(y) < 1.0
     if inside.any():
-        span = y[inside] + 1.0
-        acc = np.zeros_like(span)
-        rho = np.zeros((y.size, _GL_NODES.size))
-        for p in range(_N_PANELS):
-            lo = -1.0 + span * _PANEL_OFFSETS[p]
-            hi = -1.0 + span * _PANEL_OFFSETS[p + 1]
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            s = half[:, None] * _GL_NODES[None, :] + mid[:, None]
-            rho[inside] = mollifier(s.ravel()).reshape(s.shape)
-            acc += half * (rho @ _GL_WEIGHTS)[inside]
-        out[inside] = acc / mollifier_mass()
+        table = _cdf_table()
+        x = (y[inside] + 1.0) * (0.5 * _TABLE_PANELS)
+        j = np.minimum(x.astype(np.intp), _TABLE_PANELS - 1)
+        u = 2.0 * (x - j) - 1.0
+        acc = table[-1, j]
+        for coeff in table[-2::-1]:
+            acc = acc * u + coeff[j]
+        out[inside] = np.clip(acc, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 

@@ -293,6 +293,17 @@ class TestClassifyActivity:
         assert verdict.witness is None and verdict.certificate is None
         assert verdict.notes
 
+    def test_strongly_stable_mode_keeps_two_pulse_scan_finite(self):
+        # eigenvalues -539.6, -0.8 +- 174i and 47.1; (1 - e^(-lam))^2
+        # overflows at lam = -539.6, so the scan must not form it
+        A = 200.0 * np.random.default_rng(8).uniform(-2.0, 2.0, (4, 4))
+        P = np.diag([1.0, 0.0, 0.0, 0.0])
+        with np.errstate(over="raise"):
+            verdict = classify_activity(linsys.make_system(A, P))
+        assert verdict.status == ACTIVE
+        w = verdict.witness
+        assert w.W < -w.quadrature_error_estimate
+
     def test_theorem2_oracle_small_batch(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 6))

@@ -102,37 +102,84 @@ def _cdf_all_points_oracle(y):
 
 CDF_EDGES = (1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
              np.inf, -np.inf, np.nan)
+CDF_TOL = 1e-14  # tabulated CDF against the quadrature, absolute
+
+
+def _assert_matches_oracle(y):
+    """Inside the support within ``CDF_TOL`` of the quadrature, outside it
+    exactly equal; every value in [0, 1]."""
+    got, want = mollifier_cdf(y), _cdf_all_points_oracle(y)
+    inside = np.abs(y) < 1.0
+    assert np.array_equal(got[~inside], want[~inside], equal_nan=True)
+    assert np.max(np.abs(got[inside] - want[inside]), initial=0.0) <= CDF_TOL
+    finite = got[~np.isnan(y)]
+    assert np.all((finite >= 0.0) & (finite <= 1.0))
 
 
 class TestCdfOracle:
-    """The interior-only ``mollifier_cdf`` against the all-points quadrature."""
+    """The tabulated ``mollifier_cdf`` against the all-points quadrature."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_uniform_inputs(self, seed):
         rng = np.random.default_rng(seed)
         for size in (1, 2, 3, 5, 31, 300, 4097):
-            y = rng.uniform(-1.5, 1.5, size)
-            assert np.array_equal(mollifier_cdf(y), _cdf_all_points_oracle(y),
-                                  equal_nan=True)
+            _assert_matches_oracle(rng.uniform(-1.5, 1.5, size))
+
+    def test_dense_grid(self):
+        _assert_matches_oracle(np.linspace(-1.0, 1.0, 20001))
+
+    def test_near_support_ends(self):
+        d = np.logspace(-12.0, -1.0, 1001)
+        _assert_matches_oracle(np.concatenate([-1.0 + d, 1.0 - d]))
 
     def test_edge_inputs(self):
         edges = np.array(CDF_EDGES)
         assert np.array_equal(mollifier_cdf(edges), _cdf_all_points_oracle(edges),
                               equal_nan=True)
         mixed = np.concatenate([edges, np.linspace(-0.99, 0.99, 9), edges])
-        assert np.array_equal(mollifier_cdf(mixed), _cdf_all_points_oracle(mixed),
-                              equal_nan=True)
+        _assert_matches_oracle(mixed)
+        got = mollifier_cdf(mixed)
+        assert np.array_equal(got[:7], got[-7:], equal_nan=True)
+        assert np.array_equal(got[:7], _cdf_all_points_oracle(edges), equal_nan=True)
 
     @pytest.mark.parametrize("y", CDF_EDGES + (0.0, 0.37))
     def test_scalar_input(self, y):
         value = mollifier_cdf(y)
         assert isinstance(value, float)
-        assert np.array_equal(value, _cdf_all_points_oracle(y), equal_nan=True)
+        if y in (0.0, 0.37):
+            assert abs(value - _cdf_all_points_oracle(y)) <= CDF_TOL
+        else:
+            assert np.array_equal(value, _cdf_all_points_oracle(y), equal_nan=True)
 
     def test_all_exterior_array(self):
         y = np.array([-3.0, -1.0, 1.0, 2.5, np.inf, -np.inf])
         assert np.array_equal(mollifier_cdf(y), _cdf_all_points_oracle(y))
         assert np.array_equal(mollifier_cdf(y), [0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+
+    def test_symmetry(self):
+        y = np.random.default_rng(7).uniform(-1.5, 1.5, 10000)
+        assert np.max(np.abs(mollifier_cdf(y) + mollifier_cdf(-y) - 1.0)) <= CDF_TOL
+
+
+class TestBatchPosition:
+    """A value does not depend on where its sample sits in the batch or on
+    the batch length."""
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 31, 300, 4097))
+    def test_cdf_single_and_shifted(self, size):
+        y = np.random.default_rng(size).uniform(-1.5, 1.5, size)
+        batch = mollifier_cdf(y)
+        single = np.array([mollifier_cdf(y[i:i + 1])[0] for i in range(size)])
+        assert np.array_equal(batch, single)
+        assert np.array_equal(batch, mollifier_cdf(np.concatenate([[0.5], y]))[1:])
+
+    def test_mollified_two_pulse_time_alone_and_in_batch(self):
+        base = TwoPulse(a=-1.0, b=1.0, k=1.0, T=4.05, direction=[1.0, 2.0])
+        sig = mollify_two_pulse(base, 0.1)
+        t = np.random.default_rng(5).uniform(0.0, sig.T, 1000)
+        batch = eval_signal(sig, t)
+        for i in range(t.size):
+            assert np.array_equal(eval_signal(sig, t[i]), batch[i])
 
 
 class TestEvalSignal:
