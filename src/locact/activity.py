@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linsys, signals
+from . import genericity, linsys, signals
 from .errors import (
     ConjugateAsymmetry,
     EigpairMismatch,
@@ -138,6 +138,18 @@ def energy_integral(sys: linsys.LinearPortSystem, u, T: float,
     return W_fine, err
 
 
+def _two_pulse_sums(lam, gh, sq, k, Ts):
+    """Sums of ``two_pulse_energy_closed_form`` with ``W = const + a b osc``,
+    ``sq = a^2 + b^2`` and ``osc`` at each horizon of ``Ts``, in the dtype of
+    the spectrum.  ``e^{lT} (1-e^{-l/k})^2`` would overflow for a strongly
+    stable mode, so ``osc`` uses ``e^{l(T-2/k)} (e^{l/k}-1)^2``."""
+    ramp = np.exp(lam / k) - 1.0
+    const = np.sum(gh * ((sq / lam**2) * ramp - sq / (k * lam)))
+    coeff = gh / lam**2 * ramp**2
+    osc = (np.exp(np.outer(np.asarray(Ts) - 2.0 / k, lam)) * coeff).sum(axis=1)
+    return const, osc
+
+
 def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
                                  a: float, b: float, k: float, T: float,
                                  imag_tol: float = IMAG_TOL) -> float:
@@ -146,30 +158,23 @@ def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
     ``W = sum_l g_1l h_l1 [ (a^2+b^2)/l^2 (e^{l/k}-1)
           + ab/l^2 e^{l(T-2/k)} (e^{l/k}-1)^2 - (a^2+b^2)/(k l) ]``
 
-    (the middle term is ``ab/l^2 e^{lT} (1-e^{-l/k})^2``, whose last factor
-    overflows for a strongly stable mode)
-
     valid for diagonalizable systems with no zero eigenvalue and
     non-overlapping pulses (k >= 2/T).  The imaginary residue of the sum must
     vanish up to ``imag_tol`` (conjugate symmetry); its real part is returned.
     """
     if not spec.diagonalizable:
         raise NotDiagonalizable("closed form requires a diagonalizable system")
-    lam = np.asarray(spec.eigenvalues, dtype=complex)
+    lam = np.asarray(spec.eigenvalues)
     if np.min(np.abs(lam)) <= 1e-12 * max(1.0, float(np.max(np.abs(lam)))):
         raise ZeroEigenvalue("closed form divides by the eigenvalues; 0 is excluded")
     if k < 2.0 / T * (1.0 - 1e-12):
         raise PulseOverlap(f"k = {k} < 2/T = {2.0 / T}: pulses overlap")
-    g = np.asarray(port_row_G, dtype=complex).ravel()
-    h = np.asarray(port_col_H, dtype=complex).ravel()
+    g = np.asarray(port_row_G).ravel()
+    h = np.asarray(port_col_H).ravel()
     if g.size != lam.size or h.size != lam.size:
         raise ValueError("port entries must have one value per eigenvalue")
-    sq = a * a + b * b
-    ramp = np.exp(lam / k) - 1.0
-    term = (sq / lam**2) * ramp \
-        + (a * b / lam**2) * np.exp(lam * (T - 2.0 / k)) * ramp**2 \
-        - sq / (k * lam)
-    W = complex(np.sum(g * h * term))
+    const, osc = _two_pulse_sums(lam, g * h, a * a + b * b, k, [T])
+    W = complex(const + a * b * osc[0])
     if abs(W.imag) > imag_tol * (1.0 + abs(W.real)):
         raise ConjugateAsymmetry(
             f"imaginary residue {W.imag:.3e} exceeds tolerance; "
@@ -236,6 +241,14 @@ def _rotation_slope_factor(v1, v2, alpha, beta, t):
     return w, 2.0 * alpha * w + wp
 
 
+def _longest_run(mask):
+    """Inclusive bounds of the first longest run of True (one must exist)."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    starts, stops = edges[0::2], edges[1::2]
+    j = int(np.argmax(stops - starts))
+    return int(starts[j]), int(stops[j]) - 1
+
+
 def _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
                           eigvec_in_imP_tol):
     """Checked windowed witness signal of an unstable complex pair with both
@@ -271,17 +284,7 @@ def _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
         )
     # center the window on the longest run of positive slope so the witness
     # energy is well separated from quadrature noise
-    pos = q > 0.0
-    best_lo = best_hi = None
-    run_lo = None
-    for i in range(grid.size + 1):
-        inside = i < grid.size and pos[i]
-        if inside and run_lo is None:
-            run_lo = i
-        elif not inside and run_lo is not None:
-            if best_lo is None or (i - 1 - run_lo) > (best_hi - best_lo):
-                best_lo, best_hi = run_lo, i - 1
-            run_lo = None
+    best_lo, best_hi = _longest_run(q > 0.0)
     mid = (best_lo + best_hi) // 2
     idx = max(1, mid)
     t0 = float(grid[idx])
@@ -366,8 +369,6 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
     Preconditions: P != 0, the port-transformed matrix lies in the generic
     set, and the spectral abscissa is positive.
     """
-    from . import genericity
-
     cfg = cfg or WitnessSearchConfig()
     report = genericity.in_generic_M(sys, tol=genericity_tol)
     if not report.in_M:
@@ -375,16 +376,12 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
             "port-transformed matrix fails the generic-set membership test: "
             + report.notes
         )
-    Q = report.Q
-    At = Q @ sys.A @ Q.T
-    spec = linsys.spectrum(At)
+    spec = report.spectrum  # of the port-transformed matrix Q A Q^T
     lam = spec.eigenvalues
     max_re = float(lam.real.max())
     if max_re <= 0.0:
         raise NoUnstableEigenvalue(f"spectral abscissa {max_re:.3e} is not positive")
 
-    g_row = spec.G[0, :]
-    h_col = spec.H[:, 0]
     # keep Re(lam) * T below the overflow threshold of exp; the scan always
     # terminates far earlier when it is going to terminate at all
     T_max = min(_scan_T_max(cfg, max_re), 500.0 / max_re)
@@ -396,44 +393,26 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
         raise ScanExhausted(
             f"no mollifiable horizon T >= 2.04 up to T_max = {T_max}"
         )
-    gh = g_row * h_col
-    ramp = np.exp(lam) - 1.0
-    sq_term = (2.0 / lam**2) * ramp - 2.0 / lam
-    eta = complex(np.sum(gh * sq_term)).real
-    # W(a, T) = eta + a * Re sum_l coeff_l e^(lam_l (T - 2)), vectorized over
-    # the scan; e^(lam (T - 2)) (e^lam - 1)^2 equals e^(lam T) (1 - e^(-lam))^2,
-    # whose last factor overflows for Re(lam) below about -355
-    coeff = gh / lam**2 * ramp**2
-    osc = (np.exp(np.outer(Ts - 2.0, lam)) * coeff).sum(axis=1).real
-    hit = None
-    for i, T in enumerate(Ts):
-        if not mollifiable[i]:
-            continue
-        for a in (-1.0, 1.0):
-            W = eta + a * osc[i]
-            if W < -1e-13 * (1.0 + abs(eta)):
-                hit = i
-                break
-        if hit is not None:
-            break
-    if hit is None:
-        best = float(np.minimum(eta + osc, eta - osc).min())
+    const, osc = _two_pulse_sums(lam, spec.G[0, :] * spec.H[:, 0], 2.0, 1.0, Ts)
+    eta, osc = const.real, osc.real
+    cands = np.stack([eta - osc, eta + osc])  # rows: a = -1, +1
+    hits = (cands < -1e-13 * (1.0 + abs(eta))).any(axis=0) & mollifiable
+    if not hits.any():
         raise ScanExhausted(
-            f"no negative closed-form energy up to T_max = {T_max}", best_W=best
+            f"no negative closed-form energy up to T_max = {T_max}",
+            best_W=float(cands.min()),
         )
     # the first hit can be barely negative (the start of a negativity well);
     # a short lookahead picks the bottom of that well, which keeps the sign
     # robust under mollification
-    window = slice(hit, min(hit + int(math.ceil(2.0 / cfg.T_scan_step)) + 1,
-                            Ts.size))
-    cands = np.stack([eta - osc[window], eta + osc[window]])  # rows: a = -1, +1
-    flat = int(np.argmin(cands))
-    a = (-1.0, 1.0)[flat // cands.shape[1]]
-    idx = hit + flat % cands.shape[1]
-    T = float(Ts[idx])
-    W_closed = float(cands[flat // cands.shape[1], flat % cands.shape[1]])
+    hit = int(np.argmax(hits))
+    window = cands[:, hit:hit + int(math.ceil(2.0 / cfg.T_scan_step)) + 1]
+    row, col = divmod(int(np.argmin(window)), window.shape[1])
+    a = (-1.0, 1.0)[row]
+    T = float(Ts[hit + col])
+    W_closed = float(window[row, col])
 
-    direction = Q.T[:, 0]
+    direction = report.Q.T[:, 0]
     base = signals.TwoPulse(a=a, b=1.0, k=1.0, T=T, direction=direction)
     eps_s = min(0.1, (T - 2.0) / 4.0)
     sign_valid = None
@@ -555,26 +534,29 @@ def classify_activity(sys: linsys.LinearPortSystem,
     when one exists, otherwise from a bump signal along the top eigenvector of
     the symmetric part.  For orthogonal P != I the semidefinite certificate is
     sufficient for passivity only, and the witness routes are sufficient for
-    activity only; when neither fires the honest verdict is Inconclusive.
+    activity only; when neither fires the honest verdict is Inconclusive.  A
+    certificate whose max eigenvalue is positive beyond the rounding of
+    ``P A`` (``8 n eps ||P|| ||A||``) but within ``cert_tol`` is returned
+    only when no witness route verifies.
     """
     cfg = cfg or WitnessSearchConfig()
     notes = []
-    P = sys.P
-    identity = bool(np.allclose(P, np.eye(sys.n), atol=1e-12))
-    symmetric = np.linalg.norm(P - P.T) <= linsys.SYM_TOL * max(1.0, np.linalg.norm(P))
-
-    if symmetric:
+    try:
         cert = passivity_certificate(sys, cert_tol=cfg.cert_tol)
-        if cert is not None:
-            label = "dissipativity of A" if identity else "sym(PA) <= 0"
-            return ActivityVerdict(
-                status=PASSIVE, witness=None, certificate=cert,
-                notes=f"passivity certificate via {label} "
-                      f"(max eig {cert.max_eig:.6g})",
-            )
-    else:
+    except NonOrthogonalProjection:
+        cert = None
         notes.append("P is not symmetric: passivity certificate not applicable")
+    if cert is not None:
+        label = "dissipativity of A" if cert.kind == SYM_A_CERT else "sym(PA) <= 0"
+        cert_note = f"passivity certificate via {label} (max eig {cert.max_eig:.6g})"
+        # beyond rounding, only a failed witness search makes it a certificate
+        rounding = 8.0 * sys.n * np.finfo(float).eps \
+            * np.linalg.norm(sys.P, 2) * np.linalg.norm(sys.A, 2)
+        if cert.max_eig <= rounding:
+            return ActivityVerdict(status=PASSIVE, witness=None,
+                                   certificate=cert, notes=cert_note)
 
+    identity = bool(np.allclose(sys.P, np.eye(sys.n), atol=1e-12))
     spec = linsys.spectrum(sys.A)
     in_imP_tol = cfg.eigvec_in_imP_tol
     rec = _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes)
@@ -603,6 +585,12 @@ def classify_activity(sys: linsys.LinearPortSystem,
     if rec is not None:
         return ActivityVerdict(status=ACTIVE, witness=rec, certificate=None,
                                notes="; ".join(notes))
+    if cert is not None:
+        return ActivityVerdict(
+            status=PASSIVE, witness=None, certificate=cert,
+            notes=f"{cert_note}; it exceeds the rounding bound "
+                  f"{rounding:.3g}, but no witness verified",
+        )
     return ActivityVerdict(
         status=INCONCLUSIVE, witness=None, certificate=None,
         notes="; ".join(notes) if notes else

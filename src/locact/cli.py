@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Grammar: ``locact <analyze|witness|fhn|rd-cell|genericity> [flags]``.
-Every tolerance a command uses is exposed as ``--tol.<name>=<value>``;
-output is machine-first JSON (17-significant-digit floats, fixed key order)
-plus CSV where a command emits trajectories or sweeps.
+Every tolerance a command uses is exposed as ``--tol.<name>=<value>``, and
+a command rejects the keys it does not use; output is machine-first JSON
+(17-significant-digit floats, fixed key order) plus CSV where a command
+emits trajectories or sweeps.
 
 Exit codes: 0 = a verdict/report was produced, 2 = input error,
 3 = no witness available (``witness`` on a non-Active system).
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys as _sysmod
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,12 +24,17 @@ from . import activity, complexity, genericity, linsys, nonlinear, signals
 from .errors import LocactError, StageError
 from .serialize import dumps_canonical, format_csv_row
 
-_TOL_KEYS = {
-    "proj_tol", "cert_tol", "eigvec_in_imP_tol",
-    "T_max", "T_scan_step", "quad_steps_per_unit_time",
-    "on_axis_tol", "resid_tol", "axis_val_tol", "cluster_tol",
-    "genericity_tol",
+_WITNESS_KEYS = tuple(f.name for f in fields(activity.WitnessSearchConfig))
+_CLASSIFIER_KEYS = tuple(f.name for f in fields(complexity.ClassifierTolerances))
+# the --tol.* keys that reach a call of each command
+_COMMAND_KEYS = {
+    "analyze": ("proj_tol", *_WITNESS_KEYS, "genericity_tol"),
+    "witness": ("proj_tol", *_WITNESS_KEYS),
+    "fhn": (*_WITNESS_KEYS, *_CLASSIFIER_KEYS),
+    "rd-cell": _WITNESS_KEYS,
+    "genericity": ("genericity_tol",),
 }
+_TOL_KEYS = set().union(*_COMMAND_KEYS.values())
 
 
 class InputError(Exception):
@@ -59,21 +66,15 @@ def _extract_tol_flags(argv):
 
 
 def _witness_config(overrides):
-    kwargs = {}
-    for key in ("T_max", "T_scan_step", "cert_tol", "eigvec_in_imP_tol"):
-        if key in overrides:
-            kwargs[key] = overrides[key]
-    if "quad_steps_per_unit_time" in overrides:
-        kwargs["quad_steps_per_unit_time"] = int(overrides["quad_steps_per_unit_time"])
+    kwargs = {key: overrides[key] for key in _WITNESS_KEYS if key in overrides}
+    if "quad_steps_per_unit_time" in kwargs:
+        kwargs["quad_steps_per_unit_time"] = int(kwargs["quad_steps_per_unit_time"])
     return activity.WitnessSearchConfig(**kwargs)
 
 
 def _classifier_tols(overrides):
-    kwargs = {}
-    for key in ("on_axis_tol", "resid_tol", "axis_val_tol", "cluster_tol"):
-        if key in overrides:
-            kwargs[key] = overrides[key]
-    return complexity.ClassifierTolerances(**kwargs)
+    return complexity.ClassifierTolerances(
+        **{key: overrides[key] for key in _CLASSIFIER_KEYS if key in overrides})
 
 
 def _load_system(matrix_path, projection_path, overrides):
@@ -316,8 +317,8 @@ def build_parser():
         prog="locact",
         description="Local activity / passivity analysis of linear and "
                     "linearized port systems",
-        epilog="Tolerances: every knob is exposed as --tol.<name>=<value>; "
-               "known names: " + ", ".join(sorted(_TOL_KEYS)),
+        epilog="Tolerances --tol.<name>=<value>, by command: " + "; ".join(
+            f"{cmd}: {', '.join(keys)}" for cmd, keys in _COMMAND_KEYS.items()),
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (fallback: env LOCACT_SEED, then 0)")
@@ -362,6 +363,13 @@ def main(argv=None) -> int:
             args = parser.parse_args(rest)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
+        taken = _COMMAND_KEYS[args.command]
+        ignored = sorted(set(overrides) - set(taken))
+        if ignored:
+            raise InputError(
+                f"tolerance key '{ignored[0]}' has no effect on "
+                f"'{args.command}' (it takes: {', '.join(taken)})"
+            )
         if args.command == "analyze":
             return cmd_analyze_linear(args.matrix, args.projection, overrides,
                                       output=args.output)

@@ -29,7 +29,8 @@ class GenericityReport:
     the raw port product for the dominant eigenvalue; ``port_product_margin``
     is the same quantity normalized by the norms of the dominant right
     eigenvector and left eigenvector row, which makes the threshold
-    insensitive to eigenvector scaling.
+    insensitive to eigenvector scaling.  The full test keeps the decomposition
+    of ``Q A Q^T`` in ``spectrum`` for reuse; it is not serialized.
     """
 
     in_N: bool
@@ -42,6 +43,7 @@ class GenericityReport:
     Q: Optional[np.ndarray]
     tol: float
     notes: str = ""
+    spectrum: Optional[linsys.Spectrum] = None
 
 
 def port_transform(sys: linsys.LinearPortSystem):
@@ -127,7 +129,7 @@ def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityR
     return GenericityReport(
         in_N=in_N, in_M=in_M, min_eig_gap=spect.min_gap, min_abs_eig=min_abs,
         dominance_gap=dominance, g11h11=g11h11, port_product_margin=margin,
-        Q=Q, tol=tol, notes="; ".join(notes),
+        Q=Q, tol=tol, notes="; ".join(notes), spectrum=spect,
     )
 
 

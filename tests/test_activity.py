@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_member_of_M
-from locact import activity, linsys, signals
+from locact import activity, genericity, linsys, signals
 from locact.activity import (
     ACTIVE,
     INCONCLUSIVE,
@@ -232,6 +232,163 @@ class TestWitnessTwoPulseGeneric:
         assert np.sign(gw.W) == np.sign(gw.closed_form_W) == -1.0
 
 
+def _scan_oracle(sys, T_scan_step=0.05):
+    """The horizon scan as the two-pulse search once wrote it inline: the
+    energies ``W(a = -1, T)`` and ``W(a = +1, T)`` on the default grid and the
+    first-hit choice ``(a, T, W)``."""
+    Q = genericity.in_generic_M(sys).Q
+    spec = linsys.spectrum(Q @ sys.A @ Q.T)
+    lam = spec.eigenvalues
+    max_re = float(lam.real.max())
+    T_max = min(200.0 / max(max_re, 0.1), 500.0 / max_re)
+    Ts = np.arange(2.0, T_max + 0.5 * T_scan_step, T_scan_step)
+    mollifiable = Ts >= 2.0 + 0.04
+    gh = spec.G[0, :] * spec.H[:, 0]
+    ramp = np.exp(lam) - 1.0
+    sq_term = (2.0 / lam**2) * ramp - 2.0 / lam
+    eta = complex(np.sum(gh * sq_term)).real
+    coeff = gh / lam**2 * ramp**2
+    osc = (np.exp(np.outer(Ts - 2.0, lam)) * coeff).sum(axis=1).real
+    hit = None
+    for i, T in enumerate(Ts):
+        if not mollifiable[i]:
+            continue
+        for a in (-1.0, 1.0):
+            W = eta + a * osc[i]
+            if W < -1e-13 * (1.0 + abs(eta)):
+                hit = i
+                break
+        if hit is not None:
+            break
+    window = slice(hit, min(hit + int(math.ceil(2.0 / T_scan_step)) + 1,
+                            Ts.size))
+    cands = np.stack([eta - osc[window], eta + osc[window]])
+    flat = int(np.argmin(cands))
+    a = (-1.0, 1.0)[flat // cands.shape[1]]
+    idx = hit + flat % cands.shape[1]
+    W_closed = float(cands[flat // cands.shape[1], flat % cands.shape[1]])
+    return Ts, eta - osc, eta + osc, (a, float(Ts[idx]), W_closed)
+
+
+def _real_spectrum_member(rng, n):
+    """Generic-set member with a real spectrum and P = e1 e1^T."""
+    P = np.zeros((n, n))
+    P[0, 0] = 1.0
+    lam = np.sort(rng.uniform(-3.0, 2.0, n))
+    lam[-1] = rng.uniform(0.3, 2.0)
+    S = rng.standard_normal((n, n))
+    return linsys.make_system(S @ np.diag(lam) @ np.linalg.inv(S), P)
+
+
+def _scan_systems():
+    rng = np.random.default_rng(2024)
+    systems = [random_member_of_M(rng, int(rng.integers(1, 5)), min_abscissa=0.1)
+               for _ in range(8)]
+    systems += [_real_spectrum_member(rng, n) for n in (1, 2, 3, 4)]
+    systems.append(linsys.make_system(
+        200.0 * np.random.default_rng(8).uniform(-2.0, 2.0, (4, 4)),
+        np.diag([1.0, 0.0, 0.0, 0.0])))
+    return systems
+
+
+SCAN_SYSTEMS = _scan_systems()
+
+
+class TestSingleTwoPulseFormula:
+    @pytest.mark.parametrize("sys", SCAN_SYSTEMS)
+    def test_scan_matches_inline_oracle_bit_for_bit(self, sys):
+        Ts, W_minus, W_plus, choice = _scan_oracle(sys)
+        spec = genericity.in_generic_M(sys).spectrum
+        const, osc = activity._two_pulse_sums(
+            spec.eigenvalues, spec.G[0, :] * spec.H[:, 0], 2.0, 1.0, Ts)
+        np.testing.assert_array_equal(const.real - osc.real, W_minus)
+        np.testing.assert_array_equal(const.real + osc.real, W_plus)
+        with np.errstate(over="raise"):
+            gw = witness_two_pulse_generic(sys)
+        assert (gw.a, gw.T, gw.closed_form_W) == choice
+
+    def test_real_spectra_are_covered(self):
+        kinds = [genericity.in_generic_M(s).spectrum.eigenvalues.dtype.kind
+                 for s in SCAN_SYSTEMS]
+        assert kinds.count("f") >= 4 and kinds.count("c") >= 2
+
+    @pytest.mark.parametrize("sys", SCAN_SYSTEMS)
+    def test_public_closed_form_equals_scan_value(self, sys):
+        Q = genericity.in_generic_M(sys).Q
+        spec = linsys.spectrum(Q @ sys.A @ Q.T)
+        gw = witness_two_pulse_generic(sys)
+        W = two_pulse_energy_closed_form(spec, spec.G[0, :], spec.H[:, 0],
+                                         gw.a, 1, 1, gw.T)
+        assert W == gw.closed_form_W
+
+    def test_genericity_report_keeps_transformed_spectrum(self, rng):
+        sys = random_member_of_M(rng, 3)
+        report = genericity.in_generic_M(sys)
+        Q = report.Q
+        spec = linsys.spectrum(Q @ sys.A @ Q.T)
+        np.testing.assert_array_equal(report.spectrum.eigenvalues, spec.eigenvalues)
+        np.testing.assert_array_equal(report.spectrum.G, spec.G)
+        np.testing.assert_array_equal(report.spectrum.H, spec.H)
+        assert "spectrum" not in genericity.report_to_json(report)
+
+
+def _longest_run_oracle(mask):
+    """The run search as a loop over the grid: first longest run of True."""
+    best_lo = best_hi = None
+    run_lo = None
+    for i in range(mask.size + 1):
+        inside = i < mask.size and mask[i]
+        if inside and run_lo is None:
+            run_lo = i
+        elif not inside and run_lo is not None:
+            if best_lo is None or (i - 1 - run_lo) > (best_hi - best_lo):
+                best_lo, best_hi = run_lo, i - 1
+            run_lo = None
+    return best_lo, best_hi
+
+
+class TestLongestRun:
+    def test_matches_loop_on_random_masks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            size = int(rng.integers(1, 300))
+            mask = rng.random(size) < rng.uniform(0.05, 0.95)
+            if not mask.any():
+                mask[int(rng.integers(0, size))] = True
+            assert activity._longest_run(mask) == _longest_run_oracle(mask)
+
+    @pytest.mark.parametrize("mask", [[True], [True, True, False],
+                                      [False, True, True], [True, False, True],
+                                      [True, True, False, True, True]])
+    def test_edges_and_ties(self, mask):
+        mask = np.array(mask)
+        assert activity._longest_run(mask) == _longest_run_oracle(mask)
+
+    def test_complex_witness_window_unchanged(self, monkeypatch):
+        # oblique coordinates make the positive-slope set of a slowly growing
+        # rotation split into several runs per period
+        rng = np.random.default_rng(5)
+        runs = []
+        for alpha, beta in [(0.3, 2.0), (0.02, 7.0), (1.0, 0.5), (0.01, 1.0),
+                            (0.05, 3.0), (0.002, 0.7)]:
+            S = rng.standard_normal((2, 2))
+            A = S @ np.array([[alpha, beta], [-beta, alpha]]) @ np.linalg.inv(S)
+            sys = linsys.make_system(A, np.eye(2))
+            spec = linsys.spectrum(A)
+            lam, v = spec.eigenvalues[0], spec.G[:, 0]
+            args = (sys, float(lam.real), float(lam.imag), v.real, v.imag, 1.0,
+                    linsys.SPEC_TOL, 1e-8)
+            with monkeypatch.context() as m:
+                m.setattr(activity, "_longest_run",
+                          lambda mask: runs.append(mask.copy())
+                          or _longest_run_oracle(mask))
+                slow = activity._complex_eigen_signal(*args)
+            fast = activity._complex_eigen_signal(*args)
+            assert (fast.t0, fast.eps, fast.T) == (slow.t0, slow.eps, slow.T)
+        starts = [int(np.count_nonzero(np.diff(r.astype(int)) == 1)) for r in runs]
+        assert max(starts) >= 1
+
+
 class TestPassivityCertificate:
     def test_negative_identity(self):
         cert = passivity_certificate(linsys.make_system(-np.eye(2), np.eye(2)))
@@ -303,6 +460,53 @@ class TestClassifyActivity:
         assert verdict.status == ACTIVE
         w = verdict.witness
         assert w.W < -w.quadrature_error_estimate
+
+    def test_tiny_positive_eigenvalue_is_active(self):
+        # max eig 5e-10 lies below cert_tol = 1e-9, yet x' = 5e-10 x is
+        # unstable; the bump route verifies a witness at T = 1
+        verdict = classify_activity(linsys.make_system([[5e-10]], [[1.0]]))
+        assert verdict.status == ACTIVE and verdict.certificate is None
+        w = verdict.witness
+        assert w.T == 1.0 and w.W < -w.quadrature_error_estimate
+        assert verdict.notes.startswith("max sym eigenvalue 5e-10 > 0")
+
+    def test_band_certificate_without_witness_names_max_eig(self):
+        # lossless, so passive (W = |x(T)|^2 / 2), though sym(PA) has the
+        # eigenvalue 5e-10 > 0; no witness route applies
+        A = 1e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        verdict = classify_activity(linsys.make_system(A, np.diag([1.0, 0.0])))
+        assert verdict.status == PASSIVE
+        assert verdict.certificate.kind == activity.SYM_PA_CERT
+        assert verdict.certificate.max_eig == pytest.approx(5e-10, rel=1e-12)
+        assert verdict.notes.startswith(
+            "passivity certificate via sym(PA) <= 0 (max eig 5e-10); ")
+        assert "no witness verified" in verdict.notes
+
+    def test_rounding_level_certificate_is_accepted_outright(self):
+        # Q K Q^T with K skew: sym(A) is pure rounding, here max eig 7e-17 > 0
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((3, 3))
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        sys = linsys.make_system(Q @ (S - S.T) @ Q.T, np.eye(3))
+        m = linsys.max_sym_eigenvalue(sys.A)
+        assert 0.0 < m < 1e-15
+        verdict = classify_activity(sys)
+        assert verdict.status == PASSIVE
+        assert verdict.notes == \
+            f"passivity certificate via dissipativity of A (max eig {m:.6g})"
+
+    def test_certificate_notes(self):
+        cases = [
+            (-np.eye(2), np.eye(2),
+             "passivity certificate via dissipativity of A (max eig -1)"),
+            (-np.eye(2), np.diag([1.0, 0.0]),
+             "passivity certificate via sym(PA) <= 0 (max eig 0)"),
+        ]
+        for A, P, notes in cases:
+            assert classify_activity(linsys.make_system(A, P)).notes == notes
+        oblique = linsys.make_system(-np.eye(2), np.array([[1.0, 0.7], [0.0, 0.0]]))
+        assert classify_activity(oblique).notes.startswith(
+            "P is not symmetric: passivity certificate not applicable; ")
 
     def test_theorem2_oracle_small_batch(self, rng):
         for _ in range(30):

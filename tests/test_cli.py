@@ -289,6 +289,49 @@ class TestGenericityCommand:
         assert code == 2
 
 
+_CLASSIFIER = ["on_axis_tol", "resid_tol", "axis_val_tol", "cluster_tol"]
+_WITNESS = ["T_max", "T_scan_step", "quad_steps_per_unit_time", "cert_tol",
+            "eigvec_in_imP_tol"]
+# (command, key) pairs whose key reaches no call of that command
+_IGNORED_PAIRS = (
+    [("analyze", k) for k in _CLASSIFIER]
+    + [("witness", k) for k in ["genericity_tol"] + _CLASSIFIER]
+    + [("fhn", k) for k in ["proj_tol", "genericity_tol"]]
+    + [("rd-cell", k) for k in ["proj_tol", "genericity_tol"] + _CLASSIFIER]
+    + [("genericity", k) for k in ["proj_tol"] + _WITNESS + _CLASSIFIER]
+)
+
+
+class TestToleranceKeysPerCommand:
+    @pytest.fixture
+    def argv_of(self, paper_pair, tmp_path):
+        spec = tmp_path / "cell.json"
+        spec.write_text(json.dumps({
+            "N": 1, "m": 1, "n": 2, "D": [0.0125],
+            "kinetics": {"type": "linear", "A": [[0.5, -1.0], [1.0, -0.8]]},
+        }))
+        return {
+            "analyze": ["analyze", *paper_pair],
+            "witness": ["witness", *paper_pair],
+            "fhn": ["fhn", "--mu", "0.05"],
+            "rd-cell": ["rd-cell", str(spec)],
+            "genericity": ["genericity", "--n", "2", "--samples", "5"],
+        }
+
+    @pytest.mark.parametrize("command,key", _IGNORED_PAIRS)
+    def test_key_without_effect_exits_2(self, argv_of, capsys, command, key):
+        code, out = run_cli(capsys, *argv_of[command], f"--tol.{key}=5")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert key in error and command in error
+
+    def test_genericity_tol_accepted_by_genericity(self, argv_of, capsys):
+        code, out = run_cli(capsys, *argv_of["genericity"],
+                            "--tol.genericity_tol=1e-6")
+        assert code == 0
+        assert json.loads(out)["tol"] == 1e-6
+
+
 class TestExitCodeContract:
     def test_matrix_of_codes(self, tmp_path, capsys):
         A_ok = write_matrix(tmp_path / "A.json", np.array([[2.0]]))
