@@ -75,6 +75,7 @@ from .signals import (
     MollifiedTwoPulse,
     MollifierComplex,
     MollifierReal,
+    MollifierTrajectory,
     Sampled,
     TwoPulse,
     eval_signal,

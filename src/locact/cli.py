@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sysmod
 from dataclasses import fields
@@ -28,7 +29,7 @@ _WITNESS_KEYS = tuple(f.name for f in fields(activity.WitnessSearchConfig))
 _CLASSIFIER_KEYS = tuple(f.name for f in fields(complexity.ClassifierTolerances))
 # the --tol.* keys that reach a call of each command
 _COMMAND_KEYS = {
-    "analyze": ("proj_tol", *_WITNESS_KEYS, "genericity_tol"),
+    "analyze": ("proj_tol", *_WITNESS_KEYS),
     "witness": ("proj_tol", *_WITNESS_KEYS),
     "fhn": (*_WITNESS_KEYS, *_CLASSIFIER_KEYS),
     "rd-cell": _WITNESS_KEYS,
@@ -60,6 +61,8 @@ def _extract_tol_flags(argv):
                 overrides[key] = float(value)
             except ValueError as exc:
                 raise InputError(f"bad tolerance value in {token}") from exc
+            if not math.isfinite(overrides[key]):
+                raise InputError(f"tolerance value in {token} must be finite")
         else:
             rest.append(token)
     return overrides, rest
@@ -69,7 +72,10 @@ def _witness_config(overrides):
     kwargs = {key: overrides[key] for key in _WITNESS_KEYS if key in overrides}
     if "quad_steps_per_unit_time" in kwargs:
         kwargs["quad_steps_per_unit_time"] = int(kwargs["quad_steps_per_unit_time"])
-    return activity.WitnessSearchConfig(**kwargs)
+    try:
+        return activity.WitnessSearchConfig(**kwargs)
+    except ValueError as exc:
+        raise InputError(f"bad tolerance value: {exc}") from exc
 
 
 def _classifier_tols(overrides):
@@ -86,7 +92,7 @@ def _load_system(matrix_path, projection_path, overrides):
     try:
         return linsys.make_system(A, P, proj_tol=overrides.get("proj_tol",
                                                                linsys.PROJ_TOL))
-    except LocactError as exc:
+    except (ValueError, LocactError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -105,9 +111,7 @@ def cmd_analyze_linear(matrix_path, projection_path, overrides, output=None):
     cfg = _witness_config(overrides)
     verdict = activity.classify_activity(sys, cfg)
     try:
-        gen = genericity.report_to_json(
-            genericity.in_generic_M(sys, tol=overrides.get("genericity_tol", 1e-8))
-        )
+        gen = genericity.report_to_json(genericity.in_generic_M(sys))
     except LocactError as exc:
         gen = {"error": str(exc)}
     report = {"activity": activity.verdict_to_json(verdict), "genericity": gen}

@@ -226,6 +226,31 @@ class MollifierReal(_Family):
 
 
 @dataclass(frozen=True)
+class MollifierTrajectory(_Family):
+    """``u(t) = (2/T) rho'(s) v - rho(s) Av`` with ``s = 2t/T - 1``: the input
+    that moves ``x' = A x + u`` from 0 along ``x = rho(s) v`` back to 0."""
+
+    v: np.ndarray
+    Av: np.ndarray
+    T: float
+
+    def __post_init__(self):
+        if self.T <= 0:
+            raise ValueError("T must be positive")
+        v = _finite_vec(self.v, "v")
+        Av = _finite_vec(self.Av, "Av")
+        if v.shape != Av.shape:
+            raise ValueError("v and Av must have the same dimension")
+        object.__setattr__(self, "v", _frozen(v))
+        object.__setattr__(self, "Av", _frozen(Av))
+
+    def evaluate(self, t):
+        s = 2.0 * t / self.T - 1.0
+        return np.outer((2.0 / self.T) * mollifier_derivative(s), self.v) \
+            - np.outer(mollifier(s), self.Av)
+
+
+@dataclass(frozen=True)
 class MollifierComplex(_Family):
     """``u(t) = h'(t) e^(alpha t) (sin(beta t) v1 + cos(beta t) v2)`` with the
     window ``h(t) = rho((t - t0)/eps)``."""

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_member_of_M
 from locact import activity, genericity, linsys, signals
@@ -28,7 +31,7 @@ from locact.errors import (
     PulseOverlap,
     ZeroEigenvalue,
 )
-from locact.signals import MollifierReal, Sampled, TwoPulse
+from locact.signals import MollifierReal, MollifierTrajectory, Sampled, TwoPulse
 
 
 def scalar_system(a=1.0):
@@ -463,7 +466,7 @@ class TestClassifyActivity:
 
     def test_tiny_positive_eigenvalue_is_active(self):
         # max eig 5e-10 lies below cert_tol = 1e-9, yet x' = 5e-10 x is
-        # unstable; the bump route verifies a witness at T = 1
+        # unstable; the trajectory route verifies a witness at T = 1
         verdict = classify_activity(linsys.make_system([[5e-10]], [[1.0]]))
         assert verdict.status == ACTIVE and verdict.certificate is None
         w = verdict.witness
@@ -540,6 +543,55 @@ class TestClassifyActivity:
             sig = Sampled(times=knots, values=vals)
             W, err = energy_integral(sys, sig, T, 600)
             assert W >= -err - 1e-9
+
+
+# int_{-1}^{1} rho(s)^2 ds
+RHO_SQUARED_MASS = float(mpmath.quad(lambda s: mpmath.exp(2 / (s * s - 1)), [-1, 0, 1]))
+
+# active P = I systems with a stable spectrum that ended Inconclusive while
+# the witness search was a bump scan plus a randomized search
+README_MATRIX = np.array([[-0.45184873438155515, 1.3225116907613823],
+                          [-1.1086065549707693, -0.02525791427414248]])
+STABLE_ACTIVE_INPUTS = {
+    "bench_readme": README_MATRIX,
+    # criterion-01 draws 2962, 12779 and 19944 of default_rng(123)
+    "draw_2962": np.array([[-1.5740160054968473, -1.7392476285951655],
+                           [1.6559007881522612, 0.007846383814096303]]),
+    "draw_12779": np.array([[-0.014902300158552872, -1.310871125007353],
+                            [1.121149011034917, -0.5766322334261358]]),
+    "draw_19944": np.array([[-0.9714712482134504, -1.833185036513818, 1.187189177799711],
+                            [1.3794060641859462, -1.8639752214856569, -0.6907364099225202],
+                            [-1.1626800831281492, -1.5797163610274016, -0.6992459423718485]]),
+    "bench_readme_times_1e4": 1e4 * README_MATRIX,
+}
+
+
+class TestTrajectoryWitness:
+    """For P = I the witness input drives x = rho(2t/T - 1) w along the top
+    eigenvector (m, w) of sym(A), so W = -m (T/2) int rho^2 exactly."""
+
+    @pytest.mark.parametrize("name", STABLE_ACTIVE_INPUTS)
+    def test_stable_active_system_has_exact_witness(self, name):
+        A = STABLE_ACTIVE_INPUTS[name]
+        assert np.linalg.eigvals(A).real.max() < 0.0
+        verdict = classify_activity(linsys.make_system(A, np.eye(A.shape[0])))
+        assert verdict.status == ACTIVE
+        w = verdict.witness
+        assert isinstance(w.signal, MollifierTrajectory)
+        assert "witness: quadratic-form bump trajectory" in verdict.notes
+        assert w.W < -w.quadrature_error_estimate
+        m = linsys.max_sym_eigenvalue(A)
+        assert abs(w.W + m * w.T / 2.0 * RHO_SQUARED_MASS) \
+            <= 10.0 * w.quadrature_error_estimate
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           log_c=st.floats(-3.0, 3.0))
+    def test_status_invariant_under_time_rescaling(self, seed, n, log_c):
+        A = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, n))
+        expected = ACTIVE if linsys.max_sym_eigenvalue(A) > 0.0 else PASSIVE
+        for M in (A, 10.0 ** log_c * A):
+            assert classify_activity(linsys.make_system(M, np.eye(n))).status == expected
 
 
 class TestVerdictSerialization:

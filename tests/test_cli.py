@@ -294,7 +294,7 @@ _WITNESS = ["T_max", "T_scan_step", "quad_steps_per_unit_time", "cert_tol",
             "eigvec_in_imP_tol"]
 # (command, key) pairs whose key reaches no call of that command
 _IGNORED_PAIRS = (
-    [("analyze", k) for k in _CLASSIFIER]
+    [("analyze", k) for k in ["genericity_tol"] + _CLASSIFIER]
     + [("witness", k) for k in ["genericity_tol"] + _CLASSIFIER]
     + [("fhn", k) for k in ["proj_tol", "genericity_tol"]]
     + [("rd-cell", k) for k in ["proj_tol", "genericity_tol"] + _CLASSIFIER]
@@ -324,6 +324,18 @@ class TestToleranceKeysPerCommand:
         assert code == 2
         error = json.loads(out)["error"]
         assert key in error and command in error
+
+    @pytest.mark.parametrize("flag", [
+        "--tol.T_max=-1", "--tol.T_max=nan", "--tol.T_max=inf",
+        "--tol.T_scan_step=0", "--tol.cert_tol=-inf",
+        "--tol.quad_steps_per_unit_time=nan", "--tol.quad_steps_per_unit_time=inf",
+        "--tol.quad_steps_per_unit_time=0.5", "--tol.proj_tol=nan",
+        "--tol.proj_tol=-1",
+    ])
+    def test_invalid_value_exits_2(self, argv_of, capsys, flag):
+        code, out = run_cli(capsys, *argv_of["analyze"], flag)
+        assert code == 2
+        assert flag.split("=")[0][len("--tol."):] in json.loads(out)["error"]
 
     def test_genericity_tol_accepted_by_genericity(self, argv_of, capsys):
         code, out = run_cli(capsys, *argv_of["genericity"],

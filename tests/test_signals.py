@@ -11,6 +11,7 @@ from locact.signals import (
     MollifiedTwoPulse,
     MollifierComplex,
     MollifierReal,
+    MollifierTrajectory,
     Sampled,
     TwoPulse,
     eval_signal,
@@ -287,6 +288,22 @@ class TestSolutionIdentities:
             np.outer(np.cos(beta * t), v2) + np.outer(np.sin(beta * t), v1))
         npt.assert_allclose(traj.states, expected, atol=1e-8)
 
+    def test_trajectory_signal_solution_identity(self):
+        # u = (2/T) rho'(s) v - rho(s) A v with s = 2t/T - 1 drives
+        # x' = A x + u along x(t) = rho(s) v
+        from locact import linsys
+
+        A = np.array([[0.3, -2.0, 0.5], [1.0, -0.4, 0.0], [-0.7, 0.2, 0.1]])
+        v = np.array([0.48, -0.6, 0.64])
+        sig = MollifierTrajectory(v=v, Av=A @ v, T=1.5)
+        traj = linsys.solve_forced(linsys.make_system(A, np.eye(3)), sig, 1.5, 3000)
+        expected = np.outer(mollifier(2.0 * traj.times / 1.5 - 1.0), v)
+        npt.assert_allclose(traj.states, expected, atol=1e-12)
+
+    def test_trajectory_signal_rejects_mismatched_vectors(self):
+        with pytest.raises(ValueError):
+            MollifierTrajectory(v=[1.0, 0.0], Av=[1.0], T=1.0)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("sig", [
@@ -297,6 +314,7 @@ class TestSerialization:
         MollifiedTwoPulse(base=TwoPulse(a=1.0, b=1.0, k=1.0, T=4.0,
                                         direction=[1.0]), eps_s=0.1),
         Sampled(times=[0.0, 0.5, 1.0], values=[[0.0], [1.0], [0.0]]),
+        MollifierTrajectory(v=[0.6, 0.8], Av=[-1.0, 2.0], T=0.5),
     ])
     def test_round_trip(self, sig):
         back = signal_from_json(signal_to_json(sig))
@@ -324,6 +342,9 @@ class TestSerialization:
         (Sampled(times=[0.0, 0.5, 1.0], values=[[0.0, 1.0], [1.0, 2.0], [0.0, 3.0]]),
          {"variant": "Sampled", "times": [0.0, 0.5, 1.0],
           "values": [[0.0, 1.0], [1.0, 2.0], [0.0, 3.0]]}),
+        (MollifierTrajectory(v=[0.6, 0.8], Av=[-1.0, 2.0], T=0.5),
+         {"variant": "MollifierTrajectory", "v": [0.6, 0.8], "Av": [-1.0, 2.0],
+          "T": 0.5}),
     ])
     def test_json_keys_and_values(self, sig, expected):
         # the key order is part of the report bytes, nested dicts included
