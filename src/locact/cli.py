@@ -79,8 +79,11 @@ def _witness_config(overrides):
 
 
 def _classifier_tols(overrides):
-    return complexity.ClassifierTolerances(
-        **{key: overrides[key] for key in _CLASSIFIER_KEYS if key in overrides})
+    try:
+        return complexity.ClassifierTolerances(
+            **{key: overrides[key] for key in _CLASSIFIER_KEYS if key in overrides})
+    except ValueError as exc:
+        raise InputError(f"bad tolerance value: {exc}") from exc
 
 
 def _load_system(matrix_path, projection_path, overrides):
@@ -296,7 +299,10 @@ def cmd_genericity(n, samples, seed, overrides, output=None):
     if samples < 1:
         raise InputError("samples must be at least 1")
     tol = overrides.get("genericity_tol", 1e-8)
-    fraction = genericity.sample_density_M(n, samples, seed, tol=tol)
+    try:
+        fraction = genericity.sample_density_M(n, samples, seed, tol=tol)
+    except ValueError as exc:
+        raise InputError(f"bad tolerance value: {exc}") from exc
     report = {"n": n, "samples": samples, "seed": seed,
               "fraction": fraction, "tol": tol}
     _emit(dumps_canonical(report) + "\n", output)

@@ -11,7 +11,7 @@ the axis.  It sits at the edge of chaos when (iv) holds and (i)-(iii) fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,12 @@ class ClassifierTolerances:
     resid_tol: float = 1e-9
     axis_val_tol: float = 1e-9
     cluster_tol: float = CLUSTER_TOL
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,15 @@ gets a single margin ``tol``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import linsys
 from .errors import ZeroProjection
+from .linsys import _as_square_matrix, _row_norms
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,33 @@ class GenericityReport:
     spectrum: Optional[linsys.Spectrum] = None
 
 
+# Matrix entries per block of sample_density_M: the blocks' working memory
+# stays about 2 MB whatever ``samples`` and ``n`` are.
+_CHUNK_ENTRIES = 16384
+
+
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
+def _port_reflector(P):
+    """The orthogonal Q of :func:`port_transform`."""
+    norms = np.sqrt((P * P).sum(axis=0))  # np.linalg.norm(P, axis=0)
+    j = int(norms.argmax())
+    if norms[j] <= 1e-14 * max(1.0, float(np.abs(P).max(initial=0.0))):
+        raise ZeroProjection("P = 0 admits no port variable")
+    v = P[:, j] / norms[j]
+    n = P.shape[0]
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    w = v - e1
+    nw2 = float(w @ w)
+    if nw2 <= 1e-28:
+        return np.eye(n)
+    return np.eye(n) - (2.0 / nw2) * np.outer(w, w)
+
+
 def port_transform(sys: linsys.LinearPortSystem):
     """Orthogonal change of coordinates making the first state a port variable.
 
@@ -53,89 +82,119 @@ def port_transform(sys: linsys.LinearPortSystem):
     maps it to the first basis vector with a Householder reflector Q; returns
     ``(Q, (Q A Q^T, Q P Q^T))``.
     """
-    P = sys.P
-    norms = np.linalg.norm(P, axis=0)
-    j = int(np.argmax(norms))
-    if norms[j] <= 1e-14 * max(1.0, float(np.abs(P).max(initial=0.0))):
-        raise ZeroProjection("P = 0 admits no port variable")
-    v = P[:, j] / norms[j]
-    n = sys.n
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    w = v - e1
-    nw2 = float(w @ w)
-    if nw2 <= 1e-28:
-        Q = np.eye(n)
-    else:
-        Q = np.eye(n) - (2.0 / nw2) * np.outer(w, w)
-    transformed = linsys.make_system(Q @ sys.A @ Q.T, Q @ P @ Q.T)
-    return Q, transformed
+    Q = _port_reflector(sys.P)
+    return Q, linsys.make_system(Q @ sys.A @ Q.T, Q @ sys.P @ Q.T)
 
 
-def _eig_side_report(A, tol):
-    spect = linsys.spectrum(A)
-    lam = spect.eigenvalues
-    min_abs = float(np.min(np.abs(lam)))
-    lam1 = lam[0]
-    rest = list(lam[1:])
-    if lam1.imag != 0.0:
-        # drop exactly one conjugate partner from the remainder multiset
-        for i, l in enumerate(rest):
-            if np.isclose(l, np.conj(lam1), rtol=0, atol=1e-14):
-                del rest[i]
-                break
-    if rest:
-        dominance = float(lam1.real - max(l.real for l in rest))
-    else:
-        dominance = np.inf  # max over the empty set is -inf
-    in_N = (min_abs > tol) and (spect.min_gap > tol) and (dominance > tol)
-    return spect, in_N, min_abs, dominance
+class _Membership(NamedTuple):
+    """The membership tests of one :class:`linsys.SpectrumStack` group, one
+    entry per slice."""
+
+    spectra: linsys.SpectrumStack
+    in_N: np.ndarray
+    min_abs: np.ndarray
+    dominance: np.ndarray
+    g11h11: np.ndarray
+    margin: np.ndarray
+    in_M: np.ndarray
+
+
+def _membership(B, tol):
+    """Both membership tests on a (k, n, n) stack of port-transformed
+    matrices, one :class:`_Membership` per dtype group of ``spectra(B)``.
+
+    Each slice's values equal those of the test on its matrix alone, bit for
+    bit: the complex port product is formed as numpy's scalar product forms
+    it (each term rounded, no fused multiply-add), and its modulus as
+    Python's ``abs`` of a complex number (``hypot``).
+    """
+    out = []
+    for S in linsys.spectra(B):
+        lam, g, h = S.eigenvalues, S.G[:, 0, 0], S.H[:, 0, 0]
+        lam1, rest = lam[:, 0], lam[:, 1:].real
+        if lam.dtype.kind == "c":
+            # drop exactly one conjugate partner of lam1 from the remainder
+            # (np.isclose with rtol 0, on finite values)
+            partner = (lam1.imag != 0.0)[:, None] \
+                & (np.abs(lam[:, 1:] - np.conj(lam1)[:, None]) <= 1e-14)
+            rest = np.where(partner & (partner.cumsum(axis=1) == 1), -np.inf, rest)
+            g11h11 = np.empty_like(g)
+            g11h11.real = g.real * h.real - g.imag * h.imag
+            g11h11.imag = g.real * h.imag + g.imag * h.real
+            modulus = np.hypot(g11h11.real, g11h11.imag)
+        else:
+            g11h11 = g * h
+            modulus = np.abs(g11h11)
+        min_abs = np.abs(lam).min(axis=1)
+        # max over an empty remainder is -inf, so dominance is +inf
+        dominance = lam1.real - rest.max(axis=1, initial=-np.inf)
+        in_N = np.minimum(np.minimum(min_abs, S.min_gap), dominance) > tol
+        # norms of the dominant right eigenvector and left eigenvector row
+        k = len(lam)
+        norms = _row_norms(np.concatenate((S.G[:, :, 0], S.H[:, 0, :])))
+        denom = norms[:k] * norms[k:]
+        margin = modulus / np.where(denom > 0, denom, np.inf)  # 0 where denom is 0
+        in_M = in_N & S.diagonalizable & (margin > tol)
+        out.append(_Membership(S, in_N, min_abs, dominance, g11h11, margin, in_M))
+    return out
+
+
+def _report(B, tol, Q=None):
+    """The report of the membership tests on one matrix: the stack of one.
+    Without the port reflector ``Q`` only the eigenvalue side is reported."""
+    (m,) = _membership(B[None], tol)
+    S = m.spectra.at(0)
+    in_N = bool(m.in_N[0])
+    dominance = float(m.dominance[0])
+    ports = Q is not None
+    notes = []
+    if ports:
+        margin = float(m.margin[0])
+        if not in_N:
+            notes.append("fails eigenvalue-side membership")
+        if not S.diagonalizable:
+            notes.append("not numerically diagonalizable")
+        if margin <= tol:
+            notes.append(f"port product margin {margin:.3e} <= tol")
+    if not math.isfinite(dominance):
+        notes.append("dominance over empty remainder (max of empty set = -inf)")
+    return GenericityReport(
+        in_N=in_N, in_M=bool(m.in_M[0]) if ports else None,
+        min_eig_gap=S.min_gap, min_abs_eig=float(m.min_abs[0]),
+        dominance_gap=dominance,
+        g11h11=complex(m.g11h11[0]) if ports else None,
+        port_product_margin=margin if ports else None, Q=Q, tol=tol,
+        notes="; ".join(notes), spectrum=S if ports else None,
+    )
 
 
 def in_generic_N(A, tol: float = 1e-8) -> GenericityReport:
     """Eigenvalue-side membership: nonzero spectrum, distinct eigenvalues,
     strictly dominating real part; every strict inequality uses margin
     ``tol``."""
-    spect, in_N, min_abs, dominance = _eig_side_report(A, tol)
-    notes = ""
-    if not np.isfinite(dominance):
-        notes = "dominance over empty remainder (max of empty set = -inf)"
-    return GenericityReport(
-        in_N=in_N, in_M=None, min_eig_gap=spect.min_gap, min_abs_eig=min_abs,
-        dominance_gap=dominance, g11h11=None, port_product_margin=None,
-        Q=None, tol=tol, notes=notes,
-    )
+    _check_tol(tol)
+    return _report(_as_square_matrix(A, "A"), tol)
 
 
 def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityReport:
     """Full membership: the port-transformed matrix passes the eigenvalue-side
     test and the dominant port product g11 * h11 is nonzero at margin ``tol``
     (after scale normalization)."""
-    Q, transformed = port_transform(sys)
-    spect, in_N, min_abs, dominance = _eig_side_report(transformed.A, tol)
-    g11h11 = complex(spect.G[0, 0] * spect.H[0, 0])
-    denom = float(np.linalg.norm(spect.G[:, 0]) * np.linalg.norm(spect.H[0, :]))
-    margin = abs(g11h11) / denom if denom > 0 else 0.0
-    in_M = bool(in_N and spect.diagonalizable and margin > tol)
-    notes = []
-    if not in_N:
-        notes.append("fails eigenvalue-side membership")
-    if not spect.diagonalizable:
-        notes.append("not numerically diagonalizable")
-    if margin <= tol:
-        notes.append(f"port product margin {margin:.3e} <= tol")
-    if not np.isfinite(dominance):
-        notes.append("dominance over empty remainder (max of empty set = -inf)")
-    return GenericityReport(
-        in_N=in_N, in_M=in_M, min_eig_gap=spect.min_gap, min_abs_eig=min_abs,
-        dominance_gap=dominance, g11h11=g11h11, port_product_margin=margin,
-        Q=Q, tol=tol, notes="; ".join(notes), spectrum=spect,
-    )
+    _check_tol(tol)
+    Q = _port_reflector(sys.P)
+    return _report(Q @ sys.A @ Q.T, tol, Q)
 
 
 def sample_density_M(n: int, samples: int, seed: int, tol: float = 1e-8) -> float:
     """Fraction of standard-Gaussian matrices (port = first coordinate) that
-    pass the full membership test; deterministic in the seed."""
+    pass the full membership test; deterministic in the seed.
+
+    The matrices are drawn in blocks of ``_CHUNK_ENTRIES // n**2`` (at least
+    one), and each block is tested in one stacked pass, so memory does not
+    grow with ``samples``.  The draws and every decision are those of
+    ``in_generic_M`` on one matrix at a time.
+    """
+    _check_tol(tol)
     if n < 1:
         raise ValueError("n must be at least 1")
     if samples < 1:
@@ -143,12 +202,12 @@ def sample_density_M(n: int, samples: int, seed: int, tol: float = 1e-8) -> floa
     rng = np.random.default_rng(seed)
     P = np.zeros((n, n))
     P[0, 0] = 1.0
+    Q = _port_reflector(P)
+    block = max(1, _CHUNK_ENTRIES // (n * n))
     hits = 0
-    for _ in range(samples):
-        A = rng.standard_normal((n, n))
-        sys = linsys.make_system(A, P)
-        if in_generic_M(sys, tol=tol).in_M:
-            hits += 1
+    for first in range(0, samples, block):
+        A = rng.standard_normal((min(block, samples - first), n, n))
+        hits += sum(int(m.in_M.sum()) for m in _membership(Q @ A @ Q.T, tol))
     return hits / samples
 
 

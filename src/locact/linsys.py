@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -96,65 +97,141 @@ def make_system(A, P, proj_tol: float = PROJ_TOL) -> LinearPortSystem:
     return LinearPortSystem(A=_frozen(A), P=_frozen(P), n=A.shape[0])
 
 
-def _eig_order(eigenvalues):
-    # descending real part, then descending imaginary part: conjugate pairs
-    # become adjacent with the positive-imaginary member first
-    return np.lexsort((-eigenvalues.imag, -eigenvalues.real))
-
-
 def spectrum(A, spec_tol: float = SPEC_TOL) -> Spectrum:
     """Eigendecomposition with deterministic ordering and a gap-based
     diagonalizability flag.
 
     Never fails on repeated eigenvalues: when the minimum pairwise gap is at
     most ``spec_tol`` the flag is False and G, H come from a pseudo-inverse
-    fallback.
+    fallback.  This is :func:`spectra` on the stack of one.
     """
     A = _as_square_matrix(A, "A")
-    n = A.shape[0]
+    return spectra(A[None], spec_tol)[0].at(0)
+
+
+class SpectrumStack(NamedTuple):
+    """Eigendecompositions of the slices ``index`` of a stack of matrices.
+
+    The other fields are those of :class:`Spectrum` with a leading axis over
+    the slices.  All slices share the dtype that :func:`spectrum` gives each
+    matrix alone: float64 when its spectrum is real, complex128 otherwise.
+    """
+
+    index: np.ndarray
+    eigenvalues: np.ndarray
+    G: np.ndarray
+    H: np.ndarray
+    diagonalizable: np.ndarray
+    min_gap: np.ndarray
+
+    def at(self, i: int) -> Spectrum:
+        """The :class:`Spectrum` of the i-th slice of this group (read-only
+        views)."""
+        return Spectrum(
+            eigenvalues=self.eigenvalues[i],
+            G=self.G[i],
+            H=self.H[i],
+            diagonalizable=bool(self.diagonalizable[i]),
+            min_gap=float(self.min_gap[i]),
+        )
+
+
+def spectra(A, spec_tol: float = SPEC_TOL) -> list:
+    """:func:`spectrum` of every slice of a (k, n, n) stack of finite real
+    matrices, as at most two :class:`SpectrumStack` groups: the slices with a
+    real spectrum, then those with a complex one.
+
+    One LAPACK call decomposes the stack.  It returns complex eigenvectors
+    for every slice once one spectrum is complex, and inverting a real slice
+    in complex arithmetic moves last bits; so every later step runs on each
+    group in the dtype the per-matrix call has, and each slice equals
+    ``spectrum`` of its matrix alone, bit for bit.
+    """
+    A = np.asarray(A, dtype=float)
     try:
-        eigenvalues, G = np.linalg.eig(A)
+        lam, G = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
-    order = _eig_order(eigenvalues)
-    eigenvalues = eigenvalues[order]
-    G = G[:, order]
+    whole = np.arange(len(A))
+    complex_ = lam.imag.any(axis=1) if lam.dtype.kind == "c" else None
+    count = 0 if complex_ is None else np.count_nonzero(complex_)
+    if count == len(A):
+        return [_decompose(whole, A, lam, G, spec_tol)]
+    if count == 0:
+        return [_decompose(whole, A, lam.real, G.real, spec_tol)]
+    r, c = np.flatnonzero(~complex_), np.flatnonzero(complex_)
+    return [_decompose(r, A[r], lam[r].real, G[r].real, spec_tol),
+            _decompose(c, A[c], lam[c], G[c], spec_tol)]
 
-    # canonicalize conjugate pairs: the negative-imaginary member of a pair is
-    # stored as the exact conjugate of its partner
-    used = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if used[i] or eigenvalues[i].imag <= 0.0:
-            continue
-        target = np.conj(eigenvalues[i])
-        for j in range(i + 1, n):
-            if not used[j] and np.isclose(eigenvalues[j], target, rtol=1e-12, atol=1e-12):
-                eigenvalues[j] = target
-                G[:, j] = np.conj(G[:, i])
-                used[i] = used[j] = True
-                break
 
-    if n > 1:
-        diffs = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
-        min_gap = float(diffs[~np.eye(n, dtype=bool)].min())
-    else:
-        min_gap = np.inf
+def _row_norms(X):
+    """``np.linalg.norm`` of each row of a 2-D array, bit for bit: the same
+    BLAS dot product with the same stride.  Rows must be contiguous."""
+    if np.iscomplexobj(X):
+        return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
+    return np.sqrt(np.vecdot(X, X))
 
-    scale = max(1.0, float(np.linalg.norm(A)))
+
+def _decompose(index, A, lam, G, spec_tol):
+    """The steps of :func:`spectra` after ``eig``, vectorised over a group of
+    slices that share one dtype."""
+    k, n = lam.shape
+    rows = np.arange(k)[:, None]
+    # descending real part, then descending imaginary part: conjugate pairs
+    # become adjacent with the positive-imaginary member first
+    order = np.lexsort((-lam.imag, -lam.real))
+    lam = lam[rows, order]
+    G = np.ascontiguousarray(G.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1))
+
+    if lam.dtype.kind == "c":
+        # canonicalize conjugate pairs: the negative-imaginary member of a
+        # pair is stored as the exact conjugate of its first unused partner.
+        # A stored value is never compared again, so every comparison can
+        # read the values as eig gave them.
+        upper = lam.imag > 0.0
+        # close[:, i, j]: np.isclose(lam_j, conj(lam_i), rtol=atol=1e-12)
+        target = np.conj(lam)[:, :, None]
+        close = np.abs(lam[:, None, :] - target) <= 1e-12 + 1e-12 * np.abs(target)
+        used = np.zeros((k, n), dtype=bool)
+        for i in upper[:, :-1].any(axis=0).nonzero()[0]:
+            open_ = upper[:, i] & ~used[:, i]
+            free = close[:, i] & ~used
+            for j in range(i + 1, n):
+                hit = open_ & free[:, j]
+                if np.count_nonzero(hit):
+                    lam[:, j] = np.where(hit, np.conj(lam[:, i]), lam[:, j])
+                    G[:, :, j] = np.where(hit[:, None], np.conj(G[:, :, i]), G[:, :, j])
+                    used[:, j] |= hit
+                    open_ &= ~hit
+                    if not np.count_nonzero(open_):
+                        break
+
+    # the off-diagonal pairs: drop every (n+1)-th entry of the flat n x n
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :]).reshape(k, n * n)
+    min_gap = gaps[:, :-1].reshape(k, n - 1, n + 1)[:, :, 1:].min(
+        axis=(1, 2), initial=np.inf)
+
     diagonalizable = min_gap > spec_tol
-    if diagonalizable:
-        H = np.linalg.inv(G)
-        recon = np.linalg.norm(G @ np.diag(eigenvalues) @ H - A)
-        diagonalizable = recon <= spec_tol * scale
-    if not diagonalizable:
-        H = np.linalg.pinv(G)
-    return Spectrum(
-        eigenvalues=_frozen(eigenvalues),
-        G=_frozen(G),
-        H=_frozen(H),
-        diagonalizable=bool(diagonalizable),
-        min_gap=min_gap,
-    )
+    H = np.empty_like(G)
+    count = np.count_nonzero(diagonalizable)
+    if count:
+        d = slice(None) if count == k else diagonalizable.nonzero()[0]
+        Gd = G[d]
+        Hd = H[d] = np.linalg.inv(Gd)
+        D = np.zeros(Gd.shape, Gd.dtype)
+        D.reshape(-1, n * n)[:, ::n + 1] = lam[d]
+        Ad = A[d].reshape(-1, n * n)
+        recon = _row_norms((Gd @ D @ Hd).reshape(-1, n * n) - Ad)
+        scale = np.maximum(1.0, _row_norms(Ad))
+        diagonalizable[d] = recon <= spec_tol * scale
+        count = np.count_nonzero(diagonalizable)
+    if count < k:
+        for i in (~diagonalizable).nonzero()[0]:
+            H[i] = np.linalg.pinv(G[i])
+    for a in (lam, G, H):
+        a.setflags(write=False)
+    return SpectrumStack(index=index, eigenvalues=lam, G=G, H=H,
+                         diagonalizable=diagonalizable, min_gap=min_gap)
 
 
 def matrix_exponential(A, t: float) -> np.ndarray:

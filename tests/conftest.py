@@ -43,3 +43,82 @@ def random_member_of_M(rng, n, min_abscissa=None, max_tries=200):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def spectrum_oracle(A, spec_tol=1e-8):
+    """Per-matrix eigendecomposition, as ``linsys.spectrum`` computed it
+    before the stacked kernel: the reference every slice of
+    ``linsys.spectra`` must equal bit for bit."""
+    from locact import linsys
+
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    eigenvalues, G = np.linalg.eig(A)
+    order = np.lexsort((-eigenvalues.imag, -eigenvalues.real))
+    eigenvalues = eigenvalues[order]
+    G = G[:, order]
+    used = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if used[i] or eigenvalues[i].imag <= 0.0:
+            continue
+        target = np.conj(eigenvalues[i])
+        for j in range(i + 1, n):
+            if not used[j] and np.isclose(eigenvalues[j], target, rtol=1e-12, atol=1e-12):
+                eigenvalues[j] = target
+                G[:, j] = np.conj(G[:, i])
+                used[i] = used[j] = True
+                break
+    if n > 1:
+        diffs = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
+        min_gap = float(diffs[~np.eye(n, dtype=bool)].min())
+    else:
+        min_gap = np.inf
+    scale = max(1.0, float(np.linalg.norm(A)))
+    diagonalizable = min_gap > spec_tol
+    if diagonalizable:
+        H = np.linalg.inv(G)
+        recon = np.linalg.norm(G @ np.diag(eigenvalues) @ H - A)
+        diagonalizable = recon <= spec_tol * scale
+    if not diagonalizable:
+        H = np.linalg.pinv(G)
+    return linsys.Spectrum(eigenvalues=eigenvalues, G=G, H=H,
+                           diagonalizable=bool(diagonalizable), min_gap=min_gap)
+
+
+def same_bits(a, b):
+    """Equal type and bytes: arrays by dtype, shape and bytes; floats and
+    complex numbers by their IEEE bits (signed zeros and NaN payloads too)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    if isinstance(a, complex):
+        return np.complex128(a).tobytes() == np.complex128(b).tobytes()
+    return a == b
+
+
+def assert_same_spectrum(got, want):
+    for field in ("eigenvalues", "G", "H", "diagonalizable", "min_gap"):
+        assert same_bits(getattr(got, field), getattr(want, field)), field
+
+
+def random_stack(rng, k, n):
+    """k matrices of size n that mix real and complex spectra with repeated
+    and zero eigenvalues, Jordan blocks and a wide range of scales."""
+    kinds = rng.integers(0, 5, k)
+    stack = rng.standard_normal((k, n, n))
+    for s in range(k):
+        M = stack[s]
+        if kinds[s] == 1:  # symmetric: real spectrum
+            stack[s] = M + M.T
+        elif kinds[s] == 2:  # entries in {-1, 0, 1}: repeats, zeros, Jordan blocks
+            stack[s] = rng.integers(-1, 2, (n, n))
+        elif kinds[s] == 3:  # skew: pure rotations (and 0 for odd n)
+            stack[s] = M - M.T
+        elif kinds[s] == 4:
+            stack[s] = M * 10.0 ** rng.uniform(-6.0, 6.0)
+    return stack

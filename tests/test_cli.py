@@ -337,6 +337,19 @@ class TestToleranceKeysPerCommand:
         assert code == 2
         assert flag.split("=")[0][len("--tol."):] in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("command,flag", [
+        ("genericity", "--tol.genericity_tol=-1"),
+        ("genericity", "--tol.genericity_tol=-1e-300"),
+        ("fhn", "--tol.resid_tol=-1"),
+        ("fhn", "--tol.on_axis_tol=-1e-7"),
+        ("fhn", "--tol.axis_val_tol=-1"),
+        ("fhn", "--tol.cluster_tol=-1"),
+    ])
+    def test_negative_tolerance_exits_2(self, argv_of, capsys, command, flag):
+        code, out = run_cli(capsys, *argv_of[command], flag)
+        assert code == 2
+        assert "non-negative" in json.loads(out)["error"]
+
     def test_genericity_tol_accepted_by_genericity(self, argv_of, capsys):
         code, out = run_cli(capsys, *argv_of["genericity"],
                             "--tol.genericity_tol=1e-6")

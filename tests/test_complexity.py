@@ -33,6 +33,18 @@ def fhn_xd_oracle(mu):
     return real[0]
 
 
+class TestClassifierTolerances:
+    @pytest.mark.parametrize("field", ["on_axis_tol", "resid_tol", "axis_val_tol",
+                                       "cluster_tol"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+    def test_meaningless_value_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClassifierTolerances(**{field: value})
+
+    def test_zero_is_accepted(self):
+        assert ClassifierTolerances(resid_tol=0.0).resid_tol == 0.0
+
+
 class TestFhnComplexityFunction:
     def test_coefficients_at_mu_005(self):
         xd = fhn_xd_oracle(0.05)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_spectrum, random_stack, spectrum_oracle
 from locact import linsys
 from locact.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NonFiniteEntry,
     NotAProjection,
@@ -105,6 +107,76 @@ class TestSpectrum:
         A = np.array([[0.0, -2.0], [2.0, 0.0]])
         spec = linsys.spectrum(A)
         npt.assert_allclose(spec.G[:, 1], np.conj(spec.G[:, 0]))
+
+
+# the matrices behind the usual edge cases of the spectral kernel
+SPECTRUM_FIXTURES = {
+    "repeated": np.eye(2),
+    "zero": np.diag([0.0, 1.0]),
+    "jordan": np.array([[1.0, 1.0], [0.0, 1.0]]),  # the pinv path
+    "rotation": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    "scalar": np.array([[0.7]]),
+}
+
+
+def _slice_spectrum(groups, i):
+    for group in groups:
+        pos = np.flatnonzero(group.index == i)
+        if pos.size:
+            return group.at(int(pos[0]))
+    raise AssertionError(f"slice {i} is in no group")
+
+
+class TestSpectra:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 300))
+    def test_every_slice_equals_the_per_matrix_spectrum(self, seed, n, k):
+        A = random_stack(np.random.default_rng(seed), k, n)
+        groups = linsys.spectra(A)
+        index = np.concatenate([g.index for g in groups])
+        assert sorted(index.tolist()) == list(range(k))
+        kinds = [g.eigenvalues.dtype.kind for g in groups]
+        assert kinds in (["f"], ["c"], ["f", "c"])
+        for g in groups:
+            for pos, i in enumerate(g.index):
+                assert_same_spectrum(g.at(pos), spectrum_oracle(A[i]))
+
+    @pytest.mark.parametrize("name", SPECTRUM_FIXTURES)
+    def test_fixture_equals_the_per_matrix_spectrum(self, name):
+        M = SPECTRUM_FIXTURES[name]
+        assert_same_spectrum(linsys.spectrum(M), spectrum_oracle(M))
+
+    @pytest.mark.parametrize("name", SPECTRUM_FIXTURES)
+    @pytest.mark.parametrize("k", [1, 2, 300])
+    def test_fixture_bits_do_not_depend_on_batch_position(self, name, k):
+        M = SPECTRUM_FIXTURES[name]
+        want = spectrum_oracle(M)
+        for i in {0, k - 1}:
+            A = random_stack(np.random.default_rng(k), k, M.shape[0])
+            A[i] = M
+            assert_same_spectrum(_slice_spectrum(linsys.spectra(A), i), want)
+
+    def test_jordan_block_takes_the_pseudo_inverse(self):
+        spec = linsys.spectrum(SPECTRUM_FIXTURES["jordan"])
+        assert not spec.diagonalizable
+        npt.assert_array_equal(spec.H, np.linalg.pinv(spec.G))
+
+    def test_real_spectrum_keeps_float_dtype_in_a_complex_stack(self):
+        A = np.stack([np.diag([2.0, 1.0]), SPECTRUM_FIXTURES["rotation"]])
+        real, cplx = linsys.spectra(A)
+        assert real.index.tolist() == [0] and cplx.index.tolist() == [1]
+        assert real.G.dtype == real.H.dtype == real.eigenvalues.dtype == np.float64
+        assert cplx.G.dtype == cplx.H.dtype == cplx.eigenvalues.dtype == np.complex128
+
+    def test_spectrum_arrays_are_read_only(self):
+        spec = linsys.spectrum(np.diag([2.0, 1.0]))
+        for a in (spec.eigenvalues, spec.G, spec.H):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_non_finite_stack_raises_locact_error(self):
+        with pytest.raises(ConvergenceFailure):
+            linsys.spectra(np.full((2, 2, 2), np.nan))
 
 
 class TestMatrixExponential:
