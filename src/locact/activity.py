@@ -352,17 +352,19 @@ def passivity_certificate(sys: linsys.LinearPortSystem,
 
 
 def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
-                              cfg: Optional[WitnessSearchConfig] = None
+                              cfg: Optional[WitnessSearchConfig] = None,
+                              generic: Optional[genericity.GenericityReport] = None,
                               ) -> GenericTwoPulseWitness:
     """Constructive search: port transform, closed-form two-pulse energies
     for ``u = (a X_[0,1] + X_[T-1,T], 0, ..., 0)`` with a in {-1, +1}, horizon
     scan from 2 upward, then mollification and quadrature re-verification.
 
     Preconditions: P != 0, the port-transformed matrix lies in the generic
-    set, and the spectral abscissa is positive.
+    set, and the spectral abscissa is positive.  ``generic`` is
+    ``genericity.in_generic_M(sys)`` when the caller has it already.
     """
     cfg = cfg or WitnessSearchConfig()
-    report = genericity.in_generic_M(sys)
+    report = generic if generic is not None else genericity.in_generic_M(sys)
     if not report.in_M:
         raise NotInGenericSet(
             "port-transformed matrix fails the generic-set membership test: "
@@ -486,7 +488,9 @@ def _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes):
 
 
 def classify_activity(sys: linsys.LinearPortSystem,
-                      cfg: Optional[WitnessSearchConfig] = None) -> ActivityVerdict:
+                      cfg: Optional[WitnessSearchConfig] = None,
+                      generic: Optional[genericity.GenericityReport] = None,
+                      ) -> ActivityVerdict:
     """Decide Active / Passive / Inconclusive and attach evidence.
 
     For P = I the decision is exact: active iff the symmetric part of A has a
@@ -499,7 +503,9 @@ def classify_activity(sys: linsys.LinearPortSystem,
     activity only; when neither fires the honest verdict is Inconclusive.  A
     certificate whose max eigenvalue is positive beyond the rounding of
     ``P A`` (``8 n eps ||P|| ||A||``) but within ``cert_tol`` is returned
-    only when no witness route verifies.
+    only when no witness route verifies.  ``generic`` is
+    ``genericity.in_generic_M(sys)`` when the caller has it already; the
+    two-pulse route then reuses it.
     """
     cfg = cfg or WitnessSearchConfig()
     notes = []
@@ -536,7 +542,7 @@ def classify_activity(sys: linsys.LinearPortSystem,
 
     if rec is None and not identity:
         try:
-            gw = witness_two_pulse_generic(sys, cfg)
+            gw = witness_two_pulse_generic(sys, cfg, generic)
             rec = WitnessRecord(signal=gw.signal, T=gw.T, W=gw.W,
                                 quadrature_error_estimate=gw.err_estimate)
             notes.append(

@@ -112,11 +112,12 @@ def _emit(text, output):
 def cmd_analyze_linear(matrix_path, projection_path, overrides, output=None):
     sys = _load_system(matrix_path, projection_path, overrides)
     cfg = _witness_config(overrides)
-    verdict = activity.classify_activity(sys, cfg)
     try:
-        gen = genericity.report_to_json(genericity.in_generic_M(sys))
+        generic = genericity.in_generic_M(sys)
+        gen = genericity.report_to_json(generic)
     except LocactError as exc:
-        gen = {"error": str(exc)}
+        generic, gen = None, {"error": str(exc)}
+    verdict = activity.classify_activity(sys, cfg, generic)
     report = {"activity": activity.verdict_to_json(verdict), "genericity": gen}
     _emit(dumps_canonical(report) + "\n", output)
     return 0
@@ -178,24 +179,32 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
     if sweep is not None:
         lo, hi, count = sweep
         mus = np.linspace(lo, hi, count)
-        rows = []
+        rows = [None] * count
+        # continuation: each Newton solve starts from the previous root
+        points, rfs = [], []
         x_guess = None
-        abscissas = []
-        for m in mus:
+        for i, m in enumerate(mus):
             try:
                 sysm = nonlinear.fhn_system(m, beta, gamma, xi)
                 guess = x_guess if x_guess is not None else \
                     nonlinear.fhn_equilibrium_guesses(m, beta, gamma, xi)[0]
                 eq = nonlinear.find_equilibrium(sysm, guess)
                 x_guess = eq.x_star
-                max_re = float(np.linalg.eigvals(eq.jacobian_full).real.max())
-                rf = complexity.fhn_rational(float(eq.x_star[0]), beta, xi)
-                edge = complexity.edge_of_chaos_classify(rf, tols)
-                rows.append((float(m), float(eq.x_star[0]), float(eq.x_star[1]),
-                             max_re, edge.edge_of_chaos))
-                abscissas.append((float(m), max_re))
+                rfs.append(complexity.fhn_rational(float(eq.x_star[0]), beta, xi))
+                points.append((i, eq))
             except LocactError as exc:
-                rows.append((float(m), "error", str(exc), "", ""))
+                rows[i] = (float(m), "error", str(exc), "", "")
+        # the converged points, classified as one stack
+        abscissas = []
+        for (i, eq), edge in zip(points, complexity.edge_of_chaos_classify(rfs, tols)):
+            m = float(mus[i])
+            if isinstance(edge, LocactError):
+                rows[i] = (m, "error", str(edge), "", "")
+                continue
+            max_re = float(eq.eigenvalues_full.real.max())
+            rows[i] = (m, float(eq.x_star[0]), float(eq.x_star[1]), max_re,
+                       edge.edge_of_chaos)
+            abscissas.append((m, max_re))
         csv_lines = ["mu,x_d,y_d,maxReEig_full,edge_of_chaos"]
         csv_lines += [format_csv_row(r) for r in rows]
         csv_text = "\n".join(csv_lines) + "\n"
@@ -317,6 +326,8 @@ def _parse_sweep(text):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"bad --sweep value: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise InputError("--sweep needs finite lo, hi and hi - lo")
     if count < 2 or not lo < hi:
         raise InputError("--sweep needs lo < hi and steps >= 2")
     return lo, hi, count

@@ -17,10 +17,13 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import EquilibriumNotFound, NotASimplePole
+from .errors import EquilibriumNotFound, LocactError, NotASimplePole
 
 COEFF_TOL = 1e-12
 CLUSTER_TOL = 1e-7
+# Rows per block of the axis scan's grid stage: a block's log and linear
+# grids take about 1 MB however many rows a stack has.
+_GRID_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -184,66 +187,93 @@ def asymptotic_axis_sign(rf: RationalFunction, coeff_tol: float = COEFF_TOL) -> 
     return 1 if lead > 0 else (-1 if lead < 0 else 0)
 
 
-def _axis_exclusions(rf, on_axis_tol, cluster_tol):
+def _axis_exclusions(ps: PoleSet, on_axis_tol):
     wins = []
-    for loc, _ in poles(rf, cluster_tol=cluster_tol).poles:
+    for loc, _ in ps.poles:
         if abs(loc.real) <= on_axis_tol:
             radius = max(1e-8, 1e-6 * (1.0 + abs(loc.imag)))
             wins.append((abs(loc.imag), radius))
     return wins
 
 
+def _coefficient_rows(polys):
+    """Ascending coefficient tuples as the rows of one array, zero-padded at
+    the high-degree end; a padded Horner step keeps :func:`_re_on_axis` at its
+    exact ``(0, 0)`` start for finite omega, so padding moves no bit."""
+    rows = np.zeros((len(polys), max(len(p) for p in polys)))
+    for row, p in zip(rows, polys):
+        row[:len(p)] = p
+    return rows
+
+
 def _re_on_axis(num, den, w):
-    """``np.real(polyval(1j*w, num) / polyval(1j*w, den))`` bit for bit, in
-    Python floats, for finite coefficients; see :func:`min_real_on_axis`."""
-    sr, si = 0.0 * w - 0.0, 0.0 + w  # 1j * w: (0, 1) times (w, 0)
-    # Horner steps: numpy's complex product and real-plus-complex sum on (re, im)
-    nr = ni = dr = di = 0.0
-    for a in reversed(num):
-        nr, ni = a + (nr * sr - ni * si), 0.0 + (nr * si + ni * sr)
-    for a in reversed(den):
-        dr, di = a + (dr * sr - di * si), 0.0 + (dr * si + di * sr)
-    if abs(dr) >= abs(di):
-        if dr == 0.0 and di == 0.0:
-            return math.nan if nr != nr or nr == 0.0 else math.copysign(math.inf, nr)
-        rat = di / dr
-        return (nr + ni * rat) * (1.0 / (dr + di * rat))
-    rat = dr / di
-    return (nr * rat + ni) * (1.0 / (di + dr * rat))
+    """``np.real(polyval(1j*w, num) / polyval(1j*w, den))`` bit for bit, one
+    value per row, for finite coefficients; see :func:`min_real_on_axis`.
 
-
-def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
-                     grid: int = 4096, on_axis_tol: float = 1e-7,
-                     cluster_tol: float = CLUSTER_TOL):
-    """Minimize Re Y(i omega) over the axis.
-
-    Combines a symmetric log+linear grid (conjugate symmetry lets the scan
-    cover omega >= 0 only), golden-section refinement around the grid
-    minimizer, and the exact omega -> inf sign from leading coefficients so
-    unbounded behavior is decided analytically.  Samples inside small windows
-    around imaginary-axis poles are excluded, with extra samples placed just
-    outside the windows.
-
-    The grid is one vectorised ``polyval``; scalar probes use
-    :func:`_re_on_axis`, which repeats numpy's complex Horner steps and Smith
-    division (times ``1/(dr + di*rat)``) in Python floats, bit for bit and
-    without numpy's per-call overhead.  Python's ``complex`` would divide,
-    moving the last bit, and raise on a zero denominator where numpy gives
+    ``num`` and ``den`` hold ascending coefficients along their last axis and
+    ``w`` one omega per row.  The steps are numpy's complex Horner product and
+    real-plus-complex sum on (re, im), then Smith's division (times
+    ``1/(dr + di*rat)``), each on float arrays; a zero denominator gives numpy's
     ``nr/0``.
     """
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    with np.errstate(all="ignore"):
+        sr, si = 0.0 * w - 0.0, 0.0 + w  # 1j * w: (0, 1) times (w, 0)
+        nr = ni = dr = di = 0.0
+        for a in num.T[::-1]:  # coefficient columns, highest degree first
+            nr, ni = a + (nr * sr - ni * si), 0.0 + (nr * si + ni * sr)
+        for a in den.T[::-1]:
+            dr, di = a + (dr * sr - di * si), 0.0 + (dr * si + di * sr)
+        big = np.abs(dr) >= np.abs(di)
+        rat = np.where(big, di / dr, dr / di)
+        val = np.where(big, (nr + ni * rat) * (1.0 / (dr + di * rat)),
+                       (nr * rat + ni) * (1.0 / (di + dr * rat)))
+        pole = (dr == 0.0) & (di == 0.0)
+        if pole.any():
+            at_pole = np.where((nr != nr) | (nr == 0.0), np.nan, np.copysign(np.inf, nr))
+            val = np.where(pole, at_pole, val)
+    return val
+
+
+def _default_omega_max(rf):
+    coeffs = np.abs(np.array(rf.num + rf.den, dtype=float))
+    nz = coeffs[coeffs > 0]
+    ratio = float(nz.max() / nz.min()) if nz.size else 1.0
+    return 1e4 * max(1.0, min(ratio, 1e6))
+
+
+def _grid_minima(rfs, exclusions, omega_max, grid):
+    """The grid stage of :func:`min_real_on_axis`, row by row: arrays of each
+    row's grid minimizer and value, its bracketing neighbors and its
+    ``omega_max``.
+
+    The linear and log grids of up to ``_GRID_ROWS`` rows come from one
+    ``linspace`` and one ``geomspace`` call, whose rows equal the per-row
+    calls element for element; each row is then merged, sampled and
+    evaluated on its own.
+    """
+    w_max = np.array([_default_omega_max(rf) if omega_max is None else omega_max
+                      for rf in rfs], dtype=float)
+    half = max(grid // 2, 16)
+    found = []
+    for first in range(0, len(rfs), _GRID_ROWS):
+        block = slice(first, first + _GRID_ROWS)
+        top = w_max[block]
+        stop = np.where(top < 10.0, top, 10.0)  # min(10.0, omega_max)
+        start = stop * 1e-3
+        start = np.where(1e-12 > start, 1e-12, start)  # max(start, 1e-12)
+        lins = np.linspace(0.0, stop, half, axis=-1)
+        logs = np.geomspace(start, top, half, axis=-1)
+        for rf, excl, lin, log in zip(rfs[block], exclusions[block], lins, logs):
+            found.append(_row_minimum(rf, excl, lin, log))
+    w_star, v_star, lo, hi = (np.array(column) for column in zip(*found))
+    return w_star, v_star, lo, hi, w_max
+
+
+def _row_minimum(rf, exclusions, lin, log):
     num = np.asarray(rf.num, dtype=float)
     den = np.asarray(rf.den, dtype=float)
-    if omega_max is None:
-        coeffs = np.abs(np.concatenate([num, den]))
-        nz = coeffs[coeffs > 0]
-        ratio = float(nz.max() / nz.min()) if nz.size else 1.0
-        omega_max = 1e4 * max(1.0, min(ratio, 1e6))
-
-    exclusions = _axis_exclusions(rf, on_axis_tol, cluster_tol)
-
-    half = max(grid // 2, 16)
-    lin = np.linspace(0.0, min(10.0, omega_max), half)
-    log = np.geomspace(max(min(10.0, omega_max) * 1e-3, 1e-12), omega_max, half)
     ws = np.unique(np.concatenate([lin, log]))
     edge_pts = []
     for center, radius in exclusions:
@@ -255,52 +285,90 @@ def min_real_on_axis(rf: RationalFunction, omega_max: Optional[float] = None,
     for center, radius in exclusions:
         keep &= np.abs(ws - center) > radius
     ws = ws[keep]
+    s = 1j * ws
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.real(npoly.polyval(1j * ws, num) / npoly.polyval(1j * ws, den))
+        vals = np.real(npoly.polyval(s, num) / npoly.polyval(s, den))
     finite = np.isfinite(vals)
     ws, vals = ws[finite], vals[finite]
     idx = int(np.argmin(vals))
-    w_star, v_star = float(ws[idx]), float(vals[idx])
-
-    # golden-section refinement in the bracketing neighbors
+    w_star = float(ws[idx])
     lo = ws[idx - 1] if idx > 0 else max(0.0, w_star - 1.0)
     hi = ws[idx + 1] if idx + 1 < ws.size else w_star + 1.0
+    return w_star, float(vals[idx]), lo, hi
+
+
+def min_real_on_axis(rf, omega_max: Optional[float] = None, grid: int = 4096,
+                     on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER_TOL,
+                     pole_sets=None):
+    """Minimize Re Y(i omega) over the axis.
+
+    Combines a symmetric log+linear grid (conjugate symmetry lets the scan
+    cover omega >= 0 only), golden-section refinement around the grid
+    minimizer, and the exact omega -> inf sign from leading coefficients so
+    unbounded behavior is decided analytically.  Samples inside small windows
+    around imaginary-axis poles are excluded, with extra samples placed just
+    outside the windows.
+
+    ``rf`` is one :class:`RationalFunction`, which gives ``(w*, v*)``, or a
+    sequence of them, which gives a list of such pairs: one stack, the scalar
+    call being the stack of one.  Each row's grid is one vectorised
+    ``polyval``; the 80 golden-section steps and the tail chase run in
+    lockstep over the rows, probing through :func:`_re_on_axis`, which repeats
+    numpy's complex arithmetic on float arrays.  Each row's result is bit for
+    bit that of the row alone, wherever it sits in the stack.  ``pole_sets``
+    (the poles of each row at ``cluster_tol``) spares a caller that has them
+    a second root finding.
+    """
+    single = isinstance(rf, RationalFunction)
+    rfs = [rf] if single else list(rf)
+    if not rfs:
+        return []
+    if pole_sets is None:
+        pole_sets = [poles(r, cluster_tol=cluster_tol) for r in rfs]
+    exclusions = [_axis_exclusions(ps, on_axis_tol) for ps in pole_sets]
+    w_star, v_star, lo, hi, w_max = _grid_minima(rfs, exclusions, omega_max, grid)
+    num = _coefficient_rows([r.num for r in rfs])
+    den = _coefficient_rows([r.den for r in rfs])
+
+    # golden-section refinement in the bracketing neighbors, all rows at once
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = float(lo), float(hi)
+    a_, b_ = lo, hi
     c_ = b_ - phi * (b_ - a_)
     d_ = a_ + phi * (b_ - a_)
-    fc, fd = _re_on_axis(rf.num, rf.den, c_), _re_on_axis(rf.num, rf.den, d_)
+    fc, fd = _re_on_axis(num, den, c_), _re_on_axis(num, den, d_)
     for _ in range(80):
-        if fc < fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - phi * (b_ - a_)
-            fc = _re_on_axis(rf.num, rf.den, c_)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + phi * (b_ - a_)
-            fd = _re_on_axis(rf.num, rf.den, d_)
-    w_ref = c_ if fc < fd else d_
-    v_ref = min(fc, fd)
-    if np.isfinite(v_ref) and v_ref < v_star and \
-            all(abs(w_ref - c) > r for c, r in exclusions):
-        w_star, v_star = float(w_ref), float(v_ref)
+        left = fc < fd  # keep [a, d]; otherwise keep [c, b]
+        a_, b_ = np.where(left, a_, c_), np.where(left, d_, b_)
+        step = phi * (b_ - a_)
+        probe = np.where(left, b_ - step, a_ + step)
+        f_probe = _re_on_axis(num, den, probe)
+        c_, d_ = np.where(left, probe, d_), np.where(left, c_, probe)
+        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
+    w_ref = np.where(fc < fd, c_, d_)
+    v_ref = np.where(fd < fc, fd, fc)  # min(fc, fd)
+    for i in np.flatnonzero(np.isfinite(v_ref) & (v_ref < v_star)):
+        if all(abs(w_ref[i] - c) > r for c, r in exclusions[i]):
+            w_star[i], v_star[i] = w_ref[i], v_ref[i]
 
     # analytic tail: if Re Y is eventually negative, chase it past the grid
-    if v_star >= 0.0 and asymptotic_axis_sign(rf) < 0:
-        w_tail = omega_max
-        for _ in range(12):
-            w_tail *= 10.0
-            v_tail = _re_on_axis(rf.num, rf.den, w_tail)
-            if np.isfinite(v_tail) and v_tail < 0.0:
-                w_star, v_star = w_tail, v_tail
-                break
-    return w_star, v_star
+    rows = np.array([i for i in range(len(rfs))
+                     if v_star[i] >= 0.0 and asymptotic_axis_sign(rfs[i]) < 0], dtype=int)
+    w_tail = w_max[rows]
+    for _ in range(12):
+        if not rows.size:
+            break
+        w_tail = w_tail * 10.0
+        v_tail = _re_on_axis(num[rows], den[rows], w_tail)
+        hit = np.isfinite(v_tail) & (v_tail < 0.0)
+        w_star[rows[hit]], v_star[rows[hit]] = w_tail[hit], v_tail[hit]
+        rows, w_tail = rows[~hit], w_tail[~hit]
+    pairs = [(float(w), float(v)) for w, v in zip(w_star, v_star)]
+    return pairs[0] if single else pairs
 
 
-def edge_of_chaos_classify(rf: RationalFunction,
-                           tols: Optional[ClassifierTolerances] = None) -> EdgeClassification:
-    """Evaluate the four local-activity conditions and the edge-of-chaos flag."""
-    tols = tols or ClassifierTolerances()
+def _pole_conditions(rf, tols):
+    """Conditions (i)-(iii) from the poles of ``rf``: the pole set, the three
+    flags and their evidence."""
     ps = poles(rf, cluster_tol=tols.cluster_tol, on_axis_tol=tols.on_axis_tol)
     evidence = {}
 
@@ -325,18 +393,47 @@ def edge_of_chaos_classify(rf: RationalFunction,
             cond_iii = True
             evidence["iii"] = {"pole": loc, "residue": res}
             break
+    return ps, cond_i, cond_ii, cond_iii, evidence
 
-    w_star, v_star = min_real_on_axis(rf, on_axis_tol=tols.on_axis_tol,
-                                      cluster_tol=tols.cluster_tol)
-    cond_iv = v_star < -tols.axis_val_tol
-    evidence["iv"] = {"omega": w_star, "re_Y": v_star}
 
-    locally_active = cond_i or cond_ii or cond_iii or cond_iv
-    edge = cond_iv and not (cond_i or cond_ii or cond_iii)
-    return EdgeClassification(
-        cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii, cond_iv=cond_iv,
-        locally_active=locally_active, edge_of_chaos=edge, evidence=evidence,
-    )
+def edge_of_chaos_classify(rf, tols: Optional[ClassifierTolerances] = None):
+    """Evaluate the four local-activity conditions and the edge-of-chaos flag.
+
+    ``rf`` is one :class:`RationalFunction`, which gives its
+    :class:`EdgeClassification`, or a sequence of them, classified as one
+    stack with one :func:`min_real_on_axis` call.  A stack gives a list with
+    one entry per row: the classification, or the ``LocactError`` that row
+    raised, so one row's failure does not fail the others.  The stack of one
+    raises its row's error.
+    """
+    tols = tols or ClassifierTolerances()
+    single = isinstance(rf, RationalFunction)
+    rfs = [rf] if single else list(rf)
+    results = []
+    for r in rfs:
+        try:
+            results.append(_pole_conditions(r, tols))
+        except LocactError as exc:
+            results.append(exc)
+    rows = [i for i, res in enumerate(results) if not isinstance(res, LocactError)]
+    minima = min_real_on_axis([rfs[i] for i in rows], on_axis_tol=tols.on_axis_tol,
+                              cluster_tol=tols.cluster_tol,
+                              pole_sets=[results[i][0] for i in rows])
+    for i, (w_star, v_star) in zip(rows, minima):
+        _, cond_i, cond_ii, cond_iii, evidence = results[i]
+        cond_iv = v_star < -tols.axis_val_tol
+        evidence["iv"] = {"omega": w_star, "re_Y": v_star}
+        results[i] = EdgeClassification(
+            cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii, cond_iv=cond_iv,
+            locally_active=cond_i or cond_ii or cond_iii or cond_iv,
+            edge_of_chaos=cond_iv and not (cond_i or cond_ii or cond_iii),
+            evidence=evidence,
+        )
+    if not single:
+        return results
+    if isinstance(results[0], LocactError):
+        raise results[0]
+    return results[0]
 
 
 # -- the FitzHugh-Nagumo instance ----------------------------------------------

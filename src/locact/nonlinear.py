@@ -50,6 +50,7 @@ class EquilibriumReport:
     residual: float
     jacobian_full: np.ndarray
     jacobian_kinetic: np.ndarray
+    eigenvalues_full: np.ndarray  # of jacobian_full
     stability: str  # Stable | Unstable | Marginal
     notes: str = ""
 
@@ -73,10 +74,11 @@ def jacobian_fd(f: Callable, x, h: float = FD_STEP) -> np.ndarray:
 
 
 def _g_and_jacobian(sys: NonlinearPortSystem, x):
+    """Residual, full Jacobian and kinetic Jacobian at x."""
     g = np.asarray(sys.f(x), dtype=float).ravel() - sys.P @ np.asarray(sys.D(x), dtype=float).ravel()
-    Jf = sys.jacobian_f(x) if sys.jacobian_f is not None else jacobian_fd(sys.f, x)
+    Jf = _kinetic_jacobian(sys, x)
     JD = sys.jacobian_D(x) if sys.jacobian_D is not None else jacobian_fd(sys.D, x)
-    return g, np.asarray(Jf, dtype=float) - sys.P @ np.asarray(JD, dtype=float)
+    return g, Jf - sys.P @ np.asarray(JD, dtype=float), Jf
 
 
 def _kinetic_jacobian(sys: NonlinearPortSystem, x):
@@ -85,8 +87,8 @@ def _kinetic_jacobian(sys: NonlinearPortSystem, x):
     return jacobian_fd(sys.f, x)
 
 
-def _stability_label(J, stab_tol=STAB_TOL):
-    m = float(np.linalg.eigvals(J).real.max())
+def _stability_label(eigenvalues, stab_tol=STAB_TOL):
+    m = float(eigenvalues.real.max())
     if m > stab_tol:
         return "Unstable"
     if m < -stab_tol:
@@ -107,9 +109,9 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
     if x.size != sys.n:
         raise DimensionMismatch(f"guess has dimension {x.size}, system has {sys.n}")
     notes = []
-    g, J = _g_and_jacobian(sys, x)
+    g, J, J_kin = _g_and_jacobian(sys, x)
     res = float(np.linalg.norm(g))
-    best_x, best_res = x.copy(), res
+    best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
     for _ in range(max_iter):
         if res <= newton_tol:
             break
@@ -133,22 +135,20 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
         else:
             x_new = x + alpha * step
         x = x_new
-        g, J = _g_and_jacobian(sys, x)
+        g, J, J_kin = _g_and_jacobian(sys, x)
         res = float(np.linalg.norm(g))
         if res < best_res:
-            best_x, best_res = x.copy(), res
+            best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
     if best_res > newton_tol:
         raise NoConvergence(
             f"Newton stalled at residual {best_res:.3e} (tol {newton_tol:.1e})",
             best_x=best_x, best_residual=best_res,
         )
-    x = best_x
-    _, J_full = _g_and_jacobian(sys, x)
-    J_kin = _kinetic_jacobian(sys, x)
+    eigenvalues = np.linalg.eigvals(best_J)
     return EquilibriumReport(
-        x_star=x, residual=best_res, jacobian_full=J_full,
-        jacobian_kinetic=J_kin, stability=_stability_label(J_full),
-        notes="; ".join(notes),
+        x_star=best_x, residual=best_res, jacobian_full=best_J,
+        jacobian_kinetic=best_J_kin, eigenvalues_full=eigenvalues,
+        stability=_stability_label(eigenvalues), notes="; ".join(notes),
     )
 
 
@@ -244,7 +244,7 @@ def hopf_locate(builder: Callable, mu_lo: float, mu_hi: float, tol: float = 1e-6
             else:
                 guess = np.zeros(sys.n)
         report = find_equilibrium(sys, guess, newton_tol=newton_tol)
-        eigs = np.linalg.eigvals(report.jacobian_full)
+        eigs = report.eigenvalues_full
         return report, float(eigs.real.max()), eigs
 
     def continued(mu):
@@ -397,12 +397,12 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
 
     eq = run("find_equilibrium", find_equilibrium, sys, x_guess)
     lin = run("linearize_at", linearize_at, sys, eq.x_star)
-    verdict = run("classify_activity", activity.classify_activity, lin, cfg)
     try:
         gen = genericity.in_generic_M(lin)
-        gen_json = genericity.report_to_json(gen)
     except ZeroProjection:
-        gen_json = None
+        gen = None
+    verdict = run("classify_activity", activity.classify_activity, lin, cfg, gen)
+    gen_json = None if gen is None else genericity.report_to_json(gen)
     edge_json = None
     if sys.family == "fhn":
         rf = complexity.fhn_rational(float(eq.x_star[0]), sys.params["beta"],
@@ -420,7 +420,7 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
         "jacobians": {
             "kinetic": eq.jacobian_kinetic.tolist(),
             "full": eq.jacobian_full.tolist(),
-            "max_re_eig_full": float(np.linalg.eigvals(eq.jacobian_full).real.max()),
+            "max_re_eig_full": float(eq.eigenvalues_full.real.max()),
             "max_re_eig_kinetic": float(np.linalg.eigvals(eq.jacobian_kinetic).real.max()),
         },
         "activity": activity.verdict_to_json(verdict),

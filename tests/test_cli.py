@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from locact import cli, linsys
-from test_complexity import _use_numpy_evaluator
+from locact import activity, cli, complexity, genericity, linsys, nonlinear
+from locact.errors import LocactError, NoConvergence, NotASimplePole, StageError
+from locact.serialize import dumps_canonical, format_csv_row
+from test_complexity import _use_numpy_evaluator, _use_per_rational_scan
 
 
 def write_matrix(path, M, fmt="json"):
@@ -38,6 +40,84 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _cmd_fhn_oracle(mu, beta, gamma, xi, overrides, output=None, sweep=None,
+                    sweep_csv=None):
+    """``cli.cmd_fhn`` with a per-point sweep loop: Newton, spectrum and
+    classification point by point."""
+    for name, value in (("mu", mu), ("beta", beta), ("gamma", gamma), ("xi", xi)):
+        if not np.isfinite(value):
+            raise cli.InputError(f"--{name} must be finite, got {value}")
+    cfg = cli._witness_config(overrides)
+    tols = cli._classifier_tols(overrides)
+    report = {"params": {"mu": mu, "beta": beta, "gamma": gamma, "xi": xi}}
+    try:
+        report["pipeline"] = nonlinear.analyze_equilibrium_pipeline(
+            nonlinear.fhn_system(mu, beta, gamma, xi),
+            nonlinear.fhn_equilibrium_guesses(mu, beta, gamma, xi)[0], cfg, tols)
+    except StageError as exc:
+        report["pipeline"] = {"error": str(exc), "stage": exc.stage}
+    if sweep is not None:
+        lo, hi, count = sweep
+        rows = []
+        x_guess = None
+        abscissas = []
+        for m in np.linspace(lo, hi, count):
+            try:
+                sysm = nonlinear.fhn_system(m, beta, gamma, xi)
+                guess = x_guess if x_guess is not None else \
+                    nonlinear.fhn_equilibrium_guesses(m, beta, gamma, xi)[0]
+                eq = nonlinear.find_equilibrium(sysm, guess)
+                x_guess = eq.x_star
+                max_re = float(np.linalg.eigvals(eq.jacobian_full).real.max())
+                rf = complexity.fhn_rational(float(eq.x_star[0]), beta, xi)
+                edge = complexity.edge_of_chaos_classify(rf, tols)
+                rows.append((float(m), float(eq.x_star[0]), float(eq.x_star[1]),
+                             max_re, edge.edge_of_chaos))
+                abscissas.append((float(m), max_re))
+            except LocactError as exc:
+                rows.append((float(m), "error", str(exc), "", ""))
+        csv_lines = ["mu,x_d,y_d,maxReEig_full,edge_of_chaos"]
+        csv_lines += [format_csv_row(r) for r in rows]
+        csv_text = "\n".join(csv_lines) + "\n"
+        if sweep_csv:
+            with open(sweep_csv, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        mu_star = None
+        for (m0, p0), (m1, p1) in zip(abscissas[:-1], abscissas[1:]):
+            if np.sign(p0) != np.sign(p1) and p0 != 0.0:
+                try:
+                    res = nonlinear.hopf_locate(
+                        lambda m: nonlinear.fhn_system(m, beta, gamma, xi),
+                        m0, m1, tol=1e-6,
+                    )
+                    mu_star = {"mu": res.mu_star, "is_hopf": res.is_hopf,
+                               "equilibrium": res.equilibrium.tolist()}
+                except LocactError as exc:
+                    mu_star = {"error": str(exc)}
+                break
+        report["sweep"] = {"points": len(rows), "csv": sweep_csv,
+                           "hopf": mu_star}
+        if not sweep_csv:
+            report["sweep"]["rows"] = [list(r) for r in rows]
+    cli._emit(dumps_canonical(report) + "\n", output)
+    return 0
+
+
+def _fhn_bytes(capsys, monkeypatch, argv, csv_path, oracle):
+    """Exit code, stdout and sweep CSV bytes of one ``fhn`` run, through the
+    shipped command or through the per-point loop with the per-rational
+    axis scan."""
+    with monkeypatch.context() as patch:
+        if oracle:
+            patch.setattr(cli, "cmd_fhn", _cmd_fhn_oracle)
+            _use_per_rational_scan(patch)
+        code, out = run_cli(capsys, *argv)
+    csv = csv_path.read_bytes() if csv_path.exists() else None
+    if csv is not None:
+        csv_path.unlink()
+    return code, out, csv
+
+
 class TestAnalyze:
     def test_destabilization_matrix_is_active(self, paper_pair, capsys):
         code, out = run_cli(capsys, "analyze", *paper_pair)
@@ -61,6 +141,26 @@ class TestAnalyze:
         code, out = run_cli(capsys, "analyze", A, P)
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_generic_membership_runs_once(self, tmp_path, capsys, monkeypatch):
+        # the two-pulse route and the genericity section share one call;
+        # the report is the one the two separate calls gave
+        A = np.array([[0.5, 1.0], [-1.0, 0.2]])
+        P = np.diag([1.0, 0.0])
+        paths = (write_matrix(tmp_path / "A.json", A), write_matrix(tmp_path / "P.json", P))
+        sys = linsys.make_system(A, P)
+        expected = dumps_canonical({
+            "activity": activity.verdict_to_json(activity.classify_activity(sys)),
+            "genericity": genericity.report_to_json(genericity.in_generic_M(sys)),
+        }) + "\n"
+        in_generic_M = genericity.in_generic_M
+        calls = []
+        monkeypatch.setattr(genericity, "in_generic_M",
+                            lambda s, *a, **k: calls.append(s) or in_generic_M(s, *a, **k))
+        code, out = run_cli(capsys, "analyze", *paths)
+        assert code == 0 and len(calls) == 1
+        assert "generic two-pulse" in json.loads(out)["activity"]["notes"]
+        assert out == expected
 
     def test_unknown_tolerance_key_exits_2(self, paper_pair, capsys):
         code, out = run_cli(capsys, "analyze", *paper_pair, "--tol.bogus=1")
@@ -183,8 +283,9 @@ class TestFhn:
         csv_path = tmp_path / "sweep.csv"
         argv = ("fhn", "--mu", "0.05", "--sweep", "0:0.1:41", "--sweep-csv", str(csv_path))
         shipped = run_cli(capsys, *argv), csv_path.read_bytes()
-        _use_numpy_evaluator(monkeypatch)
+        probed = _use_numpy_evaluator(monkeypatch)
         assert (run_cli(capsys, *argv), csv_path.read_bytes()) == shipped
+        assert 41 in probed  # the sweep's stacked probes went through the oracle
 
     def test_classifier_tolerances_reach_point_report(self, capsys):
         code, out = run_cli(capsys, "fhn", "--mu", "0.05")
@@ -199,6 +300,77 @@ class TestFhn:
     def test_bad_sweep_spec_exits_2(self, capsys):
         code, out = run_cli(capsys, "fhn", "--sweep", "0:0.1")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["-inf:0:5", "0:inf:3", "-1e308:1e308:3",
+                                      "nan:1:3", "0:nan:3"])
+    def test_non_finite_sweep_exits_2(self, capsys, spec):
+        code, out = run_cli(capsys, "fhn", f"--sweep={spec}")
+        assert code == 2
+        assert "--sweep" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--mu", "0.05", "--sweep", "0:0.1:401"),
+        ("--mu", "0.7", "--sweep=-0.5:1.5:81"),
+        ("--mu", "-0.1", "--beta", "0.7", "--sweep=-2:3:201"),
+    ])
+    def test_sweep_bytes_match_per_point_loop(self, tmp_path, capsys, monkeypatch, argv):
+        csv_path = tmp_path / "sweep.csv"
+        for extra in (("--sweep-csv", str(csv_path)), ()):
+            full = ("fhn", *argv, *extra)
+            stacked = _fhn_bytes(capsys, monkeypatch, full, csv_path, oracle=False)
+            assert stacked[0] == 0
+            assert stacked == _fhn_bytes(capsys, monkeypatch, full, csv_path, oracle=True)
+
+    def test_failed_rows_match_per_point_loop(self, tmp_path, capsys, monkeypatch):
+        # a Newton failure at the 4th point and a classification failure at
+        # the 10th (mu = 0.045, next to the Hopf crossing) keep their error
+        # rows; the other rows are unaffected, and the Hopf bracket skips the
+        # failed point
+        mus = np.linspace(0.0, 0.1, 21)
+        find_equilibrium, fhn_rational = nonlinear.find_equilibrium, complexity.fhn_rational
+        poles = complexity.poles
+        poisoned_x, poisoned_rf = set(), set()
+
+        def failing_newton(sys, guess, **kwargs):
+            if sys.params["mu"] == float(mus[3]):
+                raise NoConvergence("injected Newton failure")
+            eq = find_equilibrium(sys, guess, **kwargs)
+            if sys.params["mu"] == float(mus[9]):
+                poisoned_x.add(float(eq.x_star[0]))
+            return eq
+
+        def marked_rational(x_d, beta, xi):
+            rf = fhn_rational(x_d, beta, xi)
+            if x_d in poisoned_x:
+                poisoned_rf.add(id(rf))
+            return rf
+
+        def failing_poles(rf, *args, **kwargs):
+            if id(rf) in poisoned_rf:
+                raise NotASimplePole("injected classification failure")
+            return poles(rf, *args, **kwargs)
+
+        hopf_locate = nonlinear.hopf_locate
+        brackets = []
+
+        def recorded_hopf(builder, mu_lo, mu_hi, **kwargs):
+            brackets.append((mu_lo, mu_hi))
+            return hopf_locate(builder, mu_lo, mu_hi, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "find_equilibrium", failing_newton)
+        monkeypatch.setattr(complexity, "fhn_rational", marked_rational)
+        monkeypatch.setattr(complexity, "poles", failing_poles)
+        monkeypatch.setattr(nonlinear, "hopf_locate", recorded_hopf)
+        csv_path = tmp_path / "sweep.csv"
+        argv = ("fhn", "--mu", "0.03", "--sweep", "0:0.1:21", "--sweep-csv", str(csv_path))
+        stacked = _fhn_bytes(capsys, monkeypatch, argv, csv_path, oracle=False)
+        assert stacked == _fhn_bytes(capsys, monkeypatch, argv, csv_path, oracle=True)
+        assert brackets == [(float(mus[8]), float(mus[10]))] * 2
+        rows = stacked[2].decode().splitlines()
+        assert rows[4].endswith(",error,injected Newton failure,,")
+        assert rows[10].endswith(",error,injected classification failure,,")
+        assert sum(",error," in row for row in rows) == 2
+        assert json.loads(stacked[1])["sweep"]["hopf"]["is_hopf"] is True
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--mu", "--beta", "--gamma", "--xi"])

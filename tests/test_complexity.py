@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -12,6 +12,7 @@ from locact.complexity import (
     ClassifierTolerances,
     RationalFunction,
     asymptotic_axis_sign,
+    classification_to_json,
     edge_of_chaos_classify,
     fhn_complexity_function,
     fhn_rational,
@@ -20,7 +21,8 @@ from locact.complexity import (
     poles,
     residue_at_simple_pole,
 )
-from locact.errors import NotASimplePole
+from locact.errors import LocactError, NotASimplePole
+from locact.serialize import dumps_canonical
 
 BETA, GAMMA, XI = 1.28, 0.12, 0.1
 
@@ -167,9 +169,96 @@ def _re_axis_oracle(num, den, w):
 
 
 def _use_numpy_evaluator(monkeypatch):
-    """Route the scalar probes of min_real_on_axis through the oracle."""
-    monkeypatch.setattr(complexity, "_re_on_axis",
-                        lambda num, den, w: float(_re_axis_oracle(num, den, w)))
+    """Route the probes of min_real_on_axis through numpy's complex
+    evaluation, one row at a time; returns the list of the probed stacks, so
+    a caller can check that the probes did go through the oracle."""
+    probed = []
+
+    def rows_oracle(num, den, w):
+        probed.append(len(w))
+        return np.array([_re_axis_oracle(n, d, x) for n, d, x in zip(num, den, w)])
+
+    monkeypatch.setattr(complexity, "_re_on_axis", rows_oracle)
+    return probed
+
+
+def _scalar_re_on_axis(num, den, w):
+    """Re Y(i w) for one omega in Python floats: numpy's complex Horner steps
+    and Smith division on (re, im)."""
+    sr, si = 0.0 * w - 0.0, 0.0 + w
+    nr = ni = dr = di = 0.0
+    for a in reversed(num):
+        nr, ni = a + (nr * sr - ni * si), 0.0 + (nr * si + ni * sr)
+    for a in reversed(den):
+        dr, di = a + (dr * sr - di * si), 0.0 + (dr * si + di * sr)
+    if abs(dr) >= abs(di):
+        if dr == 0.0 and di == 0.0:
+            return math.nan if nr != nr or nr == 0.0 else math.copysign(math.inf, nr)
+        rat = di / dr
+        return (nr + ni * rat) * (1.0 / (dr + di * rat))
+    rat = dr / di
+    return (nr * rat + ni) * (1.0 / (di + dr * rat))
+
+
+def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTER_TOL):
+    """min_real_on_axis for one rational at a time: its grid, then the
+    golden-section loop and tail chase in Python floats."""
+    num = np.asarray(rf.num, dtype=float)
+    den = np.asarray(rf.den, dtype=float)
+    coeffs = np.abs(np.concatenate([num, den]))
+    nz = coeffs[coeffs > 0]
+    ratio = float(nz.max() / nz.min()) if nz.size else 1.0
+    omega_max = 1e4 * max(1.0, min(ratio, 1e6))
+    exclusions = []
+    for loc, _ in poles(rf, cluster_tol=cluster_tol).poles:
+        if abs(loc.real) <= on_axis_tol:
+            exclusions.append((abs(loc.imag), max(1e-8, 1e-6 * (1.0 + abs(loc.imag)))))
+    lin = np.linspace(0.0, min(10.0, omega_max), 2048)
+    log = np.geomspace(max(min(10.0, omega_max) * 1e-3, 1e-12), omega_max, 2048)
+    ws = np.unique(np.concatenate([lin, log]))
+    edge_pts = [x for c, r in exclusions for x in (c - 1.5 * r, c + 1.5 * r)]
+    if edge_pts:
+        ws = np.unique(np.concatenate([ws, np.array(edge_pts)]))
+        ws = ws[ws >= 0.0]
+    keep = np.ones(ws.size, dtype=bool)
+    for center, radius in exclusions:
+        keep &= np.abs(ws - center) > radius
+    ws = ws[keep]
+    vals = _re_axis_oracle(num, den, ws)
+    finite = np.isfinite(vals)
+    ws, vals = ws[finite], vals[finite]
+    idx = int(np.argmin(vals))
+    w_star, v_star = float(ws[idx]), float(vals[idx])
+    lo = ws[idx - 1] if idx > 0 else max(0.0, w_star - 1.0)
+    hi = ws[idx + 1] if idx + 1 < ws.size else w_star + 1.0
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a_, b_ = float(lo), float(hi)
+    c_ = b_ - phi * (b_ - a_)
+    d_ = a_ + phi * (b_ - a_)
+    fc, fd = _scalar_re_on_axis(rf.num, rf.den, c_), _scalar_re_on_axis(rf.num, rf.den, d_)
+    for _ in range(80):
+        if fc < fd:
+            b_, d_, fd = d_, c_, fc
+            c_ = b_ - phi * (b_ - a_)
+            fc = _scalar_re_on_axis(rf.num, rf.den, c_)
+        else:
+            a_, c_, fc = c_, d_, fd
+            d_ = a_ + phi * (b_ - a_)
+            fd = _scalar_re_on_axis(rf.num, rf.den, d_)
+    w_ref = c_ if fc < fd else d_
+    v_ref = min(fc, fd)
+    if np.isfinite(v_ref) and v_ref < v_star and \
+            all(abs(w_ref - c) > r for c, r in exclusions):
+        w_star, v_star = float(w_ref), float(v_ref)
+    if v_star >= 0.0 and asymptotic_axis_sign(rf) < 0:
+        w_tail = omega_max
+        for _ in range(12):
+            w_tail *= 10.0
+            v_tail = _scalar_re_on_axis(rf.num, rf.den, w_tail)
+            if np.isfinite(v_tail) and v_tail < 0.0:
+                w_star, v_star = w_tail, v_tail
+                break
+    return w_star, v_star
 
 
 def _same_float(a, b):
@@ -252,10 +341,181 @@ class TestReOnAxis:
             except ValueError:
                 continue
         shipped = [min_real_on_axis(rf) for rf in rationals]
-        _use_numpy_evaluator(monkeypatch)
-        for rf, got in zip(rationals, shipped):
-            expected = min_real_on_axis(rf)
-            assert _same_float(got[0], expected[0]) and _same_float(got[1], expected[1]), rf
+        stacked = min_real_on_axis(rationals)
+        probed = _use_numpy_evaluator(monkeypatch)
+        expected = min_real_on_axis(rationals)
+        assert probed and max(probed) == len(rationals)  # the oracle did the probing
+        for rf, got, row, want in zip(rationals, shipped, stacked, expected):
+            for pair in (got, row):
+                assert _same_float(pair[0], want[0]) and _same_float(pair[1], want[1]), rf
+
+
+def _use_per_rational_scan(monkeypatch):
+    """Route the axis scans of edge_of_chaos_classify through the scalar
+    per-rational loop, one rational at a time."""
+    def per_rational(rfs, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTER_TOL,
+                     pole_sets=None):
+        return [_min_real_on_axis_oracle(rf, on_axis_tol, cluster_tol) for rf in rfs]
+
+    monkeypatch.setattr(complexity, "min_real_on_axis", per_rational)
+
+
+def _classified_alone(rf, tols):
+    try:
+        return edge_of_chaos_classify(rf, tols)
+    except LocactError as exc:
+        return exc
+
+
+def _row_bytes(result):
+    if isinstance(result, LocactError):
+        return f"{type(result).__name__}: {result}"
+    return dumps_canonical(classification_to_json(result))
+
+
+def _assert_rows_match_alone(orders, tols=None):
+    """For each order of the same rationals, each row of the stacked
+    classifier and of the stacked axis scan equals that rational on its own:
+    classification bytes, (w*, v*) bit for bit, and the per-rational scalar
+    loop."""
+    tols = tols or ClassifierTolerances()
+    expected = {}  # id of a rational -> its results alone
+    for rfs in orders:
+        stacked = edge_of_chaos_classify(rfs, tols)
+        minima = min_real_on_axis(rfs, on_axis_tol=tols.on_axis_tol,
+                                  cluster_tol=tols.cluster_tol)
+        assert len(stacked) == len(minima) == len(rfs)
+        for rf, row, minimum in zip(rfs, stacked, minima):
+            if id(rf) not in expected:
+                expected[id(rf)] = (_classified_alone(rf, tols), _min_real_on_axis_oracle(
+                    rf, tols.on_axis_tol, tols.cluster_tol))
+            _assert_row_matches(rf, row, minimum, *expected[id(rf)])
+
+
+def _assert_row_matches(rf, row, minimum, alone, oracle):
+    (w_row, v_row), (w_star, v_star) = minimum, oracle
+    assert _row_bytes(row) == _row_bytes(alone), rf
+    assert _same_float(w_row, w_star) and _same_float(v_row, v_star), rf
+    if not isinstance(row, LocactError):
+        iv = row.evidence["iv"]
+        assert _same_float(iv["omega"], alone.evidence["iv"]["omega"])
+        assert _same_float(iv["re_Y"], alone.evidence["iv"]["re_Y"])
+        assert _same_float(iv["omega"], w_star) and _same_float(iv["re_Y"], v_star)
+
+
+def _axis_pair(w0):
+    return [w0 * w0, 0.0, 1.0]  # s^2 + w0^2: poles at +/- i w0
+
+
+def _tail_chaser(b, c, eps):
+    """(s^2 + (c - eps) s + b) / (s + c): Re Y(i w) = (b c - eps w^2) / (c^2 + w^2)
+    stays positive on the grid and turns negative past it."""
+    return make_rational([b, c - eps, 1.0], [c, 1.0])
+
+
+def _seeded_rationals(rng, count):
+    rationals = []
+    while len(rationals) < count:
+        kind = len(rationals) % 5
+        num = _random_coeffs(rng, int(rng.integers(0, 5)))
+        den = _random_coeffs(rng, int(rng.integers(0, 4)))
+        if kind == 1:  # simple axis poles, with exclusion windows
+            den = npoly.polymul(den, _axis_pair(float(rng.uniform(0.1, 5.0))))
+        elif kind == 2:  # multiple poles: at the origin, on the axis, or off it
+            factor = ([0.0, 0.0, 1.0], npoly.polymul(_axis_pair(1.5), _axis_pair(1.5)),
+                      [1.0, 2.0, 1.0])[int(rng.integers(0, 3))]
+            den = npoly.polymul(den, factor)
+        elif kind == 3:
+            rationals.append(_tail_chaser(float(rng.uniform(0.5, 2.0)),
+                                          float(rng.uniform(0.5, 2.0)),
+                                          10.0 ** float(rng.uniform(-10.0, -8.5))))
+            continue
+        elif kind == 4:
+            rationals.append(fhn_rational(float(rng.uniform(-2.0, 2.0)),
+                                          float(rng.uniform(-1.0, 2.0)),
+                                          float(rng.uniform(-0.5, 0.5))))
+            continue
+        try:
+            rationals.append(make_rational(num, den))
+        except ValueError:
+            continue
+    return rationals
+
+
+@st.composite
+def _rational(draw):
+    num = draw(st.lists(_coefficient, min_size=1, max_size=5))
+    den = draw(st.lists(_coefficient, min_size=1, max_size=4))
+    for factor in draw(st.lists(st.sampled_from(("axis", "origin", "repeat")), max_size=2)):
+        if factor == "axis":
+            den = npoly.polymul(den, _axis_pair(draw(st.floats(0.1, 5.0))))
+        elif factor == "origin":
+            den = npoly.polymul(den, [0.0, 1.0])
+        else:
+            den = npoly.polymul(den, den)
+    try:
+        return make_rational(num, den)
+    except ValueError:
+        assume(False)
+
+
+class TestStackedClassifier:
+    """A stack of rationals classifies each row exactly as the row alone."""
+
+    def test_seeded_stack_in_three_orders(self):
+        rng = np.random.default_rng(31)
+        rationals = _seeded_rationals(rng, 100)
+        # the mix reaches every stage: exclusion windows, multiple poles, the
+        # tail chase and the refinement
+        minima = min_real_on_axis(rationals)
+        assert any(complexity._axis_exclusions(poles(rf), 1e-7) for rf in rationals)
+        assert any(m >= 2 for rf in rationals for _, m in poles(rf).poles)
+        assert any(w > 1e10 for w, _ in minima)
+        _assert_rows_match_alone([rationals, rationals[::-1],
+                                  [rationals[i] for i in rng.permutation(len(rationals))]])
+
+    def test_seeded_stack_at_wide_tolerances(self):
+        rng = np.random.default_rng(32)
+        tols = ClassifierTolerances(on_axis_tol=1e-3, cluster_tol=1e-4, resid_tol=0.0)
+        _assert_rows_match_alone([_seeded_rationals(rng, 40)], tols)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rfs=st.lists(_rational(), min_size=1, max_size=6), data=st.data())
+    def test_rows_match_alone(self, rfs, data):
+        _assert_rows_match_alone([rfs, data.draw(st.permutations(rfs))])
+
+    def test_stack_of_one_is_the_scalar_call(self):
+        rf = fhn_rational(fhn_xd_oracle(0.05), BETA, XI)
+        (row,) = edge_of_chaos_classify([rf])
+        assert _row_bytes(row) == _row_bytes(edge_of_chaos_classify(rf))
+        assert min_real_on_axis([rf]) == [min_real_on_axis(rf)]
+
+    def test_empty_stack(self):
+        assert edge_of_chaos_classify([]) == []
+        assert min_real_on_axis([]) == []
+
+    def test_failing_row_does_not_fail_the_others(self, monkeypatch):
+        # two simple axis poles reach the residue test; one row's fails
+        good = make_rational([1.0, 1.0], [1.0, 0.0, 1.0])
+        bad = make_rational([2.0, 1.0], [4.0, 0.0, 1.0])
+        low_pass = make_rational([1.0], [1.0, 1.0])
+        residue = complexity.residue_at_simple_pole
+
+        def failing(rf, p, cluster_tol=complexity.CLUSTER_TOL):
+            if rf is bad:
+                raise NotASimplePole("injected residue failure")
+            return residue(rf, p, cluster_tol=cluster_tol)
+
+        monkeypatch.setattr(complexity, "residue_at_simple_pole", failing)
+        rows = edge_of_chaos_classify([good, bad, low_pass])
+        assert isinstance(rows[1], NotASimplePole)
+        assert str(rows[1]) == "injected residue failure"
+        assert rows[0].cond_iii and not rows[2].locally_active
+        with pytest.raises(NotASimplePole, match="injected"):
+            edge_of_chaos_classify(bad)
+        _assert_rows_match_alone([[bad, good, bad, low_pass]])
+        assert all(isinstance(row, NotASimplePole)
+                   for row in edge_of_chaos_classify([bad, bad]))
 
 
 class TestReduction:

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from locact import linsys, nonlinear
+from locact import activity, genericity, linsys, nonlinear
 from locact.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -91,6 +91,25 @@ class TestFindEquilibrium:
         # full = kinetic - P dD: only the (1,1) entry shifts by -mu
         diff = report.jacobian_kinetic - report.jacobian_full
         npt.assert_allclose(diff, [[0.05, 0.0], [0.0, 0.0]], atol=1e-9)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_one_jacobian_and_one_spectrum_per_equilibrium(self, monkeypatch, analytic):
+        # the report keeps the Jacobians of its best iterate, equal to those
+        # evaluated afresh there, and the one spectrum of the full Jacobian
+        base = fhn_system(0.05, BETA, GAMMA, XI)
+        sys = base if analytic else nonlinear.NonlinearPortSystem(
+            f=base.f, D=base.D, P=base.P, n=2)
+        eigvals = np.linalg.eigvals
+        spectra = []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda J: spectra.append(J) or eigvals(J))
+        report = find_equilibrium(sys, [-1.0, -0.6])
+        assert len(spectra) == 1
+        _, J_full, J_kin = nonlinear._g_and_jacobian(sys, report.x_star)
+        npt.assert_array_equal(report.jacobian_full, J_full)
+        npt.assert_array_equal(report.jacobian_kinetic, J_kin)
+        npt.assert_array_equal(report.eigenvalues_full, eigvals(J_full))
+        assert report.stability == "Unstable"
 
 
 class TestLinearizeAt:
@@ -254,6 +273,25 @@ class TestPipeline:
         with pytest.raises(StageError) as info:
             analyze_equilibrium_pipeline(sys, [0.0])
         assert info.value.stage == "find_equilibrium"
+
+    def test_generic_membership_runs_once(self, monkeypatch):
+        # the two-pulse route and the report share one in_generic_M call
+        A = np.array([[0.5, 1.0], [-1.0, 0.2]])
+        P = np.diag([1.0, 0.0])
+        sys = nonlinear.NonlinearPortSystem(
+            f=lambda x: A @ x, D=lambda x: np.zeros(2), P=P, n=2,
+            jacobian_f=lambda x: A, jacobian_D=lambda x: np.zeros((2, 2)))
+        lin = linsys.make_system(A, P)
+        expected = (activity.verdict_to_json(activity.classify_activity(lin)),
+                    genericity.report_to_json(genericity.in_generic_M(lin)))
+        in_generic_M = genericity.in_generic_M
+        calls = []
+        monkeypatch.setattr(genericity, "in_generic_M",
+                            lambda s, *a, **k: calls.append(s) or in_generic_M(s, *a, **k))
+        report = analyze_equilibrium_pipeline(sys, [0.1, -0.1])
+        assert len(calls) == 1
+        assert "generic two-pulse" in report["activity"]["notes"]
+        assert (report["activity"], report["genericity"]) == expected
 
     def test_pipeline_matches_direct_classification_for_linear_field(self, rng):
         A = rng.uniform(-2.0, 2.0, (2, 2))
