@@ -35,7 +35,7 @@ ec = edge_of_chaos_classify(Y)
 print("conditions (i, ii, iii, iv):",
       ec.cond_i, ec.cond_ii, ec.cond_iii, ec.cond_iv)
 print("edge of chaos:", ec.edge_of_chaos)
-print("most negative Re Y(i w):", ec.evidence["iv"])
+print("infimum of Re Y(i w) (omega = inf: the limit):", ec.evidence["iv"])
 
 # The equilibrium loses stability through a Hopf bifurcation near mu = 0.05.
 res = hopf_locate(lambda m: fhn_system(m), 0.0, 0.1, tol=1e-7,

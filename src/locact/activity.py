@@ -4,7 +4,7 @@ The energy of an input u over a horizon T is ``W = int_0^T <x(t), P u(t)> dt``
 for the zero-initial-state trajectory.  A system is locally active when some
 continuous input makes W negative; a verified witness is such an input
 together with quadrature evidence.  Passivity is certified through negative
-semidefiniteness of the symmetric part of ``P A``.
+semidefiniteness of the symmetric part of ``P A``, or of ``A`` for any P.
 """
 
 from __future__ import annotations
@@ -498,12 +498,14 @@ def classify_activity(sys: linsys.LinearPortSystem,
     eigenpair when one exists, otherwise it is the input that moves the state
     along ``x = rho(2t/T - 1) w``, w the top eigenvector of the symmetric
     part and ``T = min(1, 1/||A||_2)``, whose energy is ``-m (T/2) int rho^2``
-    exactly.  For orthogonal P != I the semidefinite certificate is
-    sufficient for passivity only, and the witness routes are sufficient for
-    activity only; when neither fires the honest verdict is Inconclusive.  A
-    certificate whose max eigenvalue is positive beyond the rounding of
-    ``P A`` (``8 n eps ||P|| ||A||``) but within ``cert_tol`` is returned
-    only when no witness route verifies.  ``generic`` is
+    exactly.  For P != I the semidefinite certificates are sufficient for
+    passivity only, and the witness routes are sufficient for activity only;
+    when neither fires the honest verdict is Inconclusive.  Where the
+    ``sym(PA)`` certificate is absent (P oblique, or ``sym(PA)`` indefinite),
+    ``sym(A) <= 0`` certifies any P, since ``W = |x(T)|^2 / 2 - int x^T sym(A)
+    x dt``.  A certificate whose max eigenvalue is positive beyond rounding
+    (``8 n eps ||P|| ||A||``, without ``||P||`` for ``sym(A)``) but within
+    ``cert_tol`` is returned only when no witness route verifies.  ``generic`` is
     ``genericity.in_generic_M(sys)`` when the caller has it already; the
     two-pulse route then reuses it.
     """
@@ -514,17 +516,22 @@ def classify_activity(sys: linsys.LinearPortSystem,
     except NonOrthogonalProjection:
         cert = None
         notes.append("P is not symmetric: passivity certificate not applicable")
+    identity = bool(np.allclose(sys.P, np.eye(sys.n), atol=1e-12))
+    if cert is None and not identity:  # for P = I, sym(PA) was sym(A) already
+        m = linsys.max_sym_eigenvalue(sys.A)
+        if m <= cfg.cert_tol:
+            cert = Certificate(kind=SYM_A_CERT, max_eig=m)
     if cert is not None:
-        label = "dissipativity of A" if cert.kind == SYM_A_CERT else "sym(PA) <= 0"
+        sym_a = cert.kind == SYM_A_CERT
+        label = "dissipativity of A" if sym_a else "sym(PA) <= 0"
         cert_note = f"passivity certificate via {label} (max eig {cert.max_eig:.6g})"
         # beyond rounding, only a failed witness search makes it a certificate
         rounding = 8.0 * sys.n * np.finfo(float).eps \
-            * np.linalg.norm(sys.P, 2) * np.linalg.norm(sys.A, 2)
+            * (1.0 if sym_a else np.linalg.norm(sys.P, 2)) * np.linalg.norm(sys.A, 2)
         if cert.max_eig <= rounding:
             return ActivityVerdict(status=PASSIVE, witness=None,
                                    certificate=cert, notes=cert_note)
 
-    identity = bool(np.allclose(sys.P, np.eye(sys.n), atol=1e-12))
     spec = linsys.spectrum(sys.A)
     in_imP_tol = cfg.eigvec_in_imP_tol
     rec = _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes)

@@ -21,9 +21,6 @@ from .errors import EquilibriumNotFound, LocactError, NotASimplePole
 
 COEFF_TOL = 1e-12
 CLUSTER_TOL = 1e-7
-# Rows per block of the axis scan's grid stage: a block's log and linear
-# grids take about 1 MB however many rows a stack has.
-_GRID_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -168,23 +165,12 @@ def residue_at_simple_pole(rf: RationalFunction, p: complex,
     return complex(npoly.polyval(p, num) / npoly.polyval(p, dden))
 
 
-def _real_part_on_axis_poly(rf: RationalFunction):
-    """E(w) with Re Y(i w) = E(w) / |den(i w)|^2, as ascending coefficients."""
-    i_pow = 1j ** np.arange(len(rf.num))
-    cn = np.asarray(rf.num, dtype=complex) * i_pow
-    i_pow_d = 1j ** np.arange(len(rf.den))
-    cd = np.conj(np.asarray(rf.den, dtype=complex) * i_pow_d)
-    prod = npoly.polymul(cn, cd)
-    return np.real(prod)
-
-
-def asymptotic_axis_sign(rf: RationalFunction, coeff_tol: float = COEFF_TOL) -> int:
-    """Sign of Re Y(i omega) as omega -> +inf, from leading coefficients."""
-    E = _trim(_real_part_on_axis_poly(rf), coeff_tol)
-    lead = E[-1]
-    if E.size == 1 and lead == 0.0:
-        return 0
-    return 1 if lead > 0 else (-1 if lead < 0 else 0)
+def _real_part_on_axis_poly(num, den):
+    """E(w) = Re(num(i w) conj(den(i w))) as ascending coefficients, so that
+    Re Y(i w) = E(w) / |den(i w)|^2, and ``num = den`` gives |den(i w)|^2."""
+    cn = np.asarray(num, dtype=complex) * 1j ** np.arange(len(num))
+    cd = np.conj(np.asarray(den, dtype=complex) * 1j ** np.arange(len(den)))
+    return np.real(npoly.polymul(cn, cd))
 
 
 def _axis_exclusions(ps: PoleSet, on_axis_tol):
@@ -198,8 +184,9 @@ def _axis_exclusions(ps: PoleSet, on_axis_tol):
 
 def _coefficient_rows(polys):
     """Ascending coefficient tuples as the rows of one array, zero-padded at
-    the high-degree end; a padded Horner step keeps :func:`_re_on_axis` at its
-    exact ``(0, 0)`` start for finite omega, so padding moves no bit."""
+    the high-degree end; a padded Horner step keeps :func:`_re_on_axis` and
+    :func:`_newton_step` at their exact zero start for finite omega, so
+    padding moves no bit."""
     rows = np.zeros((len(polys), max(len(p) for p in polys)))
     for row, p in zip(rows, polys):
         row[:len(p)] = p
@@ -236,88 +223,84 @@ def _re_on_axis(num, den, w):
     return val
 
 
-def _default_omega_max(rf):
-    coeffs = np.abs(np.array(rf.num + rf.den, dtype=float))
-    nz = coeffs[coeffs > 0]
-    ratio = float(nz.max() / nz.min()) if nz.size else 1.0
-    return 1e4 * max(1.0, min(ratio, 1e6))
+def _newton_step(num, den, w):
+    """Newton step of ``d/dw Re Y(i w) = -Im Y'(i w)``, one per row, from the
+    values and first two derivatives of ``num`` and ``den`` at ``i w``."""
+    s = 1j * w
+
+    def taylor(coeffs):  # Horner with the first two derivatives
+        p = dp = ddp = np.zeros_like(s)
+        for a in coeffs.T[::-1]:
+            p, dp, ddp = p * s + a, dp * s + p, ddp * s + 2.0 * dp
+        return p, dp, ddp
+
+    (n0, n1, n2), (d0, d1, d2) = taylor(num), taylor(den)
+    y0 = n0 / d0
+    y1 = (n1 - y0 * d1) / d0  # num' = Y' den + Y den'
+    y2 = (n2 - 2.0 * y1 * d1 - y0 * d2) / d0
+    return y1.imag / y2.real  # (-Im Y') / (-Re Y'')
 
 
-def _grid_minima(rfs, exclusions, omega_max, grid):
-    """The grid stage of :func:`min_real_on_axis`, row by row: arrays of each
-    row's grid minimizer and value, its bracketing neighbors and its
-    ``omega_max``.
+def _positive_real_roots(coeffs):
+    """Real parts of the roots with positive real part, counting a root as
+    real when its imaginary part is below 1e-6 of its modulus."""
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(all="ignore"):
+        while c.size > 1 and not np.isfinite(c / c[-1]).all():
+            c = c[:-1]  # a zero or tiny lead: its roots lie past the float range
+    r = npoly.polyroots(c) if c.size > 1 else np.array([])
+    return np.sort(r.real[(r.real > 0.0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))])
 
-    The linear and log grids of up to ``_GRID_ROWS`` rows come from one
-    ``linspace`` and one ``geomspace`` call, whose rows equal the per-row
-    calls element for element; each row is then merged, sampled and
-    evaluated on its own.
+
+def _axis_candidates(rf, windows):
+    """The candidate omegas of one row and the limit of Re Y(i w) at infinity.
+
+    With ``x = w^2``, ``Re Y(i w) = e(x) / f(x)``.  The candidates are 0, the
+    roots of e with the midpoints between them and a point past the last
+    (together they sample every sign interval of e), the stationary points
+    (the roots of ``e' f - e f'``) and the window edges, less any omega
+    inside a window.
     """
-    w_max = np.array([_default_omega_max(rf) if omega_max is None else omega_max
-                      for rf in rfs], dtype=float)
-    half = max(grid // 2, 16)
-    found = []
-    for first in range(0, len(rfs), _GRID_ROWS):
-        block = slice(first, first + _GRID_ROWS)
-        top = w_max[block]
-        stop = np.where(top < 10.0, top, 10.0)  # min(10.0, omega_max)
-        start = stop * 1e-3
-        start = np.where(1e-12 > start, 1e-12, start)  # max(start, 1e-12)
-        lins = np.linspace(0.0, stop, half, axis=-1)
-        logs = np.geomspace(start, top, half, axis=-1)
-        for rf, excl, lin, log in zip(rfs[block], exclusions[block], lins, logs):
-            found.append(_row_minimum(rf, excl, lin, log))
-    w_star, v_star, lo, hi = (np.array(column) for column in zip(*found))
-    return w_star, v_star, lo, hi, w_max
+    e = _real_part_on_axis_poly(rf.num, rf.den)[0::2]
+    f = _real_part_on_axis_poly(rf.den, rf.den)[0::2]
+    w_e = np.sqrt(_positive_real_roots(e))
+    w_s = np.sqrt(_positive_real_roots(
+        npoly.polysub(npoly.polymul(npoly.polyder(e), f), npoly.polymul(e, npoly.polyder(f)))))
+    edges = [x for c, r in windows for x in (c - 1.5 * r, c + 1.5 * r)]
+    w = np.concatenate([[0.0], w_e, (w_e[:-1] + w_e[1:]) / 2.0, 2.0 * w_e[-1:], w_s, edges])
+    keep = np.isfinite(w) & (w >= 0.0)
+    for c, r in windows:
+        keep &= np.abs(w - c) > r
+    e, f = _trim(e, COEFF_TOL), _trim(f, COEFF_TOL)
+    if e.size == f.size:
+        limit = e[-1] / f[-1]
+    else:
+        limit = math.copysign(math.inf, e[-1]) if e.size > f.size else 0.0
+    return w[keep], limit
 
 
-def _row_minimum(rf, exclusions, lin, log):
-    num = np.asarray(rf.num, dtype=float)
-    den = np.asarray(rf.den, dtype=float)
-    ws = np.unique(np.concatenate([lin, log]))
-    edge_pts = []
-    for center, radius in exclusions:
-        edge_pts.extend([center - 1.5 * radius, center + 1.5 * radius])
-    if edge_pts:
-        ws = np.unique(np.concatenate([ws, np.array(edge_pts)]))
-        ws = ws[ws >= 0.0]
-    keep = np.ones(ws.size, dtype=bool)
-    for center, radius in exclusions:
-        keep &= np.abs(ws - center) > radius
-    ws = ws[keep]
-    s = 1j * ws
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.real(npoly.polyval(s, num) / npoly.polyval(s, den))
-    finite = np.isfinite(vals)
-    ws, vals = ws[finite], vals[finite]
-    idx = int(np.argmin(vals))
-    w_star = float(ws[idx])
-    lo = ws[idx - 1] if idx > 0 else max(0.0, w_star - 1.0)
-    hi = ws[idx + 1] if idx + 1 < ws.size else w_star + 1.0
-    return w_star, float(vals[idx]), lo, hi
-
-
-def min_real_on_axis(rf, omega_max: Optional[float] = None, grid: int = 4096,
-                     on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER_TOL,
+def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER_TOL,
                      pole_sets=None):
-    """Minimize Re Y(i omega) over the axis.
+    """Infimum of Re Y(i omega) over omega >= 0 outside the axis-pole windows
+    (conjugate symmetry covers omega < 0), as ``(w*, v*)``.
 
-    Combines a symmetric log+linear grid (conjugate symmetry lets the scan
-    cover omega >= 0 only), golden-section refinement around the grid
-    minimizer, and the exact omega -> inf sign from leading coefficients so
-    unbounded behavior is decided analytically.  Samples inside small windows
-    around imaginary-axis poles are excluded, with extra samples placed just
-    outside the windows.
+    Re Y(i omega) is ``e(x)/f(x)`` in ``x = omega^2``, so its infimum is the
+    least value over a finite candidate set (see :func:`_axis_candidates`)
+    or its limit at infinity.  Each candidate is polished by four Newton steps
+    on the slope, each kept only where Re Y does not increase and the step
+    stays outside the windows.  When the exact limit at infinity, from the
+    leading coefficients of e and f, lies below every candidate, the result
+    is ``(inf, limit)``.  The windows (``|omega - c| <= r`` around each pole
+    within ``on_axis_tol`` of the axis) are those of conditions (ii)-(iii).
 
     ``rf`` is one :class:`RationalFunction`, which gives ``(w*, v*)``, or a
     sequence of them, which gives a list of such pairs: one stack, the scalar
-    call being the stack of one.  Each row's grid is one vectorised
-    ``polyval``; the 80 golden-section steps and the tail chase run in
-    lockstep over the rows, probing through :func:`_re_on_axis`, which repeats
-    numpy's complex arithmetic on float arrays.  Each row's result is bit for
-    bit that of the row alone, wherever it sits in the stack.  ``pole_sets``
-    (the poles of each row at ``cluster_tol``) spares a caller that has them
-    a second root finding.
+    call being the stack of one.  The candidates of all rows are polished in
+    one flat array through :func:`_re_on_axis`, which repeats numpy's complex
+    arithmetic on float arrays, so each row's result is bit for bit that of
+    the row alone, wherever it sits in the stack.  ``pole_sets`` (the poles of
+    each row at ``cluster_tol``) spares a caller that has them a second root
+    finding.
     """
     single = isinstance(rf, RationalFunction)
     rfs = [rf] if single else list(rf)
@@ -326,43 +309,29 @@ def min_real_on_axis(rf, omega_max: Optional[float] = None, grid: int = 4096,
     if pole_sets is None:
         pole_sets = [poles(r, cluster_tol=cluster_tol) for r in rfs]
     exclusions = [_axis_exclusions(ps, on_axis_tol) for ps in pole_sets]
-    w_star, v_star, lo, hi, w_max = _grid_minima(rfs, exclusions, omega_max, grid)
-    num = _coefficient_rows([r.num for r in rfs])
-    den = _coefficient_rows([r.den for r in rfs])
-
-    # golden-section refinement in the bracketing neighbors, all rows at once
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = lo, hi
-    c_ = b_ - phi * (b_ - a_)
-    d_ = a_ + phi * (b_ - a_)
-    fc, fd = _re_on_axis(num, den, c_), _re_on_axis(num, den, d_)
-    for _ in range(80):
-        left = fc < fd  # keep [a, d]; otherwise keep [c, b]
-        a_, b_ = np.where(left, a_, c_), np.where(left, d_, b_)
-        step = phi * (b_ - a_)
-        probe = np.where(left, b_ - step, a_ + step)
-        f_probe = _re_on_axis(num, den, probe)
-        c_, d_ = np.where(left, probe, d_), np.where(left, c_, probe)
-        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
-    w_ref = np.where(fc < fd, c_, d_)
-    v_ref = np.where(fd < fc, fd, fc)  # min(fc, fd)
-    for i in np.flatnonzero(np.isfinite(v_ref) & (v_ref < v_star)):
-        if all(abs(w_ref[i] - c) > r for c, r in exclusions[i]):
-            w_star[i], v_star[i] = w_ref[i], v_ref[i]
-
-    # analytic tail: if Re Y is eventually negative, chase it past the grid
-    rows = np.array([i for i in range(len(rfs))
-                     if v_star[i] >= 0.0 and asymptotic_axis_sign(rfs[i]) < 0], dtype=int)
-    w_tail = w_max[rows]
-    for _ in range(12):
-        if not rows.size:
-            break
-        w_tail = w_tail * 10.0
-        v_tail = _re_on_axis(num[rows], den[rows], w_tail)
-        hit = np.isfinite(v_tail) & (v_tail < 0.0)
-        w_star[rows[hit]], v_star[rows[hit]] = w_tail[hit], v_tail[hit]
-        rows, w_tail = rows[~hit], w_tail[~hit]
-    pairs = [(float(w), float(v)) for w, v in zip(w_star, v_star)]
+    found = [_axis_candidates(r, excl) for r, excl in zip(rfs, exclusions)]
+    row = np.repeat(np.arange(len(rfs)), [w.size for w, _ in found])
+    w = np.concatenate([w for w, _ in found])
+    num = _coefficient_rows([r.num for r in rfs])[row]
+    den = _coefficient_rows([r.den for r in rfs])[row]
+    windows = [(i, c, r) for i, excl in enumerate(exclusions) for c, r in excl]
+    v = _re_on_axis(num, den, w)
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            trial = w - _newton_step(num, den, w)
+            v_trial = _re_on_axis(num, den, trial)
+            ok = np.isfinite(v_trial) & (v_trial <= v) & (trial >= 0.0)
+            for i, c, r in windows:
+                ok &= (row != i) | (np.abs(trial - c) > r)
+            if not ok.any():
+                break  # a rejected step repeats itself
+            w, v = np.where(ok, trial, w), np.where(ok, v_trial, v)
+    v = np.where(np.isfinite(v), v, np.inf)
+    order = np.lexsort((v, row))  # by row, then value; ties keep candidate order
+    # every row has a candidate: 0, or the upper edge of its highest window
+    best = order[np.searchsorted(row[order], np.arange(len(rfs)))]
+    pairs = [(math.inf, float(limit)) if limit < v[k] else (float(w[k]), float(v[k]))
+             for k, (_, limit) in zip(best, found)]
     return pairs[0] if single else pairs
 
 

@@ -7,6 +7,7 @@ integration on [0, T] with the initial state pinned at the origin.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -81,9 +82,9 @@ class Trajectory:
 def make_system(A, P, proj_tol: float = PROJ_TOL) -> LinearPortSystem:
     """Validate and build a port system from a system matrix and a projection.
 
-    Raises ``DimensionMismatch``, ``NonFiniteEntry`` or ``NotAProjection``
-    when ``P @ P`` differs from ``P`` by more than ``proj_tol`` relative to
-    ``max(1, ||P||_F)``.
+    Raises ``DimensionMismatch``, ``NonFiniteEntry``, ``OverflowRisk`` when
+    ``8 ||A||_2`` exceeds the float range, or ``NotAProjection`` when ``P @ P``
+    differs from ``P`` by more than ``proj_tol`` relative to ``max(1, ||P||_F)``.
     """
     if proj_tol <= 0:
         raise ValueError("proj_tol must be positive")
@@ -91,6 +92,11 @@ def make_system(A, P, proj_tol: float = PROJ_TOL) -> LinearPortSystem:
     P = _as_square_matrix(P, "P")
     if A.shape != P.shape:
         raise DimensionMismatch(f"A has shape {A.shape} but P has shape {P.shape}")
+    # sums such as A + A^T need headroom, so 8 ||A||_2 must be finite; the
+    # norm is computed only when its bound n max|a_ij| leaves too little
+    if not math.isfinite(8.0 * A.shape[0] * float(np.abs(A).max(initial=0.0))) and \
+            not math.isfinite(8.0 * float(np.linalg.norm(A, 2))):
+        raise OverflowRisk("||A||_2 is within a factor 8 of the float range")
     defect = np.linalg.norm(P @ P - P)
     if defect > proj_tol * max(1.0, np.linalg.norm(P)):
         raise NotAProjection(f"||P@P - P||_F = {defect:.3e} exceeds tolerance")
@@ -217,7 +223,16 @@ def _decompose(index, A, lam, G, spec_tol):
     if count:
         d = slice(None) if count == k else diagonalizable.nonzero()[0]
         Gd = G[d]
-        Hd = H[d] = np.linalg.inv(Gd)
+        try:
+            Hd = np.linalg.inv(Gd)
+        except np.linalg.LinAlgError:
+            # some G is exactly singular: its NaN inverse fails the
+            # reconstruction test below, so it takes the pinv path
+            Hd = np.full_like(Gd, np.nan)
+            for j, g in enumerate(Gd):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    Hd[j] = np.linalg.inv(g)
+        H[d] = Hd
         D = np.zeros(Gd.shape, Gd.dtype)
         D.reshape(-1, n * n)[:, ::n + 1] = lam[d]
         Ad = A[d].reshape(-1, n * n)
@@ -508,15 +523,22 @@ def parse_matrix_json(text: str) -> np.ndarray:
     """Parse ``{"n": int, "rows": [[...], ...]}``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid matrix JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise ValueError("matrix JSON must be an object with 'n' and 'rows'")
-    n = int(obj["n"])
-    rows = obj["rows"]
+    n, rows = obj["n"], obj["rows"]
+    if not (type(n) is int or type(n) is float and n.is_integer()) or n < 0:
+        raise ValueError(f"'n' must be a non-negative integer, got {n!r}")
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(type(v) in (int, float) for v in r) for r in rows):
+        raise ValueError("'rows' must be a list of lists of numbers")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch(f"expected {n} rows of {n} entries")
-    return np.array(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"matrix entry out of range: {exc}") from exc
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

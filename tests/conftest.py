@@ -76,9 +76,13 @@ def spectrum_oracle(A, spec_tol=1e-8):
     scale = max(1.0, float(np.linalg.norm(A)))
     diagonalizable = min_gap > spec_tol
     if diagonalizable:
-        H = np.linalg.inv(G)
-        recon = np.linalg.norm(G @ np.diag(eigenvalues) @ H - A)
-        diagonalizable = recon <= spec_tol * scale
+        try:
+            H = np.linalg.inv(G)
+        except np.linalg.LinAlgError:  # exactly singular eigenvectors
+            diagonalizable = False
+        else:
+            recon = np.linalg.norm(G @ np.diag(eigenvalues) @ H - A)
+            diagonalizable = recon <= spec_tol * scale
     if not diagonalizable:
         H = np.linalg.pinv(G)
     return linsys.Spectrum(eigenvalues=eigenvalues, G=G, H=H,

@@ -445,13 +445,29 @@ class TestClassifyActivity:
                 assert verdict.certificate is not None and verdict.witness is None
 
     def test_inconclusive_for_oblique_projection_with_stable_A(self):
-        # no certificate route (P not symmetric), no unstable mode to witness
+        # no certificate route (P not symmetric, sym(A) indefinite), no
+        # unstable mode to witness
         P = np.array([[1.0, 0.7], [0.0, 0.0]])
-        sys = linsys.make_system(-np.eye(2), P)
+        sys = linsys.make_system([[-1.0, 10.0], [0.0, -2.0]], P)
         verdict = classify_activity(sys)
         assert verdict.status == INCONCLUSIVE
         assert verdict.witness is None and verdict.certificate is None
-        assert verdict.notes
+        assert verdict.notes.startswith(
+            "P is not symmetric: passivity certificate not applicable; ")
+
+    @pytest.mark.parametrize("A, P, max_eig", [
+        # oblique P, no sym(PA) certificate
+        (-np.eye(2), [[1.0, 0.7], [0.0, 0.0]], -1.0),
+        # orthogonal P with sym(PA) indefinite, lossless A
+        ([[0.0, 1.0], [-1.0, 0.0]], np.diag([1.0, 0.0]), 0.0),
+    ])
+    def test_dissipative_A_certifies_any_projection(self, A, P, max_eig):
+        # W = |x(T)|^2 / 2 - int x^T sym(A) x dt >= 0 whatever P is
+        verdict = classify_activity(linsys.make_system(A, P))
+        assert verdict.status == PASSIVE and verdict.witness is None
+        assert verdict.certificate == activity.Certificate(activity.SYM_A_CERT, max_eig)
+        assert verdict.notes == \
+            f"passivity certificate via dissipativity of A (max eig {max_eig:.6g})"
 
     def test_strongly_stable_mode_keeps_two_pulse_scan_finite(self):
         # eigenvalues -539.6, -0.8 +- 174i and 47.1; (1 - e^(-lam))^2
@@ -504,10 +520,13 @@ class TestClassifyActivity:
              "passivity certificate via dissipativity of A (max eig -1)"),
             (-np.eye(2), np.diag([1.0, 0.0]),
              "passivity certificate via sym(PA) <= 0 (max eig 0)"),
+            (-np.eye(2), np.array([[1.0, 0.7], [0.0, 0.0]]),
+             "passivity certificate via dissipativity of A (max eig -1)"),
         ]
         for A, P, notes in cases:
             assert classify_activity(linsys.make_system(A, P)).notes == notes
-        oblique = linsys.make_system(-np.eye(2), np.array([[1.0, 0.7], [0.0, 0.0]]))
+        oblique = linsys.make_system([[-1.0, 10.0], [0.0, -2.0]],
+                                     np.array([[1.0, 0.7], [0.0, 0.0]]))
         assert classify_activity(oblique).notes.startswith(
             "P is not symmetric: passivity certificate not applicable; ")
 
@@ -592,6 +611,21 @@ class TestTrajectoryWitness:
         expected = ACTIVE if linsys.max_sym_eigenvalue(A) > 0.0 else PASSIVE
         for M in (A, 10.0 ** log_c * A):
             assert classify_activity(linsys.make_system(M, np.eye(n))).status == expected
+
+
+class TestOrthogonalSimilarity:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), data=st.data())
+    def test_status_invariant_under_orthogonal_similarity(self, seed, n, data):
+        # (QAQ^T, QPQ^T) is the same port system in rotated coordinates
+        m = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-2.0, 2.0, (n, n))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        P = np.diag([1.0] * m + [0.0] * (n - m))
+        original, rotated = (classify_activity(linsys.make_system(M, R)).status
+                             for M, R in ((A, P), (Q @ A @ Q.T, Q @ P @ Q.T)))
+        assert original == rotated
 
 
 class TestVerdictSerialization:

@@ -11,7 +11,6 @@ from locact import complexity
 from locact.complexity import (
     ClassifierTolerances,
     RationalFunction,
-    asymptotic_axis_sign,
     classification_to_json,
     edge_of_chaos_classify,
     fhn_complexity_function,
@@ -129,9 +128,10 @@ class TestResidues:
 
 class TestMinRealOnAxis:
     def test_positive_real_low_pass(self):
+        # Re Y(i w) = 1 / (1 + w^2) > 0 has infimum 0, its limit at infinity
         rf = make_rational([1.0], [1.0, 1.0])  # 1 / (s + 1)
-        _, value = min_real_on_axis(rf)
-        assert value > 0.0
+        assert min_real_on_axis(rf) == (math.inf, 0.0)
+        assert not edge_of_chaos_classify(rf).cond_iv
 
     def test_pure_differentiator_is_zero(self):
         rf = make_rational([0.0, 1.0], [1.0])  # Y = s
@@ -148,7 +148,54 @@ class TestMinRealOnAxis:
         assert value < 0.0
         assert value <= vals.min() + 1e-9
         # asymptotic limit is x_d^2 - 1 < 0
-        assert asymptotic_axis_sign(rf) == -1
+        assert _asymptotic_axis_sign(rf) == -1
+
+    @pytest.mark.parametrize("zeta", [3e-5, 1e-5, 3e-6, 1e-6])
+    @pytest.mark.parametrize("w0", [0.37, 7.0, 123.4])
+    def test_narrow_dip_is_found(self, zeta, w0):
+        # Y = 1 - 0.5 L(0.3, 1) - 2 L(zeta, w0) has Re Y(i w0) below -1 on a
+        # window about 2 zeta w0 wide, far from any axis pole
+        rf = _narrow_dip(zeta, w0)
+        w_star, value = min_real_on_axis(rf)
+        assert value < -1.0
+        assert w_star == pytest.approx(w0, rel=1e-9)
+        assert value == pytest.approx(float(np.real(rf(1j * w_star))), rel=1e-12)
+        ec = edge_of_chaos_classify(rf)
+        assert ec.cond_iv and ec.locally_active and ec.edge_of_chaos
+
+    def test_limit_at_infinity_below_every_finite_omega(self):
+        # FHN rationals decrease towards x_d^2 - 1 on the whole axis
+        rf = fhn_rational(0.3, BETA, XI)
+        assert min_real_on_axis(rf) == (math.inf, 0.3 * 0.3 - 1.0)
+        # Re Y = w^2 grows without bound: the infimum is at 0
+        assert min_real_on_axis(make_rational([1.0, 0.0, -1.0], [1.0])) == (0.0, 1.0)
+        # Re Y = -w^2: the limit is -inf
+        assert min_real_on_axis(make_rational([0.0, 0.0, 1.0], [1.0])) == \
+            (math.inf, -math.inf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rf=st.builds(
+        lambda roots, pairs, num: make_rational(num, np.real(npoly.polyfromroots(
+            roots + [z for re, im in pairs for z in (complex(re, im), complex(re, -im))]))),
+        st.lists(st.floats(-3.0, -0.05), max_size=2),
+        st.lists(st.tuples(st.floats(-1.0, -0.01), st.floats(0.1, 5.0)), max_size=2),
+        st.lists(st.floats(-10.0, 10.0).map(lambda c: round(c, 3)), min_size=1, max_size=5)))
+    def test_cond_iv_is_the_sign_of_E(self, rf):
+        # a stable rational has |den(i w)|^2 > 0, so Re Y(i w) has the sign of
+        # E; E keeps one sign between consecutive positive real roots, so its
+        # values there and past the last root decide whether Re Y dips below 0
+        E = np.real(npoly.polymul(np.asarray(rf.num) * 1j ** np.arange(len(rf.num)),
+                                  np.conj(np.asarray(rf.den) * 1j ** np.arange(len(rf.den)))))
+        roots = np.roots(E[::-1]) if np.count_nonzero(E) > 1 else np.array([])
+        w = np.sort(roots.real[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0)])
+        w = np.concatenate([[0.0], w])
+        probes = np.concatenate([w, (w[:-1] + w[1:]) / 2.0, 2.0 * w[-1:] + 1.0])
+        lowest = float(np.min(np.real(rf(1j * probes))))
+        limit = float(np.real(rf(1j * 1e12)))
+        assume(lowest >= 0.0 or lowest < -1e-6)  # no dip within 1e-6 of zero
+        assume(limit > 1e-6 or limit < -1e-6)
+        ec = edge_of_chaos_classify(rf)
+        assert ec.cond_iv == (lowest < 0.0 or limit < 0.0)
 
     def test_conjugate_symmetry(self, rng):
         num = rng.standard_normal(3)
@@ -200,9 +247,17 @@ def _scalar_re_on_axis(num, den, w):
     return (nr * rat + ni) * (1.0 / (di + dr * rat))
 
 
+def _asymptotic_axis_sign(rf):
+    """Sign of Re Y(i w) as w -> inf, from the leading coefficient of E."""
+    E = complexity._trim(complexity._real_part_on_axis_poly(rf.num, rf.den),
+                         complexity.COEFF_TOL)
+    return int(np.sign(E[-1]))
+
+
 def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTER_TOL):
-    """min_real_on_axis for one rational at a time: its grid, then the
-    golden-section loop and tail chase in Python floats."""
+    """The sampled minimum that min_real_on_axis computed before it decided
+    from polynomial roots, one rational at a time: a 4096-point log+linear
+    grid, then 80 golden-section steps and a tail chase in Python floats."""
     num = np.asarray(rf.num, dtype=float)
     den = np.asarray(rf.den, dtype=float)
     coeffs = np.abs(np.concatenate([num, den]))
@@ -250,7 +305,7 @@ def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTE
     if np.isfinite(v_ref) and v_ref < v_star and \
             all(abs(w_ref - c) > r for c, r in exclusions):
         w_star, v_star = float(w_ref), float(v_ref)
-    if v_star >= 0.0 and asymptotic_axis_sign(rf) < 0:
+    if v_star >= 0.0 and _asymptotic_axis_sign(rf) < 0:
         w_tail = omega_max
         for _ in range(12):
             w_tail *= 10.0
@@ -344,18 +399,21 @@ class TestReOnAxis:
         stacked = min_real_on_axis(rationals)
         probed = _use_numpy_evaluator(monkeypatch)
         expected = min_real_on_axis(rationals)
-        assert probed and max(probed) == len(rationals)  # the oracle did the probing
+        # the oracle did the probing, each probe over the whole stack
+        assert probed and min(probed) >= len(rationals)
         for rf, got, row, want in zip(rationals, shipped, stacked, expected):
             for pair in (got, row):
                 assert _same_float(pair[0], want[0]) and _same_float(pair[1], want[1]), rf
 
 
 def _use_per_rational_scan(monkeypatch):
-    """Route the axis scans of edge_of_chaos_classify through the scalar
-    per-rational loop, one rational at a time."""
+    """Route the axis scans of edge_of_chaos_classify through
+    min_real_on_axis one rational at a time."""
+    alone = complexity.min_real_on_axis
+
     def per_rational(rfs, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTER_TOL,
                      pole_sets=None):
-        return [_min_real_on_axis_oracle(rf, on_axis_tol, cluster_tol) for rf in rfs]
+        return [alone(rf, on_axis_tol, cluster_tol) for rf in rfs]
 
     monkeypatch.setattr(complexity, "min_real_on_axis", per_rational)
 
@@ -376,8 +434,7 @@ def _row_bytes(result):
 def _assert_rows_match_alone(orders, tols=None):
     """For each order of the same rationals, each row of the stacked
     classifier and of the stacked axis scan equals that rational on its own:
-    classification bytes, (w*, v*) bit for bit, and the per-rational scalar
-    loop."""
+    classification bytes and (w*, v*) bit for bit."""
     tols = tols or ClassifierTolerances()
     expected = {}  # id of a rational -> its results alone
     for rfs in orders:
@@ -387,13 +444,27 @@ def _assert_rows_match_alone(orders, tols=None):
         assert len(stacked) == len(minima) == len(rfs)
         for rf, row, minimum in zip(rfs, stacked, minima):
             if id(rf) not in expected:
-                expected[id(rf)] = (_classified_alone(rf, tols), _min_real_on_axis_oracle(
+                expected[id(rf)] = (_classified_alone(rf, tols), min_real_on_axis(
                     rf, tols.on_axis_tol, tols.cluster_tol))
             _assert_row_matches(rf, row, minimum, *expected[id(rf)])
 
 
-def _assert_row_matches(rf, row, minimum, alone, oracle):
-    (w_row, v_row), (w_star, v_star) = minimum, oracle
+def _flips_against_sampled_scan(rationals, tols):
+    """Check that no v* lies above the old sampled scan's by more than
+    rounding (32 eps), and return the rationals whose condition (iv)
+    differs from the old scan's."""
+    flips = []
+    for rf, (_, v_new) in zip(rationals, min_real_on_axis(
+            rationals, on_axis_tol=tols.on_axis_tol, cluster_tol=tols.cluster_tol)):
+        _, v_old = _min_real_on_axis_oracle(rf, tols.on_axis_tol, tols.cluster_tol)
+        assert v_new <= v_old + 32.0 * np.finfo(float).eps * max(1.0, abs(v_old)), rf
+        if (v_new < -tols.axis_val_tol) != (v_old < -tols.axis_val_tol):
+            flips.append(rf)
+    return flips
+
+
+def _assert_row_matches(rf, row, minimum, alone, minimum_alone):
+    (w_row, v_row), (w_star, v_star) = minimum, minimum_alone
     assert _row_bytes(row) == _row_bytes(alone), rf
     assert _same_float(w_row, w_star) and _same_float(v_row, v_star), rf
     if not isinstance(row, LocactError):
@@ -403,13 +474,23 @@ def _assert_row_matches(rf, row, minimum, alone, oracle):
         assert _same_float(iv["omega"], w_star) and _same_float(iv["re_Y"], v_star)
 
 
+def _narrow_dip(zeta, w0):
+    """1 - 0.5 L(0.3, 1) - 2 L(zeta, w0), with the Lorentzian
+    L(zeta, w0)(s) = 2 zeta w0 s / (s^2 + 2 zeta w0 s + w0^2)."""
+    b, d = [1.0, 0.6, 1.0], [w0 * w0, 2.0 * zeta * w0, 1.0]
+    den = npoly.polymul(b, d)
+    num = npoly.polysub(npoly.polysub(den, npoly.polymul([0.0, 0.3], d)),
+                        npoly.polymul([0.0, 4.0 * zeta * w0], b))
+    return make_rational(num, den)
+
+
 def _axis_pair(w0):
     return [w0 * w0, 0.0, 1.0]  # s^2 + w0^2: poles at +/- i w0
 
 
 def _tail_chaser(b, c, eps):
     """(s^2 + (c - eps) s + b) / (s + c): Re Y(i w) = (b c - eps w^2) / (c^2 + w^2)
-    stays positive on the grid and turns negative past it."""
+    decreases to its limit -eps, and turns negative only past w^2 = b c / eps."""
     return make_rational([b, c - eps, 1.0], [c, 1.0])
 
 
@@ -465,19 +546,32 @@ class TestStackedClassifier:
     def test_seeded_stack_in_three_orders(self):
         rng = np.random.default_rng(31)
         rationals = _seeded_rationals(rng, 100)
-        # the mix reaches every stage: exclusion windows, multiple poles, the
-        # tail chase and the refinement
+        # the mix reaches every case: exclusion windows, multiple poles, the
+        # limit at infinity and finite minimizers
         minima = min_real_on_axis(rationals)
         assert any(complexity._axis_exclusions(poles(rf), 1e-7) for rf in rationals)
         assert any(m >= 2 for rf in rationals for _, m in poles(rf).poles)
-        assert any(w > 1e10 for w, _ in minima)
+        assert any(w == math.inf for w, _ in minima)
+        assert any(0.0 < w < math.inf for w, _ in minima)
         _assert_rows_match_alone([rationals, rationals[::-1],
                                   [rationals[i] for i in rng.permutation(len(rationals))]])
+        flips = _flips_against_sampled_scan(rationals, ClassifierTolerances())
+        # two tail chasers whose limit -eps lies below -axis_val_tol, where the
+        # old scan's chase stopped above it: the exact infimum decides them
+        assert len(flips) == 2
+        for rf in flips:
+            eps = rf.den[0] - rf.num[1]  # c - (c - eps)
+            assert len(rf.num) == 3 and len(rf.den) == 2 and 1e-9 < eps < 3e-9
+            w_star, v_star = min_real_on_axis(rf)
+            assert w_star == math.inf and v_star == pytest.approx(-eps, rel=1e-6)
+            assert edge_of_chaos_classify(rf).cond_iv
 
     def test_seeded_stack_at_wide_tolerances(self):
         rng = np.random.default_rng(32)
         tols = ClassifierTolerances(on_axis_tol=1e-3, cluster_tol=1e-4, resid_tol=0.0)
-        _assert_rows_match_alone([_seeded_rationals(rng, 40)], tols)
+        rationals = _seeded_rationals(rng, 40)
+        _assert_rows_match_alone([rationals], tols)
+        assert _flips_against_sampled_scan(rationals, tols) == []
 
     @settings(max_examples=40, deadline=None)
     @given(rfs=st.lists(_rational(), min_size=1, max_size=6), data=st.data())

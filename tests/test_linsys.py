@@ -51,6 +51,15 @@ class TestMakeSystem:
         with pytest.raises(NonFiniteEntry):
             linsys.make_system(A, np.eye(2))
 
+    def test_norm_near_float_range_rejected(self):
+        # finite entries whose 2-norm overflows, or leaves no room for A + A^T
+        for A in (np.full((2, 2), 1e308), [[0.0, 1e308], [1e308, 0.0]]):
+            with pytest.raises(OverflowRisk, match="float range"):
+                linsys.make_system(A, np.eye(2))
+        # the norm 2e200 is far from the range, and so is 1e307 / 8
+        for A in (np.full((2, 2), 1e200), [[1e307 / 8.0]]):
+            assert linsys.make_system(A, np.eye(len(A))).n == len(A)
+
     def test_arrays_frozen(self):
         sys = linsys.make_system(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
@@ -116,6 +125,10 @@ SPECTRUM_FIXTURES = {
     "jordan": np.array([[1.0, 1.0], [0.0, 1.0]]),  # the pinv path
     "rotation": np.array([[0.0, 1.0], [-1.0, 0.0]]),
     "scalar": np.array([[0.7]]),
+    # eigenvalues more than spec_tol apart, but eig's eigenvector matrix is
+    # exactly singular: the pinv path
+    "singular_eigenvectors": np.array([[1.0, 1.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0],
+                                       [-1.0, 1.0, 0.0, 1.0], [1.0, -1.0, 0.0, -1.0]]),
 }
 
 
@@ -140,6 +153,13 @@ class TestSpectra:
         for g in groups:
             for pos, i in enumerate(g.index):
                 assert_same_spectrum(g.at(pos), spectrum_oracle(A[i]))
+
+    def test_singular_eigenvectors_do_not_fail_the_stack(self):
+        M = SPECTRUM_FIXTURES["singular_eigenvectors"]
+        groups = linsys.spectra(np.stack([M, np.diag([1.0, 2.0, 3.0, 4.0])]))
+        singular, diagonal = (_slice_spectrum(groups, i) for i in (0, 1))
+        assert not singular.diagonalizable and diagonal.diagonalizable
+        assert_same_spectrum(singular, spectrum_oracle(M))
 
     @pytest.mark.parametrize("name", SPECTRUM_FIXTURES)
     def test_fixture_equals_the_per_matrix_spectrum(self, name):
@@ -459,6 +479,21 @@ class TestMatrixIO:
         t.write_text(linsys.format_matrix_text(M))
         npt.assert_array_equal(linsys.load_matrix(j), M)
         npt.assert_array_equal(linsys.load_matrix(t), M)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1, "rows": 5}', '{"n": 1, "rows": [1]}', '{"n": null, "rows": [[1]]}',
+        '{"n": 1, "rows": [[{"a": 1}]]}', '{"n": 1e400, "rows": [[1]]}',
+        '{"n": -1, "rows": []}', '{"n": true, "rows": [[1]]}', '{"n": 1, "rows": [[true]]}',
+        '{"n": 1, "rows": [[1' + "0" * 400 + ']]}',
+    ], ids=["rows-number", "row-number", "n-null", "entry-object", "n-overflow",
+            "n-negative", "n-bool", "entry-bool", "entry-overflow"])
+    def test_malformed_json_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            linsys.parse_matrix_json(text)
+
+    def test_integral_float_n_accepted(self):
+        npt.assert_array_equal(
+            linsys.parse_matrix_json('{"n": 2.0, "rows": [[1, 0], [0, 1]]}'), np.eye(2))
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
