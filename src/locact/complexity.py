@@ -184,61 +184,53 @@ def _axis_exclusions(ps: PoleSet, on_axis_tol):
 
 def _coefficient_rows(polys):
     """Ascending coefficient tuples as the rows of one array, zero-padded at
-    the high-degree end; a padded Horner step keeps :func:`_re_on_axis` and
-    :func:`_newton_step` at their exact zero start for finite omega, so
-    padding moves no bit."""
+    the high-degree end; a padded Horner step keeps :func:`_re_and_step` at
+    its exact zero start for finite omega, so padding moves no bit."""
     rows = np.zeros((len(polys), max(len(p) for p in polys)))
     for row, p in zip(rows, polys):
         row[:len(p)] = p
     return rows
 
 
-def _re_on_axis(num, den, w):
-    """``np.real(polyval(1j*w, num) / polyval(1j*w, den))`` bit for bit, one
-    value per row, for finite coefficients; see :func:`min_real_on_axis`.
+def _re_and_step(num, den, w):
+    """Re Y(i w) and the Newton step of ``d/dw Re Y(i w) = -Im Y'(i w)``, one
+    per row, from the values and first two derivatives of ``num`` and ``den``
+    at ``i w`` by Horner.
 
     ``num`` and ``den`` hold ascending coefficients along their last axis and
-    ``w`` one omega per row.  The steps are numpy's complex Horner product and
-    real-plus-complex sum on (re, im), then Smith's division (times
-    ``1/(dr + di*rat)``), each on float arrays; a zero denominator gives numpy's
-    ``nr/0``.
+    ``w`` one omega per row.  The value is numpy's ``polyval(1j*w, num) /
+    polyval(1j*w, den)`` bit for bit, so each row's value and step are those
+    of the row alone, wherever it sits in the array.
     """
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    with np.errstate(all="ignore"):
-        sr, si = 0.0 * w - 0.0, 0.0 + w  # 1j * w: (0, 1) times (w, 0)
-        nr = ni = dr = di = 0.0
-        for a in num.T[::-1]:  # coefficient columns, highest degree first
-            nr, ni = a + (nr * sr - ni * si), 0.0 + (nr * si + ni * sr)
-        for a in den.T[::-1]:
-            dr, di = a + (dr * sr - di * si), 0.0 + (dr * si + di * sr)
-        big = np.abs(dr) >= np.abs(di)
-        rat = np.where(big, di / dr, dr / di)
-        val = np.where(big, (nr + ni * rat) * (1.0 / (dr + di * rat)),
-                       (nr * rat + ni) * (1.0 / (di + dr * rat)))
-        pole = (dr == 0.0) & (di == 0.0)
-        if pole.any():
-            at_pole = np.where((nr != nr) | (nr == 0.0), np.nan, np.copysign(np.inf, nr))
-            val = np.where(pole, at_pole, val)
-    return val
-
-
-def _newton_step(num, den, w):
-    """Newton step of ``d/dw Re Y(i w) = -Im Y'(i w)``, one per row, from the
-    values and first two derivatives of ``num`` and ``den`` at ``i w``."""
-    s = 1j * w
-
     def taylor(coeffs):  # Horner with the first two derivatives
         p = dp = ddp = np.zeros_like(s)
-        for a in coeffs.T[::-1]:
+        for a in np.asarray(coeffs, dtype=float).T[::-1]:  # highest degree first
             p, dp, ddp = p * s + a, dp * s + p, ddp * s + 2.0 * dp
         return p, dp, ddp
 
-    (n0, n1, n2), (d0, d1, d2) = taylor(num), taylor(den)
-    y0 = n0 / d0
-    y1 = (n1 - y0 * d1) / d0  # num' = Y' den + Y den'
-    y2 = (n2 - 2.0 * y1 * d1 - y0 * d2) / d0
-    return y1.imag / y2.real  # (-Im Y') / (-Re Y'')
+    with np.errstate(all="ignore"):
+        s = 1j * np.asarray(w, dtype=float)
+        (n0, n1, n2), (d0, d1, d2) = taylor(num), taylor(den)
+        y0 = n0 / d0
+        y1 = (n1 - y0 * d1) / d0  # num' = Y' den + Y den'
+        y2 = (n2 - 2.0 * y1 * d1 - y0 * d2) / d0
+        return y0.real, y1.imag / y2.real  # (-Im Y') / (-Re Y'')
+
+
+def _axis_polys(num, den):
+    """e and f with ``Re Y(i w) = e(w^2) / f(w^2)``, less any leading
+    coefficient within the rounding of the products it sums, so that their
+    degrees and leading coefficients give the exact limit at infinity."""
+    out = []
+    for a, b in ((num, den), (den, den)):
+        c = _real_part_on_axis_poly(a, b)[0::2]
+        noise = (len(a) + len(b)) * np.finfo(float).eps * \
+            np.convolve(np.abs(a), np.abs(b))[0::2]
+        keep = c.size
+        while keep > 1 and abs(c[keep - 1]) <= noise[keep - 1]:
+            keep -= 1
+        out.append(c[:keep])
+    return out
 
 
 def _positive_real_roots(coeffs):
@@ -261,8 +253,7 @@ def _axis_candidates(rf, windows):
     (the roots of ``e' f - e f'``) and the window edges, less any omega
     inside a window.
     """
-    e = _real_part_on_axis_poly(rf.num, rf.den)[0::2]
-    f = _real_part_on_axis_poly(rf.den, rf.den)[0::2]
+    e, f = _axis_polys(rf.num, rf.den)
     w_e = np.sqrt(_positive_real_roots(e))
     w_s = np.sqrt(_positive_real_roots(
         npoly.polysub(npoly.polymul(npoly.polyder(e), f), npoly.polymul(e, npoly.polyder(f)))))
@@ -271,7 +262,6 @@ def _axis_candidates(rf, windows):
     keep = np.isfinite(w) & (w >= 0.0)
     for c, r in windows:
         keep &= np.abs(w - c) > r
-    e, f = _trim(e, COEFF_TOL), _trim(f, COEFF_TOL)
     if e.size == f.size:
         limit = e[-1] / f[-1]
     else:
@@ -296,11 +286,11 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     ``rf`` is one :class:`RationalFunction`, which gives ``(w*, v*)``, or a
     sequence of them, which gives a list of such pairs: one stack, the scalar
     call being the stack of one.  The candidates of all rows are polished in
-    one flat array through :func:`_re_on_axis`, which repeats numpy's complex
-    arithmetic on float arrays, so each row's result is bit for bit that of
-    the row alone, wherever it sits in the stack.  ``pole_sets`` (the poles of
-    each row at ``cluster_tol``) spares a caller that has them a second root
-    finding.
+    one flat array through :func:`_re_and_step`, whose values are numpy's
+    complex evaluation element by element, so each row's result is bit for
+    bit that of the row alone, wherever it sits in the stack.  ``pole_sets``
+    (the poles of each row at ``cluster_tol``) spares a caller that has them
+    a second root finding.
     """
     single = isinstance(rf, RationalFunction)
     rfs = [rf] if single else list(rf)
@@ -315,17 +305,18 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     num = _coefficient_rows([r.num for r in rfs])[row]
     den = _coefficient_rows([r.den for r in rfs])[row]
     windows = [(i, c, r) for i, excl in enumerate(exclusions) for c, r in excl]
-    v = _re_on_axis(num, den, w)
+    v, step = _re_and_step(num, den, w)
     with np.errstate(all="ignore"):
         for _ in range(4):
-            trial = w - _newton_step(num, den, w)
-            v_trial = _re_on_axis(num, den, trial)
+            trial = w - step
+            v_trial, step_trial = _re_and_step(num, den, trial)
             ok = np.isfinite(v_trial) & (v_trial <= v) & (trial >= 0.0)
             for i, c, r in windows:
                 ok &= (row != i) | (np.abs(trial - c) > r)
             if not ok.any():
                 break  # a rejected step repeats itself
             w, v = np.where(ok, trial, w), np.where(ok, v_trial, v)
+            step = np.where(ok, step_trial, step)
     v = np.where(np.isfinite(v), v, np.inf)
     order = np.lexsort((v, row))  # by row, then value; ties keep candidate order
     # every row has a candidate: 0, or the upper edge of its highest window

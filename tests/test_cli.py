@@ -346,7 +346,8 @@ class TestFhn:
         mus = np.linspace(0.0, 0.1, 21)
         find_equilibrium, fhn_rational = nonlinear.find_equilibrium, complexity.fhn_rational
         poles = complexity.poles
-        poisoned_x, poisoned_rf = set(), set()
+        # the poisoned rationals are kept alive, so no later rational reuses an id
+        poisoned_x, poisoned_rf = set(), []
 
         def failing_newton(sys, guess, **kwargs):
             if sys.params["mu"] == float(mus[3]):
@@ -359,11 +360,11 @@ class TestFhn:
         def marked_rational(x_d, beta, xi):
             rf = fhn_rational(x_d, beta, xi)
             if x_d in poisoned_x:
-                poisoned_rf.add(id(rf))
+                poisoned_rf.append(rf)
             return rf
 
         def failing_poles(rf, *args, **kwargs):
-            if id(rf) in poisoned_rf:
+            if any(rf is p for p in poisoned_rf):
                 raise NotASimplePole("injected classification failure")
             return poles(rf, *args, **kwargs)
 

@@ -147,8 +147,9 @@ class TestMinRealOnAxis:
         w_star, value = min_real_on_axis(rf)
         assert value < 0.0
         assert value <= vals.min() + 1e-9
-        # asymptotic limit is x_d^2 - 1 < 0
-        assert _asymptotic_axis_sign(rf) == -1
+        # Re Y decreases towards its limit x_d^2 - 1 < 0 at infinity
+        assert w_star == math.inf
+        assert value == pytest.approx(xd * xd - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("zeta", [3e-5, 1e-5, 3e-6, 1e-6])
     @pytest.mark.parametrize("w0", [0.37, 7.0, 123.4])
@@ -172,6 +173,25 @@ class TestMinRealOnAxis:
         # Re Y = -w^2: the limit is -inf
         assert min_real_on_axis(make_rational([0.0, 0.0, 1.0], [1.0])) == \
             (math.inf, -math.inf)
+
+    def test_limit_keeps_leading_terms_of_a_far_pole(self):
+        # den = s + 1e7 gives f = 1e14 + x, whose leading term is 1e-14 of
+        # the largest; the limit must still come from it
+        rf = make_rational([1e6, 0.0, 1e-3, -1.0], [1e7, 1.0])
+        # e = 1e13 - 1e4 x + x^2 > 0: Re Y > 0 on the axis and grows without bound
+        w_star, value = min_real_on_axis(rf)
+        assert math.isfinite(w_star) and value > 0.0
+        assert not edge_of_chaos_classify(rf).cond_iv
+        # Re Y = (1e7 - x) / (1e14 + x) decreases towards -1
+        assert min_real_on_axis(make_rational([1.0, -1.0], [1e7, 1.0])) == (math.inf, -1.0)
+
+    def test_limit_ignores_rounding_in_a_cancelled_lead(self):
+        # e's x^2 coefficient 0.1 * 2.1 - 0.7 * 0.3 is zero in exact
+        # arithmetic but not in floats; Re Y = -0.63 x / (4.41 + 0.09 x)
+        # decreases towards -7
+        rf = make_rational([0.0, 0.0, 0.3, 0.7, 0.1], [2.1, 0.3])
+        assert rf.num[4] * rf.den[0] - rf.num[3] * rf.den[1] != 0.0
+        assert min_real_on_axis(rf) == (math.inf, pytest.approx(-7.0, rel=1e-14))
 
     @settings(max_examples=150, deadline=None)
     @given(rf=st.builds(
@@ -216,16 +236,18 @@ def _re_axis_oracle(num, den, w):
 
 
 def _use_numpy_evaluator(monkeypatch):
-    """Route the probes of min_real_on_axis through numpy's complex
-    evaluation, one row at a time; returns the list of the probed stacks, so
-    a caller can check that the probes did go through the oracle."""
+    """Take the values that min_real_on_axis probes from numpy's complex
+    polyval, one row at a time; returns the list of the probed stacks, so a
+    caller can check that the probes did go through the oracle."""
     probed = []
+    shipped = complexity._re_and_step
 
     def rows_oracle(num, den, w):
         probed.append(len(w))
-        return np.array([_re_axis_oracle(n, d, x) for n, d, x in zip(num, den, w)])
+        values = np.array([_re_axis_oracle(n, d, x) for n, d, x in zip(num, den, w)])
+        return values, shipped(num, den, w)[1]
 
-    monkeypatch.setattr(complexity, "_re_on_axis", rows_oracle)
+    monkeypatch.setattr(complexity, "_re_and_step", rows_oracle)
     return probed
 
 
@@ -245,13 +267,6 @@ def _scalar_re_on_axis(num, den, w):
         return (nr + ni * rat) * (1.0 / (dr + di * rat))
     rat = dr / di
     return (nr * rat + ni) * (1.0 / (di + dr * rat))
-
-
-def _asymptotic_axis_sign(rf):
-    """Sign of Re Y(i w) as w -> inf, from the leading coefficient of E."""
-    E = complexity._trim(complexity._real_part_on_axis_poly(rf.num, rf.den),
-                         complexity.COEFF_TOL)
-    return int(np.sign(E[-1]))
 
 
 def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTER_TOL):
@@ -305,7 +320,9 @@ def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTE
     if np.isfinite(v_ref) and v_ref < v_star and \
             all(abs(w_ref - c) > r for c, r in exclusions):
         w_star, v_star = float(w_ref), float(v_ref)
-    if v_star >= 0.0 and _asymptotic_axis_sign(rf) < 0:
+    # the sign of Re Y(i w) as w -> inf, from the leading coefficient of E
+    E = complexity._trim(complexity._real_part_on_axis_poly(num, den), complexity.COEFF_TOL)
+    if v_star >= 0.0 and E[-1] < 0.0:
         w_tail = omega_max
         for _ in range(12):
             w_tail *= 10.0
@@ -346,12 +363,12 @@ _omega = st.one_of(st.sampled_from(_SPECIAL_OMEGAS), st.floats(0.0, 1e22),
 
 
 class TestReOnAxis:
-    """The float evaluator against numpy's complex evaluation, bit for bit."""
+    """The Horner evaluator's values against numpy's polyval, bit for bit."""
 
     def _assert_matches(self, num, den, omegas):
         array = _re_axis_oracle(num, den, np.array(omegas))
         for w, from_array in zip(omegas, array):
-            got = complexity._re_on_axis(num, den, w)
+            got = complexity._re_and_step(num, den, w)[0]
             assert _same_float(got, _re_axis_oracle(num, den, w)), (num, den, w)
             assert _same_float(got, from_array), (num, den, w)
 
@@ -371,9 +388,9 @@ class TestReOnAxis:
         den = [1.0, 0.0, 1.0]
         for num in ([1.0], [-2.0, 1.0], [0.0], [1.0, 0.0, 1.0], [0.5, 3.0, 0.0, 2.0]):
             self._assert_matches(num, den, [0.0, 1.0, 2.0])
-        assert complexity._re_on_axis([1.0], den, 1.0) == math.inf
-        assert complexity._re_on_axis([-2.0, 1.0], den, 1.0) == -math.inf
-        assert math.isnan(complexity._re_on_axis([1.0, 0.0, 1.0], den, 1.0))
+        assert complexity._re_and_step([1.0], den, 1.0)[0] == math.inf
+        assert complexity._re_and_step([-2.0, 1.0], den, 1.0)[0] == -math.inf
+        assert math.isnan(complexity._re_and_step([1.0, 0.0, 1.0], den, 1.0)[0])
 
     @settings(max_examples=300, deadline=None)
     @given(num=st.lists(_coefficient, min_size=1, max_size=7),
