@@ -498,14 +498,17 @@ def classify_activity(sys: linsys.LinearPortSystem,
     eigenpair when one exists, otherwise it is the input that moves the state
     along ``x = rho(2t/T - 1) w``, w the top eigenvector of the symmetric
     part and ``T = min(1, 1/||A||_2)``, whose energy is ``-m (T/2) int rho^2``
-    exactly.  For P != I the semidefinite certificates are sufficient for
-    passivity only, and the witness routes are sufficient for activity only;
-    when neither fires the honest verdict is Inconclusive.  Where the
-    ``sym(PA)`` certificate is absent (P oblique, or ``sym(PA)`` indefinite),
-    ``sym(A) <= 0`` certifies any P, since ``W = |x(T)|^2 / 2 - int x^T sym(A)
-    x dt``.  A certificate whose max eigenvalue is positive beyond rounding
-    (``8 n eps ||P|| ||A||``, without ``||P||`` for ``sym(A)``) but within
-    ``cert_tol`` is returned only when no witness route verifies.  ``generic`` is
+    exactly; when that fails to verify for ``||A||_2 < 1``, it is retried at
+    ``T = 1/||A||_2``.  For P != I the semidefinite certificates are
+    sufficient for passivity only, and the witness routes are sufficient for
+    activity only; when neither fires the honest verdict is Inconclusive.
+    Where the ``sym(PA)`` certificate is absent (P oblique, or ``sym(PA)``
+    indefinite), ``sym(A) <= 0`` certifies any P, since ``W = |x(T)|^2 / 2 -
+    int x^T sym(A) x dt``.  A certificate whose max eigenvalue is positive
+    beyond rounding (``8 n eps ||P|| ||A||``, without ``||P||`` for
+    ``sym(A)``) but within ``cert_tol`` is returned only when no witness route
+    verifies; for P != I the last route is the bump ``rho'(2t - 1) w`` on
+    T = 1, w the top eigenvector of ``sym(PAP)``.  ``generic`` is
     ``genericity.in_generic_M(sys)`` when the caller has it already; the
     two-pulse route then reuses it.
     """
@@ -541,11 +544,17 @@ def classify_activity(sys: linsys.LinearPortSystem,
         # the system is active; with T = 1/||A||, W is unchanged when A is scaled
         m, w = linsys.top_sym_eigenpair(sys.A)
         notes.append(f"max sym eigenvalue {m:.6g} > 0")
-        T = min(1.0, 1.0 / float(np.linalg.norm(sys.A, 2)))
-        rec = _verified_record(
-            sys, signals.MollifierTrajectory(v=w, Av=sys.A @ w, T=T), T, cfg)
-        if rec:
-            notes.append(f"witness: quadratic-form bump trajectory, T={T:.6g}")
+        horizon = 1.0 / float(np.linalg.norm(sys.A, 2))
+        # T = 1 first; where |W| at T = 1 drowns in the error floor of a tiny
+        # A, T = 1/||A|| gives the W of the rescaled system (up to 1e302,
+        # beyond which the step grid's steps * T overflows)
+        retry = (horizon,) if 1.0 < horizon <= 1e302 else ()
+        for T in (min(1.0, horizon),) + retry:
+            rec = _verified_record(
+                sys, signals.MollifierTrajectory(v=w, Av=sys.A @ w, T=T), T, cfg)
+            if rec:
+                notes.append(f"witness: quadratic-form bump trajectory, T={T:.6g}")
+                break
 
     if rec is None and not identity:
         try:
@@ -558,6 +567,18 @@ def classify_activity(sys: linsys.LinearPortSystem,
         except (NotInGenericSet, NoUnstableEigenvalue, ScanExhausted,
                 NotDiagonalizable, ZeroEigenvalue) as exc:
             notes.append(f"two-pulse search: {type(exc).__name__}: {exc}")
+
+    if rec is None and cert is not None and not identity:
+        # a band certificate: before accepting it, drive the bump
+        # rho'(2t - 1) w along the top eigenvector w of sym(PAP); an oblique
+        # P can be large enough for PAP to overflow
+        PAP = sys.P @ sys.A @ sys.P
+        if np.isfinite(PAP).all():
+            m, w = linsys.top_sym_eigenpair(PAP)
+            rec = _verified_record(sys, signals.MollifierReal(lam=0.0, v=w, T=1.0), 1.0, cfg)
+            if rec:
+                notes.append(f"witness: bump along the top eigenvector of sym(PAP) "
+                             f"(eigenvalue {m:.6g}), T=1")
 
     if rec is not None:
         return ActivityVerdict(status=ACTIVE, witness=rec, certificate=None,

@@ -425,7 +425,7 @@ def _affine_scan(pows, x0, c):
 
 
 def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
-                want_states=True):
+                quiet=None):
     """Classical RK4 for ``x' = A x + P u``, x(0) = 0, jointly integrating the
     energy integrand ``z' = <x, P u>``.
 
@@ -443,23 +443,41 @@ def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
     of m steps samples the input 2m + 1 times: each grid point once (the end
     of one step is the start of the next) and each step midpoint once.
 
+    With ``quiet=None`` the states are kept.  Otherwise only the energy is
+    integrated, and ``quiet`` lists spans where the input is exactly zero.
+    A segment inside one adds only zeros to the offsets ``c_k`` and to the
+    energy, so it is not sampled: it is skipped while the state is still
+    zero, ends the integration when no later segment carries input, and
+    otherwise carries the state across by the same scan on a zero offset.
+    ``W`` is unchanged bit for bit.
+
     Returns (times, states, W); times and states are None unless
-    ``want_states``.
+    ``quiet`` is None.
     """
     n = A.shape[0]
     edges, counts = _segment_grid(T, knots, steps)
+    want_states = quiet is None
+    live = [not any(a <= lo and hi <= b for a, b in quiet or ())
+            for lo, hi in zip(edges[:-1], edges[1:])]
+    # segments after the last live one add nothing to W
+    end = max((i + 1 for i, flag in enumerate(live) if flag), default=0)
     x = np.zeros(n)
     W = 0.0
     all_times = [np.array([0.0])]
     all_states = [x[None, :].copy()]
-    for (lo, hi), m in zip(zip(edges[:-1], edges[1:]), counts):
+    for lo, hi, m, flag in zip(edges[:end], edges[1:end + 1], counts, live):
+        if not (flag or x.any()):
+            continue
         h = (hi - lo) / m
         RT, E = _step_maps(A, h)
         pows = _powers(RT, math.isqrt(min(m, _CHUNK_STEPS) - 1) + 1)
-        if piecewise_constant:
+        if piecewise_constant and flag:
             const = evaluate(np.array([0.5 * (lo + hi)]))[0] @ P.T
         for first in range(0, m, _CHUNK_STEPS):
             last = min(first + _CHUNK_STEPS, m)
+            if not flag:
+                x = _affine_scan(pows, x, np.zeros((last - first, n)))[-1]
+                continue
             grid = lo + h * np.arange(first, last + 1)
             if last == m:
                 grid[-1] = hi
@@ -505,14 +523,19 @@ def forced_energy(sys: LinearPortSystem, u, T: float, steps: int) -> float:
     """Single-resolution energy integral ``int_0^T <x, P u> dt`` by the RK4
     scheme of :func:`solve_forced` (affine step maps, blocked scan, fixed-size
     chunks), keeping no states; see :func:`locact.activity.energy_integral`
-    for the error-estimating wrapper."""
+    for the error-estimating wrapper.
+
+    The segments inside the signal's ``quiet_spans`` are not sampled: the
+    integration skips them while the state is zero, stops after the last
+    segment that carries input, and carries the state across the others.
+    The result equals the full-horizon integration bit for bit."""
     if T <= 0:
         raise ValueError("T must be positive")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     evaluate, knots, pwc = _signal_hooks(u, T)
-    _, _, W = _rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc,
-                          want_states=False)
+    quiet = u.quiet_spans() if _sig.is_signal(u) else ()
+    _, _, W = _rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc, quiet)
     return W
 
 

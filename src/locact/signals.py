@@ -166,6 +166,11 @@ class _Family:
         support starts and ends (integration grid knots)."""
         return ()
 
+    def quiet_spans(self):
+        """Closed spans ``(lo, hi)`` of [0, T] on which ``evaluate`` returns
+        exactly 0; their ends are knots, so an integration can skip them."""
+        return ()
+
     def to_json(self) -> dict:
         """Tagged-union dict representation, ``{"variant": ..., fields...}``."""
         out = {"variant": type(self).__name__}
@@ -280,6 +285,14 @@ class MollifierComplex(_Family):
     def breakpoints(self):
         return (self.t0 - self.eps, self.t0 + self.eps)
 
+    def quiet_spans(self):
+        # outside the window h' is exactly 0, and so is u while e^(alpha t)
+        # stays finite (0 * inf would be NaN)
+        if self.alpha * self.T >= 700.0:
+            return ()
+        lo, hi = self.breakpoints()
+        return ((0.0, lo), (hi, self.T))
+
     def evaluate(self, t):
         hprime = mollifier_derivative((t - self.t0) / self.eps) / self.eps
         amp = hprime * np.exp(self.alpha * t)
@@ -314,6 +327,11 @@ class MollifiedTwoPulse(_Family):
         e = self.eps_s
         return (e, 1.0 / b.k - e, 1.0 / b.k + e,
                 b.T - 1.0 / b.k - e, b.T - 1.0 / b.k + e, b.T - e)
+
+    def quiet_spans(self):
+        # between the smoothed pulses both windows are exactly 1 - 1 or 0 - 0
+        knots = self.breakpoints()
+        return ((knots[2], knots[3]),)
 
     def evaluate(self, t):
         b, e = self.base, self.eps_s

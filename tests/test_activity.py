@@ -501,6 +501,21 @@ class TestClassifyActivity:
             "passivity certificate via sym(PA) <= 0 (max eig 5e-10); ")
         assert "no witness verified" in verdict.notes
 
+    def test_band_certificate_yields_to_a_bump_along_sym_PAP(self):
+        # x1' = 1e-10 x1 + u1 is unstable; the bump rho'(2t - 1) e1 at T = 1
+        # has W = -1e-10/8 int rho^2 to first order, beyond its error estimate
+        A = np.diag([1e-10, -1.0])
+        verdict = classify_activity(linsys.make_system(A, np.diag([1.0, 0.0])))
+        assert verdict.status == ACTIVE and verdict.certificate is None
+        w = verdict.witness
+        assert isinstance(w.signal, MollifierReal)
+        assert w.signal.lam == 0.0 and w.T == 1.0
+        assert abs(w.signal.v[0]) == 1.0 and w.signal.v[1] == 0.0
+        assert w.W < -w.quadrature_error_estimate
+        assert abs(w.W + 1e-10 / 8.0 * RHO_SQUARED_MASS) <= 10.0 * w.quadrature_error_estimate
+        assert verdict.notes.endswith(
+            "witness: bump along the top eigenvector of sym(PAP) (eigenvalue 1e-10), T=1")
+
     def test_rounding_level_certificate_is_accepted_outright(self):
         # Q K Q^T with K skew: sym(A) is pure rounding, here max eig 7e-17 > 0
         rng = np.random.default_rng(0)
@@ -611,6 +626,33 @@ class TestTrajectoryWitness:
         expected = ACTIVE if linsys.max_sym_eigenvalue(A) > 0.0 else PASSIVE
         for M in (A, 10.0 ** log_c * A):
             assert classify_activity(linsys.make_system(M, np.eye(n))).status == expected
+
+    @pytest.mark.parametrize("A", [np.array([[1e-14]]), np.array([[1e-300]]),
+                                   1e-16 * README_MATRIX],
+                             ids=["1e-14", "1e-300", "bench_readme_times_1e-16"])
+    def test_tiny_system_is_active_at_horizon_one_over_norm(self, A):
+        # at T = 1, |W| = m/2 int rho^2 is below the error floor 1e-15; at
+        # T = 1/||A|| it is the W of the rescaled system A/||A||
+        verdict = classify_activity(linsys.make_system(A, np.eye(A.shape[0])))
+        assert verdict.status == ACTIVE and verdict.certificate is None
+        w = verdict.witness
+        assert isinstance(w.signal, MollifierTrajectory)
+        assert w.T == 1.0 / np.linalg.norm(A, 2)
+        assert w.W < -w.quadrature_error_estimate
+        m = linsys.max_sym_eigenvalue(A)
+        assert abs(w.W + m * w.T / 2.0 * RHO_SQUARED_MASS) \
+            <= 10.0 * w.quadrature_error_estimate
+        assert verdict.notes.endswith(f"witness: quadratic-form bump trajectory, T={w.T:.6g}")
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           log_c=st.floats(-290.0, -3.0))
+    def test_status_invariant_under_tiny_time_rescaling(self, seed, n, log_c):
+        # each active example integrates 6e5 steps at T = 1/||cA||, so few
+        A = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, n))
+        expected = ACTIVE if linsys.max_sym_eigenvalue(A) > 0.0 else PASSIVE
+        M = 10.0 ** log_c * A
+        assert classify_activity(linsys.make_system(M, np.eye(n))).status == expected
 
 
 class TestOrthogonalSimilarity:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_spectrum, random_stack, spectrum_oracle
-from locact import linsys
+from locact import linsys, signals
 from locact.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -21,6 +21,7 @@ from locact.signals import (
     MollifierReal,
     Sampled,
     TwoPulse,
+    eval_signal,
     mollifier,
     mollify_two_pulse,
 )
@@ -458,6 +459,125 @@ class TestInputSamples:
                   for first in range(0, steps, linsys._CHUNK_STEPS)]
         assert sum(t.size for t in sampled) == sum(2 * m + 1 for m in chunks)
         assert np.unique(np.concatenate(sampled)).size == 2 * steps + 1
+
+
+def _full_horizon_energy(sys, u, T, steps):
+    """:func:`linsys.forced_energy` with every segment sampled, quiet or not."""
+    evaluate, knots, pwc = linsys._signal_hooks(u, T)
+    return linsys._rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc, quiet=())[2]
+
+
+def _quiet_signal(rng, family, n):
+    """A signal with quiet spans: a windowed complex-pair input whose window
+    lies inside (0, T), starts at 0 or ends at T, or a mollified two-pulse."""
+    if family == "two_pulse":
+        T = float(rng.uniform(2.2, 8.0))
+        base = TwoPulse(a=float(rng.uniform(-2, 2)), b=float(rng.uniform(-2, 2)),
+                        k=float(rng.uniform(2.0 / T + 0.05, 3.0)), T=T,
+                        direction=rng.standard_normal(n))
+        limit = min(0.5 / base.k, 0.5 * (T - 2.0 / base.k))
+        return mollify_two_pulse(base, float(rng.uniform(0.05, 0.95)) * limit), T
+    eps = float(rng.uniform(0.02, 1.0))
+    t0 = eps if family == "window_at_0" else eps + float(rng.uniform(0.01, 3.0))
+    T = t0 + eps if family == "window_at_T" else t0 + eps + float(rng.uniform(0.01, 3.0))
+    return MollifierComplex(alpha=float(rng.uniform(-1, 2)), beta=float(rng.uniform(0.5, 20)),
+                            v1=rng.standard_normal(n), v2=rng.standard_normal(n),
+                            t0=t0, eps=eps, T=T), T
+
+
+class TestQuietSpans:
+    """Inside a quiet span every sample of the integrator is exactly 0, so
+    skipping the span leaves the energy unchanged bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           ports=st.sampled_from(("identity", "e1", "orthogonal")),
+           family=st.sampled_from(("window", "window_at_0", "window_at_T", "two_pulse")),
+           steps=st.one_of(st.integers(2, 400),
+                           st.integers(linsys._CHUNK_STEPS - 16, linsys._CHUNK_STEPS + 16)))
+    def test_quiet_samples_are_zero_and_energy_is_unchanged(self, seed, n, ports,
+                                                            family, steps):
+        rng = np.random.default_rng(seed)
+        u, T = _quiet_signal(rng, family, n)
+        spans = u.quiet_spans()
+        assert spans
+        edges, counts = linsys._segment_grid(T, u.breakpoints(), steps)
+        for lo, hi, m in zip(edges[:-1], edges[1:], counts):
+            if not any(a <= lo and hi <= b for a, b in spans):
+                # the span ends are knots: a live segment meets no span
+                assert all(hi <= a or b <= lo for a, b in spans)
+                continue
+            h = (hi - lo) / m
+            grid = lo + h * np.arange(m + 1)
+            grid[-1] = hi
+            assert np.all(eval_signal(u, np.concatenate((grid, grid[:-1] + 0.5 * h))) == 0.0)
+        for a, b in spans:
+            ends = [a, b] + ([np.nextafter(a, b), np.nextafter(b, a)] if a < b else [])
+            assert np.all(eval_signal(u, np.array(ends)) == 0.0)
+        sys = linsys.make_system(rng.uniform(-2, 2, (n, n)), _random_projection(rng, ports, n))
+        assert linsys.forced_energy(sys, u, T, steps) == _full_horizon_energy(sys, u, T, steps)
+
+    def test_overflowing_growth_declares_no_quiet_span(self):
+        # e^(alpha t) overflows before T, and 0 * inf is NaN outside the window
+        u = MollifierComplex(alpha=1.0, beta=1.0, v1=[1.0], v2=[0.0], t0=1.0,
+                             eps=0.5, T=720.0)
+        assert u.quiet_spans() == ()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(eval_signal(u, 720.0)).all()
+
+
+def _sample_count(monkeypatch, run):
+    """Input samples taken by ``run()``, counted at ``signals.eval_signal``."""
+    sizes = []
+    evaluate = signals.eval_signal
+
+    def counting(sig, t):
+        sizes.append(np.size(t))
+        return evaluate(sig, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(signals, "eval_signal", counting)
+        run()
+    return sum(sizes)
+
+
+class TestQuietSpanSamples:
+    """forced_energy samples only the segments outside the quiet spans;
+    solve_forced samples every chunk of m steps 2m + 1 times."""
+
+    # signal, steps, samples of forced_energy, samples of solve_forced
+    CASES = {
+        # segments of 250, 167 and 583 steps; the window's 167 are sampled
+        "window": (MollifierComplex(alpha=0.3, beta=2.0, v1=[1.0, 0.0], v2=[0.0, 1.0],
+                                    t0=1.0, eps=0.25, T=3.0), 1000, 335, 2003),
+        # seven segments of 1350 steps; the 450 between the pulses are not sampled
+        "two_pulse": (mollify_two_pulse(TwoPulse(a=1.0, b=-0.5, k=1.0, T=4.0,
+                                                 direction=[1.0, 0.0]), 0.1),
+                      1000, 1806, 2707),
+        # six segments of 2048 steps; the 18900 between the pulses are
+        # carried across in five chunks
+        "long_gap": (mollify_two_pulse(TwoPulse(a=1.0, b=-0.5, k=1.0, T=40.0,
+                                                direction=[1.0, 0.0]), 0.1),
+                     20000, 24582, 62387),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_sample_count(self, monkeypatch, name):
+        u, steps, energy_samples, state_samples = self.CASES[name]
+        sys = linsys.make_system([[-1.0, 2.0], [0.5, -0.3]], np.eye(2))
+        edges, counts = linsys._segment_grid(u.T, u.breakpoints(), steps)
+        live = [m for lo, hi, m in zip(edges[:-1], edges[1:], counts)
+                if not any(a <= lo and hi <= b for a, b in u.quiet_spans())]
+        chunks = [min(linsys._CHUNK_STEPS, m - first)
+                  for m in counts for first in range(0, m, linsys._CHUNK_STEPS)]
+        assert energy_samples == sum(2 * m + 1 for m in live)
+        assert state_samples == sum(2 * m + 1 for m in chunks)
+        assert _sample_count(
+            monkeypatch, lambda: linsys.forced_energy(sys, u, u.T, steps)) == energy_samples
+        assert _sample_count(
+            monkeypatch, lambda: linsys.solve_forced(sys, u, u.T, steps)) == state_samples
+        W = linsys.forced_energy(sys, u, u.T, steps)
+        assert W == _full_horizon_energy(sys, u, u.T, steps)
 
 
 class TestMatrixIO:
