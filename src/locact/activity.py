@@ -98,7 +98,9 @@ class GenericTwoPulseWitness:
 
 def default_quad_steps(T: float, cfg: Optional[WitnessSearchConfig] = None) -> int:
     per_unit = cfg.quad_steps_per_unit_time if cfg is not None else 256
-    return min(MAX_QUAD_STEPS, max(800, int(math.ceil(T * per_unit))))
+    if T * per_unit >= MAX_QUAD_STEPS:  # also where the product overflows
+        return MAX_QUAD_STEPS
+    return max(800, int(math.ceil(T * per_unit)))
 
 
 def _resolved_steps(sig, T: float, cfg) -> int:
@@ -546,9 +548,9 @@ def classify_activity(sys: linsys.LinearPortSystem,
         notes.append(f"max sym eigenvalue {m:.6g} > 0")
         horizon = 1.0 / float(np.linalg.norm(sys.A, 2))
         # T = 1 first; where |W| at T = 1 drowns in the error floor of a tiny
-        # A, T = 1/||A|| gives the W of the rescaled system (up to 1e302,
-        # beyond which the step grid's steps * T overflows)
-        retry = (horizon,) if 1.0 < horizon <= 1e302 else ()
+        # A, T = 1/||A|| gives the W of the rescaled system, wherever it is
+        # finite
+        retry = (horizon,) if 1.0 < horizon < math.inf else ()
         for T in (min(1.0, horizon),) + retry:
             rec = _verified_record(
                 sys, signals.MollifierTrajectory(v=w, Av=sys.A @ w, T=T), T, cfg)

@@ -181,7 +181,7 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
         mus = np.linspace(lo, hi, count)
         rows = [None] * count
         # continuation: each Newton solve starts from the previous root
-        points, rfs = [], []
+        points = []
         x_guess = None
         for i, m in enumerate(mus):
             try:
@@ -190,13 +190,20 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                     nonlinear.fhn_equilibrium_guesses(m, beta, gamma, xi)[0]
                 eq = nonlinear.find_equilibrium(sysm, guess)
                 x_guess = eq.x_star
-                rfs.append(complexity.fhn_rational(float(eq.x_star[0]), beta, xi))
                 points.append((i, eq))
             except LocactError as exc:
                 rows[i] = (float(m), "error", str(exc), "", "")
-        # the converged points, classified as one stack
+        # the rationals of the converged points, built and classified as stacks
+        built, rfs = [], []
+        x_d = np.array([eq.x_star[0] for _, eq in points])
+        for (i, eq), rf in zip(points, complexity.fhn_rational(x_d, beta, xi)):
+            if isinstance(rf, LocactError):
+                rows[i] = (float(mus[i]), "error", str(rf), "", "")
+            else:
+                built.append((i, eq))
+                rfs.append(rf)
         abscissas = []
-        for (i, eq), edge in zip(points, complexity.edge_of_chaos_classify(rfs, tols)):
+        for (i, eq), edge in zip(built, complexity.edge_of_chaos_classify(rfs, tols)):
             m = float(mus[i])
             if isinstance(edge, LocactError):
                 rows[i] = (m, "error", str(edge), "", "")

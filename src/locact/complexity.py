@@ -17,10 +17,17 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import EquilibriumNotFound, LocactError, NotASimplePole
+from .errors import (
+    ConvergenceFailure,
+    EquilibriumNotFound,
+    LocactError,
+    NonFiniteEntry,
+    NotASimplePole,
+)
 
 COEFF_TOL = 1e-12
 CLUSTER_TOL = 1e-7
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -71,17 +78,102 @@ class EdgeClassification:
     evidence: dict = field(default_factory=dict)
 
 
-def _trim(coeffs, coeff_tol):
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if c.size == 0:
-        return np.array([0.0])
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return np.array([0.0])
-    keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= coeff_tol * scale:
-        keep -= 1
-    return c[:keep].copy()
+def _coefficient_rows(polys):
+    """Ascending coefficient sequences as the rows of one array, zero-padded
+    at the high-degree end.  Padding moves no bit: a polynomial's roots and
+    products ignore trailing zeros, and a padded Horner step keeps
+    :func:`_re_and_step` at its exact zero start for finite omega."""
+    rows = np.zeros((len(polys), max([1] + [len(p) for p in polys])))
+    for row, p in zip(rows, polys):
+        row[:len(p)] = p
+    return rows
+
+
+def _companion_roots(q):
+    """Eigenvalues of the companion matrices of the rows of ``q``, the
+    finite ratios ``c[:-1] / c[-1]`` of polynomials of one degree, each row
+    sorted as ``npoly.polyroots`` sorts it.  If the stacked ``eigvals``
+    fails, the rows are taken one by one, so that only a row that fails
+    alone fails."""
+    k, d = q.shape
+    mat = np.zeros((k, d, d))
+    mat.reshape(k, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
+    mat[:, :, -1] -= q
+    try:
+        w = np.linalg.eigvals(mat)
+    except np.linalg.LinAlgError as exc:
+        if k == 1:
+            return [ConvergenceFailure(f"companion matrix eigenvalues: {exc}")]
+        return [r for row in q for r in _companion_roots(row[None])]
+    # the stack comes back real only when every row is; a row alone is real
+    # when its own roots are
+    real = ~w.imag.any(axis=1)
+    if real.all() or not real.any():  # one dtype for the whole group
+        w = w.real if real.all() else w
+        w.sort(axis=1)
+        return list(w)
+    out = [None] * k
+    for rows, roots in ((np.flatnonzero(real), np.sort(w[real].real, axis=1)),
+                        (np.flatnonzero(~real), np.sort(w[~real], axis=1))):
+        for i, r in zip(rows.tolist(), roots):
+            out[i] = r
+    return out
+
+
+def _roots(c, length=None):
+    """The roots of each row of ``c`` (ascending coefficients, zero-padded),
+    each bit for bit ``npoly.polyroots`` of that row alone, in its order and
+    dtype.
+
+    The rows are grouped by their length less trailing zeros, or by
+    ``length`` when the caller gives it (a row's entries past its length are
+    then ignored).  A row of length 2 gives ``-c0/c1``; the
+    companion matrices of a longer group form one ``(k, d, d)`` array with
+    one ``np.linalg.eigvals`` call.  Returns a list with one entry per row:
+    its roots, or the ``LocactError`` for a non-finite companion matrix or
+    no convergence, so that one row's failure does not fail the others.
+    """
+    if length is None:
+        length = _lengths(c != 0.0)
+    groups = {}
+    for i, n in enumerate(length.tolist()):
+        groups.setdefault(n, []).append(i)
+    out = [None] * len(c)
+    with np.errstate(all="ignore"):
+        for n, rows in groups.items():
+            block = c[rows]
+            if n < 2:
+                found = [np.empty(0) for _ in rows]
+            elif n == 2:
+                found = list((-block[:, 0] / block[:, 1])[:, None])
+            else:
+                q = block[:, :n - 1] / block[:, n - 1:n]
+                finite = np.isfinite(q).all(axis=1)
+                found = [None if ok else NonFiniteEntry(
+                    f"polynomial {p[:n].tolist()} has a non-finite companion matrix")
+                    for p, ok in zip(block, finite.tolist())]
+                for j, r in zip(np.flatnonzero(finite), _companion_roots(q[finite])):
+                    found[j] = r
+            for i, r in zip(rows, found):
+                out[i] = r
+    return out
+
+
+def _stacked(results, single):
+    """The list of a stacked call's results, or the one result of the stack
+    of one, whose error is raised."""
+    if not single:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def _lengths(keep):
+    """Per row, one past the last True of ``keep`` (a scratch array: its
+    first column is set), and at least 1."""
+    keep[:, 0] = True
+    return keep.shape[1] - keep[:, ::-1].argmax(axis=1)
 
 
 def _real_poly_from_roots(roots, lead):
@@ -91,21 +183,9 @@ def _real_poly_from_roots(roots, lead):
     return np.real(c) * float(lead)
 
 
-def make_rational(num, den, coeff_tol: float = COEFF_TOL,
-                  cluster_tol: float = CLUSTER_TOL) -> RationalFunction:
-    """Construct a reduced rational function from ascending coefficients.
-
-    Common numerator/denominator roots within ``cluster_tol`` of each other
-    are cancelled pairwise and recorded in ``cancelled``.
-    """
-    num = _trim(num, coeff_tol)
-    den = _trim(den, coeff_tol)
-    if den.size == 1 and den[0] == 0.0:
-        raise ValueError("denominator is identically zero")
-    if num.size == 1 and num[0] == 0.0:
-        return RationalFunction(num=(0.0,), den=tuple(den.tolist()))
-    nroots = list(npoly.polyroots(num)) if num.size > 1 else []
-    droots = list(npoly.polyroots(den)) if den.size > 1 else []
+def _reduced(num, den, nroots, droots, cluster_tol):
+    """``num / den`` (lists) less the common root pairs within
+    ``cluster_tol``."""
     cancelled = []
     kept_d = []
     for dr in droots:
@@ -120,31 +200,90 @@ def make_rational(num, den, coeff_tol: float = COEFF_TOL,
             cancelled.append(complex(dr))
             del nroots[hit]
     if cancelled:
-        num = _real_poly_from_roots(nroots, num[-1])
-        den = _real_poly_from_roots(kept_d, den[-1])
-    return RationalFunction(num=tuple(num.tolist()), den=tuple(den.tolist()),
-                            cancelled=tuple(cancelled))
+        num = _real_poly_from_roots(nroots, num[-1]).tolist()
+        den = _real_poly_from_roots(kept_d, den[-1]).tolist()
+    return RationalFunction(num=tuple(num), den=tuple(den), cancelled=tuple(cancelled))
 
 
-def poles(rf: RationalFunction, cluster_tol: float = CLUSTER_TOL,
-          on_axis_tol: float = 1e-7) -> PoleSet:
-    """Denominator roots (companion-matrix eigenvalues) clustered into
-    multiplicities at pairwise distance ``cluster_tol``."""
-    den = np.asarray(rf.den, dtype=float)
-    if den.size <= 1:
-        return PoleSet(poles=(), on_axis_tol=on_axis_tol)
-    roots = np.sort_complex(npoly.polyroots(den))
-    clusters = []  # list of [sum, count]
-    for r in roots:
-        for c in clusters:
-            if abs(r - c[0] / c[1]) <= cluster_tol * max(1.0, abs(r)):
-                c[0] += r
-                c[1] += 1
-                break
+def make_rational(num, den, coeff_tol: float = COEFF_TOL,
+                  cluster_tol: float = CLUSTER_TOL):
+    """Construct a reduced rational function from ascending coefficients.
+
+    Trailing coefficients within ``coeff_tol`` of the largest are dropped,
+    and common numerator/denominator roots within ``cluster_tol`` of each
+    other are cancelled pairwise and recorded in ``cancelled``.  A
+    non-finite coefficient raises ``NonFiniteEntry``, an identically zero
+    denominator ``ValueError``.
+
+    ``num`` and ``den`` are one coefficient sequence each, which gives a
+    :class:`RationalFunction`, or rows of them (2-D arrays, or sequences of
+    sequences), which gives a list with one entry per row: the function, or
+    the error that row raises alone.  The roots of every row come from one
+    :func:`_roots` call, so each row is bit for bit the row alone.
+    """
+    single = np.ndim(num) < 2 if isinstance(num, np.ndarray) else \
+        not (len(num) and np.ndim(num[0]))
+    if single:
+        num, den = [np.ravel(num)], [np.ravel(den)]
+    k = len(num)
+    c = _coefficient_rows([*num, *den])  # the numerators, then the denominators
+    a = np.abs(c)
+    scale = a.max(axis=1, keepdims=True)  # not finite where the row is not
+    finite = np.isfinite(scale[:, 0])
+    errors = {} if finite.all() else {
+        i: NonFiniteEntry(f"coefficients must be finite, got num={c[i].tolist()}, "
+                          f"den={c[k + i].tolist()}")
+        for i in np.flatnonzero(~(finite[:k] & finite[k:])).tolist()}
+    length = _lengths(~(a <= coeff_tol * scale))
+    roots = _roots(c, length)
+    rows, length = c.tolist(), length.tolist()
+    out = []
+    for i in range(k):
+        n, d = rows[i][:length[i]], rows[k + i][:length[k + i]]
+        if i in errors:
+            out.append(errors[i])
+        elif d == [0.0]:
+            out.append(ValueError("denominator is identically zero"))
+        elif n == [0.0]:
+            out.append(RationalFunction(num=(0.0,), den=tuple(d)))
+        elif len(n) == 1 or len(d) == 1:  # no common root
+            out.append(RationalFunction(num=tuple(n), den=tuple(d)))
         else:
-            clusters.append([r, 1])
-    out = tuple((complex(s / m), int(m)) for s, m in clusters)
-    return PoleSet(poles=out, on_axis_tol=on_axis_tol)
+            failed = [r for r in (roots[i], roots[k + i]) if isinstance(r, LocactError)]
+            out.append(failed[0] if failed else _reduced(
+                n, d, roots[i].tolist(), roots[k + i].tolist(), cluster_tol))
+    return _stacked(out, single)
+
+
+def poles(rf, cluster_tol: float = CLUSTER_TOL, on_axis_tol: float = 1e-7):
+    """Denominator roots (companion-matrix eigenvalues) clustered into
+    multiplicities at pairwise distance ``cluster_tol``.
+
+    ``rf`` is one :class:`RationalFunction`, which gives its
+    :class:`PoleSet`, or a sequence of them, which gives a list with one
+    entry per row: the pole set, or the ``LocactError`` of its root
+    finding.  The denominators of all rows are rooted by one :func:`_roots`
+    call, each row bit for bit the row alone.
+    """
+    single = isinstance(rf, RationalFunction)
+    rfs = [rf] if single else list(rf)
+    out = []
+    for roots in _roots(_coefficient_rows([r.den for r in rfs])):
+        if isinstance(roots, LocactError):
+            out.append(roots)
+            continue
+        clusters = []  # list of [sum, count]
+        for r in np.sort_complex(roots):
+            for c in clusters:
+                if abs(r - c[0] / c[1]) <= cluster_tol * max(1.0, abs(r)):
+                    c[0] += r
+                    c[1] += 1
+                    break
+            else:
+                clusters.append([r, 1])
+        out.append(PoleSet(poles=tuple((complex(s / m), int(m)) for s, m in clusters),
+                           on_axis_tol=on_axis_tol))
+    return _stacked(out, single)
 
 
 def residue_at_simple_pole(rf: RationalFunction, p: complex,
@@ -161,16 +300,9 @@ def residue_at_simple_pole(rf: RationalFunction, p: complex,
     if match[1] != 1:
         raise NotASimplePole(f"pole at {match[0]} has multiplicity {match[1]}")
     num = np.asarray(rf.num, dtype=float)
-    dden = npoly.polyder(np.asarray(rf.den, dtype=float))
+    den = np.asarray(rf.den, dtype=float)
+    dden = np.arange(1, den.size) * den[1:]
     return complex(npoly.polyval(p, num) / npoly.polyval(p, dden))
-
-
-def _real_part_on_axis_poly(num, den):
-    """E(w) = Re(num(i w) conj(den(i w))) as ascending coefficients, so that
-    Re Y(i w) = E(w) / |den(i w)|^2, and ``num = den`` gives |den(i w)|^2."""
-    cn = np.asarray(num, dtype=complex) * 1j ** np.arange(len(num))
-    cd = np.conj(np.asarray(den, dtype=complex) * 1j ** np.arange(len(den)))
-    return np.real(npoly.polymul(cn, cd))
 
 
 def _axis_exclusions(ps: PoleSet, on_axis_tol):
@@ -180,16 +312,6 @@ def _axis_exclusions(ps: PoleSet, on_axis_tol):
             radius = max(1e-8, 1e-6 * (1.0 + abs(loc.imag)))
             wins.append((abs(loc.imag), radius))
     return wins
-
-
-def _coefficient_rows(polys):
-    """Ascending coefficient tuples as the rows of one array, zero-padded at
-    the high-degree end; a padded Horner step keeps :func:`_re_and_step` at
-    its exact zero start for finite omega, so padding moves no bit."""
-    rows = np.zeros((len(polys), max(len(p) for p in polys)))
-    for row, p in zip(rows, polys):
-        row[:len(p)] = p
-    return rows
 
 
 def _re_and_step(num, den, w):
@@ -217,56 +339,123 @@ def _re_and_step(num, den, w):
         return y0.real, y1.imag / y2.real  # (-Im Y') / (-Re Y'')
 
 
-def _axis_polys(num, den):
-    """e and f with ``Re Y(i w) = e(w^2) / f(w^2)``, less any leading
-    coefficient within the rounding of the products it sums, so that their
-    degrees and leading coefficients give the exact limit at infinity."""
-    out = []
-    for a, b in ((num, den), (den, den)):
-        c = _real_part_on_axis_poly(a, b)[0::2]
-        noise = (len(a) + len(b)) * np.finfo(float).eps * \
-            np.convolve(np.abs(a), np.abs(b))[0::2]
-        keep = c.size
-        while keep > 1 and abs(c[keep - 1]) <= noise[keep - 1]:
-            keep -= 1
-        out.append(c[:keep])
-    return out
+def _convolve_rows(a, b, sign=1.0):
+    """Products of the polynomials in the rows of ``a`` and ``b``, each term
+    ``a_j b_l`` times ``sign[j, l]``, each coefficient summed in ascending
+    order of j.  The zero padding of a row adds only exact zeros, so a
+    row's product does not depend on the stack around it."""
+    j, l = np.arange(a.shape[1])[:, None], np.arange(b.shape[1])
+    terms = np.zeros((len(a), a.shape[1], a.shape[1] + b.shape[1] - 1))
+    terms[:, j, j + l] = a[:, :, None] * b[:, None, :] * sign
+    return terms.sum(axis=1)  # row by row over j
 
 
-def _positive_real_roots(coeffs):
-    """Real parts of the roots with positive real part, counting a root as
-    real when its imaginary part is below 1e-6 of its modulus."""
-    c = np.asarray(coeffs, dtype=float)
-    with np.errstate(all="ignore"):
-        while c.size > 1 and not np.isfinite(c / c[-1]).all():
-            c = c[:-1]  # a zero or tiny lead: its roots lie past the float range
-    r = npoly.polyroots(c) if c.size > 1 else np.array([])
-    return np.sort(r.real[(r.real > 0.0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))])
+def _axis_polys(num, den, size):
+    """e and f of each row, with ``Re Y(i w) = e(w^2) / f(w^2)``, stacked as
+    the rows of one array (e, then f), and their lengths.
 
-
-def _axis_candidates(rf, windows):
-    """The candidate omegas of one row and the limit of Re Y(i w) at infinity.
-
-    With ``x = w^2``, ``Re Y(i w) = e(x) / f(x)``.  The candidates are 0, the
-    roots of e with the midpoints between them and a point past the last
-    (together they sample every sign interval of e), the stationary points
-    (the roots of ``e' f - e f'``) and the window edges, less any omega
-    inside a window.
+    ``num`` and ``den`` hold the rows' coefficients, and ``size`` the
+    ``len(a) + len(b)`` of each product: ``len(num) + len(den)`` for e, then
+    ``2 len(den)`` for f.  e and f are the even coefficients of
+    ``Re(num(i w) conj(den(i w)))`` and of ``|den(i w)|^2``.  Each drops a
+    leading coefficient within the rounding of the products it sums
+    (``(len(a) + len(b)) eps sum |a_j||b_l|``), so that their lengths and
+    leading coefficients give the exact limit at infinity; entries past a
+    row's length are zero.  The terms are signed by ``Re(i^j conj(i^l)) =
+    cos(pi (j - l) / 2)``.
     """
-    e, f = _axis_polys(rf.num, rf.den)
-    w_e = np.sqrt(_positive_real_roots(e))
-    w_s = np.sqrt(_positive_real_roots(
-        npoly.polysub(npoly.polymul(npoly.polyder(e), f), npoly.polymul(e, npoly.polyder(f)))))
-    edges = [x for c, r in windows for x in (c - 1.5 * r, c + 1.5 * r)]
-    w = np.concatenate([[0.0], w_e, (w_e[:-1] + w_e[1:]) / 2.0, 2.0 * w_e[-1:], w_s, edges])
+    k = len(num)
+    a = np.zeros((2 * k, max(num.shape[1], den.shape[1])))
+    a[:k, :num.shape[1]] = num
+    a[k:, :den.shape[1]] = den
+    b = np.concatenate([den, den])
+    sign = np.array([1.0, 0.0, -1.0, 0.0])[
+        (np.arange(a.shape[1])[:, None] - np.arange(b.shape[1])) % 4]
+    c = _convolve_rows(a, b, sign)[:, 0::2]
+    noise = (size * _EPS)[:, None] * _convolve_rows(np.abs(a), np.abs(b))[:, 0::2]
+    length = _lengths(~(np.abs(c) <= noise))
+    c[np.arange(c.shape[1]) >= length[:, None]] = 0.0
+    return c, length
+
+
+def _positive_real_roots(c):
+    """The roots with positive real part of each row of ``c``, counting a
+    root as real when its imaginary part is below 1e-6 of its modulus, as
+    flat arrays ``(row, x)`` sorted by row and then by the real part ``x``,
+    and a dict of the rows whose root finding failed.
+
+    A row first drops leading coefficients while its ratios to the lead are
+    not all finite: the roots of a zero or tiny lead lie past the float
+    range.  The ratios to ``c[n - 1]`` are all finite exactly when the
+    largest ``|c[:n]|`` over ``|c[n - 1]|`` is.
+    """
+    a = np.abs(c)
+    with np.errstate(all="ignore"):
+        length = _lengths(np.isfinite(np.maximum.accumulate(a, axis=1) / a))
+    found = _roots(c, length)
+    failed = {i: r for i, r in enumerate(found) if isinstance(r, LocactError)}
+    found = [np.empty(0) if i in failed else r for i, r in enumerate(found)]
+    row = np.repeat(np.arange(len(c)), [r.size for r in found])
+    r = np.concatenate(found + [np.empty(0, dtype=complex)])
+    keep = (r.real > 0.0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))
+    row, x = row[keep], r.real[keep]
+    order = np.lexsort((x, row))
+    return row[order], x[order], failed
+
+
+def _axis_candidates(rfs, windows, num, den):
+    """The candidate omegas of each row and the limit of Re Y(i w) at
+    infinity, for a stack of rationals, their axis windows and their
+    coefficient rows ``num`` and ``den``.
+
+    With ``x = w^2``, ``Re Y(i w) = e(x) / f(x)``.  The candidates of a row
+    are 0, the roots of e with the midpoints between them and a point past
+    the last (together they sample every sign interval of e), the stationary
+    points (the roots of ``e' f - e f'``) and the window edges, in that
+    order, less any omega inside a window.  The polynomials of all rows are
+    stacked arrays, and e and the stationary polynomial of every row are
+    rooted by one :func:`_roots` call.
+
+    Returns the flat arrays ``(row, w)``, which keep the candidates of each
+    row in that order, the limit of each row, and a dict of the rows whose
+    root finding failed (they keep only 0 and their window edges).
+    """
+    k = len(rfs)
+    d_size = np.array([len(r.den) for r in rfs])
+    size = np.concatenate([np.array([len(r.num) for r in rfs]) + d_size, 2 * d_size])
+    with np.errstate(all="ignore"):
+        ef, length = _axis_polys(num, den, size)
+        slope = np.zeros_like(ef)
+        slope[:, :-1] = np.arange(1, ef.shape[1]) * ef[:, 1:]
+        # e' f and e f', as one stack
+        products = _convolve_rows(np.concatenate([slope[:k], ef[:k]]),
+                                  np.concatenate([ef[k:], slope[k:]]))
+        lead = ef[np.arange(2 * k), length - 1]
+        e_len, f_len = length[:k], length[k:]
+        limit = np.where(e_len == f_len, lead[:k] / lead[k:],
+                         np.where(e_len > f_len, np.copysign(np.inf, lead[:k]), 0.0))
+    polys = np.zeros((2 * k, products.shape[1]))
+    polys[:k, :ef.shape[1]] = ef[:k]
+    polys[k:] = products[:k] - products[k:]
+    row, x, failed = _positive_real_roots(polys)
+    failed = {i % k: err for i, err in failed.items()}
+    w = np.sqrt(x)
+    of_e = row < k
+    row_e, w_e = row[of_e], w[of_e]
+    last = np.ones(row_e.size, dtype=bool)  # the last root of e in its row
+    last[:-1] = row_e[1:] != row_e[:-1]
+    inner = ~last[:-1]
+    edges = [(i, x) for i, wins in enumerate(windows) for c, r in wins
+             for x in (c - 1.5 * r, c + 1.5 * r)]
+    row = np.concatenate([np.arange(k), row_e, row_e[:-1][inner], row_e[last],
+                          row[~of_e] - k, np.array([i for i, _ in edges], dtype=int)])
+    w = np.concatenate([np.zeros(k), w_e, (w_e[:-1] + w_e[1:])[inner] / 2.0,
+                        2.0 * w_e[last], w[~of_e], np.array([x for _, x in edges])])
     keep = np.isfinite(w) & (w >= 0.0)
-    for c, r in windows:
-        keep &= np.abs(w - c) > r
-    if e.size == f.size:
-        limit = e[-1] / f[-1]
-    else:
-        limit = math.copysign(math.inf, e[-1]) if e.size > f.size else 0.0
-    return w[keep], limit
+    for i, wins in enumerate(windows):
+        for c, r in wins:
+            keep &= (row != i) | (np.abs(w - c) > r)
+    return row[keep], w[keep], limit, failed
 
 
 def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER_TOL,
@@ -284,11 +473,12 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     within ``on_axis_tol`` of the axis) are those of conditions (ii)-(iii).
 
     ``rf`` is one :class:`RationalFunction`, which gives ``(w*, v*)``, or a
-    sequence of them, which gives a list of such pairs: one stack, the scalar
-    call being the stack of one.  The candidates of all rows are polished in
-    one flat array through :func:`_re_and_step`, whose values are numpy's
-    complex evaluation element by element, so each row's result is bit for
-    bit that of the row alone, wherever it sits in the stack.  ``pole_sets``
+    sequence of them, which gives a list with one entry per row: the pair,
+    or the ``LocactError`` of the row's root finding.  The scalar call is
+    the stack of one.  The candidates of all rows are polished in one flat
+    array through :func:`_re_and_step`, whose values are numpy's complex
+    evaluation element by element, so each row's result is bit for bit
+    that of the row alone, wherever it sits in the stack.  ``pole_sets``
     (the poles of each row at ``cluster_tol``) spares a caller that has them
     a second root finding.
     """
@@ -297,13 +487,13 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     if not rfs:
         return []
     if pole_sets is None:
-        pole_sets = [poles(r, cluster_tol=cluster_tol) for r in rfs]
-    exclusions = [_axis_exclusions(ps, on_axis_tol) for ps in pole_sets]
-    found = [_axis_candidates(r, excl) for r, excl in zip(rfs, exclusions)]
-    row = np.repeat(np.arange(len(rfs)), [w.size for w, _ in found])
-    w = np.concatenate([w for w, _ in found])
-    num = _coefficient_rows([r.num for r in rfs])[row]
-    den = _coefficient_rows([r.den for r in rfs])[row]
+        pole_sets = poles(rfs, cluster_tol=cluster_tol)
+    exclusions = [() if isinstance(ps, LocactError) else _axis_exclusions(ps, on_axis_tol)
+                  for ps in pole_sets]
+    num = _coefficient_rows([r.num for r in rfs])
+    den = _coefficient_rows([r.den for r in rfs])
+    row, w, limits, failed = _axis_candidates(rfs, exclusions, num, den)
+    num, den = num[row], den[row]
     windows = [(i, c, r) for i, excl in enumerate(exclusions) for c, r in excl]
     v, step = _re_and_step(num, den, w)
     with np.errstate(all="ignore"):
@@ -322,14 +512,16 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     # every row has a candidate: 0, or the upper edge of its highest window
     best = order[np.searchsorted(row[order], np.arange(len(rfs)))]
     pairs = [(math.inf, float(limit)) if limit < v[k] else (float(w[k]), float(v[k]))
-             for k, (_, limit) in zip(best, found)]
-    return pairs[0] if single else pairs
+             for k, limit in zip(best, limits)]
+    for i, ps in enumerate(pole_sets):
+        if isinstance(ps, LocactError) or i in failed:
+            pairs[i] = failed.get(i, ps)
+    return _stacked(pairs, single)
 
 
-def _pole_conditions(rf, tols):
-    """Conditions (i)-(iii) from the poles of ``rf``: the pole set, the three
+def _pole_conditions(rf, ps, tols):
+    """Conditions (i)-(iii) from the pole set ``ps`` of ``rf``: the three
     flags and their evidence."""
-    ps = poles(rf, cluster_tol=tols.cluster_tol, on_axis_tol=tols.on_axis_tol)
     evidence = {}
 
     right = [(loc, m) for loc, m in ps.poles if loc.real > tols.on_axis_tol]
@@ -353,7 +545,7 @@ def _pole_conditions(rf, tols):
             cond_iii = True
             evidence["iii"] = {"pole": loc, "residue": res}
             break
-    return ps, cond_i, cond_ii, cond_iii, evidence
+    return cond_i, cond_ii, cond_iii, evidence
 
 
 def edge_of_chaos_classify(rf, tols: Optional[ClassifierTolerances] = None):
@@ -361,26 +553,31 @@ def edge_of_chaos_classify(rf, tols: Optional[ClassifierTolerances] = None):
 
     ``rf`` is one :class:`RationalFunction`, which gives its
     :class:`EdgeClassification`, or a sequence of them, classified as one
-    stack with one :func:`min_real_on_axis` call.  A stack gives a list with
-    one entry per row: the classification, or the ``LocactError`` that row
-    raised, so one row's failure does not fail the others.  The stack of one
-    raises its row's error.
+    stack: one :func:`poles` and one :func:`min_real_on_axis` call.  A stack
+    gives a list with one entry per row: the classification, or the
+    ``LocactError`` that row raised, so one row's failure does not fail the
+    others.  The stack of one raises its row's error.
     """
     tols = tols or ClassifierTolerances()
     single = isinstance(rf, RationalFunction)
     rfs = [rf] if single else list(rf)
+    pole_sets = poles(rfs, cluster_tol=tols.cluster_tol, on_axis_tol=tols.on_axis_tol)
     results = []
-    for r in rfs:
+    for r, ps in zip(rfs, pole_sets):
         try:
-            results.append(_pole_conditions(r, tols))
+            results.append(ps if isinstance(ps, LocactError) else _pole_conditions(r, ps, tols))
         except LocactError as exc:
             results.append(exc)
     rows = [i for i, res in enumerate(results) if not isinstance(res, LocactError)]
     minima = min_real_on_axis([rfs[i] for i in rows], on_axis_tol=tols.on_axis_tol,
                               cluster_tol=tols.cluster_tol,
-                              pole_sets=[results[i][0] for i in rows])
-    for i, (w_star, v_star) in zip(rows, minima):
-        _, cond_i, cond_ii, cond_iii, evidence = results[i]
+                              pole_sets=[pole_sets[i] for i in rows])
+    for i, minimum in zip(rows, minima):
+        if isinstance(minimum, LocactError):
+            results[i] = minimum
+            continue
+        w_star, v_star = minimum
+        cond_i, cond_ii, cond_iii, evidence = results[i]
         cond_iv = v_star < -tols.axis_val_tol
         evidence["iv"] = {"omega": w_star, "re_Y": v_star}
         results[i] = EdgeClassification(
@@ -389,25 +586,29 @@ def edge_of_chaos_classify(rf, tols: Optional[ClassifierTolerances] = None):
             edge_of_chaos=cond_iv and not (cond_i or cond_ii or cond_iii),
             evidence=evidence,
         )
-    if not single:
-        return results
-    if isinstance(results[0], LocactError):
-        raise results[0]
-    return results[0]
+    return _stacked(results, single)
 
 
 # -- the FitzHugh-Nagumo instance ----------------------------------------------
 
 
-def fhn_rational(x_d: float, beta: float, xi: float) -> RationalFunction:
+def fhn_rational(x_d, beta: float, xi: float):
     """Complexity function of the linearized FitzHugh-Nagumo port system at an
     equilibrium with first coordinate ``x_d``:
 
     ``Y(s) = (s^2 + (xi beta + x_d^2 - 1) s + xi beta (x_d^2 - 1) + xi) / (s + xi beta)``
+
+    A scalar ``x_d`` gives one :class:`RationalFunction`; a 1-D array gives
+    the stack of :func:`make_rational`, one entry per point (the function,
+    or the ``NonFiniteEntry`` of a point whose coefficients overflow).
     """
-    d = x_d * x_d - 1.0
-    num = [xi * beta * d + xi, xi * beta + d, 1.0]
-    den = [xi * beta, 1.0]
+    x = np.asarray(x_d, dtype=float)
+    num, den = np.ones(x.shape + (3,)), np.ones(x.shape + (2,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x * x - 1.0
+        num[..., 0] = xi * beta * d + xi
+        num[..., 1] = xi * beta + d
+    den[..., 0] = xi * beta
     return make_rational(num, den)
 
 

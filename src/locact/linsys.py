@@ -328,9 +328,13 @@ def _segment_grid(T, knots, steps):
     """
     interior = sorted(k for k in knots if 1e-12 * max(1.0, T) < k < T * (1.0 - 1e-12))
     edges = [0.0] + interior + [T]
-    lengths = np.diff(edges)
+    # L and T scaled by one power of two: steps * L / T is unchanged wherever
+    # it was finite, and no longer overflows for T near the float range
+    scale = -math.frexp(T)[1]
+    lengths = np.ldexp(np.diff(edges), scale)
+    unit = math.ldexp(T, scale)
     floor = 2 if len(lengths) == 1 else max(2, min(2048, steps // 8))
-    counts = [max(floor, int(round(steps * L / T))) for L in lengths]
+    counts = [max(floor, int(round(steps * L / unit))) for L in lengths]
     return edges, counts
 
 

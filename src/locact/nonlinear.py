@@ -103,7 +103,8 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
     Armijo backtracking with halving (up to 30 halvings per step); a singular
     Jacobian switches to a pseudo-inverse step and is flagged in the report
     notes.  Raises ``NoConvergence`` (carrying the best iterate) when the
-    residual never reaches ``newton_tol``.
+    residual never reaches ``newton_tol``, and ``NonFiniteEvaluation`` when
+    the Jacobian at the returned point is not finite.
     """
     x = np.asarray(x_guess, dtype=float).ravel().copy()
     if x.size != sys.n:
@@ -144,6 +145,9 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
             f"Newton stalled at residual {best_res:.3e} (tol {newton_tol:.1e})",
             best_x=best_x, best_residual=best_res,
         )
+    if not np.isfinite(best_J).all():
+        raise NonFiniteEvaluation(
+            f"the Jacobian at the equilibrium {best_x.tolist()} is not finite")
     eigenvalues = np.linalg.eigvals(best_J)
     return EquilibriumReport(
         x_star=best_x, residual=best_res, jacobian_full=best_J,

@@ -644,11 +644,39 @@ class TestTrajectoryWitness:
             <= 10.0 * w.quadrature_error_estimate
         assert verdict.notes.endswith(f"witness: quadratic-form bump trajectory, T={w.T:.6g}")
 
+    @pytest.mark.parametrize("A", [np.array([[1e-303]]), np.array([[1e-307]]),
+                                   np.array([[2.2250738585072014e-308]])],
+                             ids=["1e-303", "1e-307", "smallest_normal"])
+    def test_horizon_near_the_float_range(self, A):
+        # T = 1/||A|| up to 4.5e307: these were Passive on the band note, or
+        # raised OverflowError in the step grid
+        verdict = classify_activity(linsys.make_system(A, np.eye(1)))
+        assert verdict.status == ACTIVE
+        w = verdict.witness
+        assert w.T == 1.0 / np.linalg.norm(A, 2)
+        assert w.W == pytest.approx(-0.0665430604210446, rel=1e-12)
+        assert w.W < -w.quadrature_error_estimate
+
+    def test_subnormal_system_stays_band_passive(self):
+        # 1/||A|| overflows: no horizon is left to retry at
+        verdict = classify_activity(linsys.make_system(np.array([[1e-310]]), np.eye(1)))
+        assert verdict.status == PASSIVE and verdict.witness is None
+        assert verdict.notes.endswith("it exceeds the rounding bound 0, but no witness verified")
+
+    def test_quad_steps_cap_before_the_product_overflows(self):
+        assert activity.default_quad_steps(1e307) == activity.MAX_QUAD_STEPS
+        assert activity.default_quad_steps(1.7976931348623157e308) == activity.MAX_QUAD_STEPS
+        assert activity.default_quad_steps(781.25) == 200_000
+        assert activity.default_quad_steps(781.24) == 199_998
+        assert activity.default_quad_steps(1e-300) == 800
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
-           log_c=st.floats(-290.0, -3.0))
+           log_c=st.floats(-305.0, -3.0))
     def test_status_invariant_under_tiny_time_rescaling(self, seed, n, log_c):
-        # each active example integrates 6e5 steps at T = 1/||cA||, so few
+        # each active example integrates 6e5 steps at T = 1/||cA||, so few;
+        # the horizon 1/||cA|| stays finite while ||cA|| >= 5.6e-309, which
+        # c >= 1e-305 keeps unless ||A|| < 5.6e-4
         A = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, n))
         expected = ACTIVE if linsys.max_sym_eigenvalue(A) > 0.0 else PASSIVE
         M = 10.0 ** log_c * A

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from locact import activity, cli, complexity, genericity, linsys, nonlinear
 from locact.errors import LocactError, NoConvergence, NotASimplePole, StageError
 from locact.serialize import dumps_canonical, format_csv_row
-from test_complexity import _use_numpy_evaluator, _use_per_rational_scan
+from test_complexity import (
+    _fhn_rational_oracle,
+    _use_numpy_evaluator,
+    _use_per_rational_scan,
+    _use_per_row_oracles,
+)
 
 
 def write_matrix(path, M, fmt="json"):
@@ -45,8 +50,9 @@ def run_cli(capsys, *argv):
 
 def _cmd_fhn_oracle(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                     sweep_csv=None):
-    """``cli.cmd_fhn`` with a per-point sweep loop: Newton, spectrum and
-    classification point by point."""
+    """``cli.cmd_fhn`` with a per-point sweep loop: Newton, spectrum, the
+    rational and its classification point by point, the rational from the
+    per-row oracle of ``fhn_rational``."""
     for name, value in (("mu", mu), ("beta", beta), ("gamma", gamma), ("xi", xi)):
         if not np.isfinite(value):
             raise cli.InputError(f"--{name} must be finite, got {value}")
@@ -72,7 +78,7 @@ def _cmd_fhn_oracle(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                 eq = nonlinear.find_equilibrium(sysm, guess)
                 x_guess = eq.x_star
                 max_re = float(np.linalg.eigvals(eq.jacobian_full).real.max())
-                rf = complexity.fhn_rational(float(eq.x_star[0]), beta, xi)
+                rf = _fhn_rational_oracle(float(eq.x_star[0]), beta, xi)
                 edge = complexity.edge_of_chaos_classify(rf, tols)
                 rows.append((float(m), float(eq.x_star[0]), float(eq.x_star[1]),
                              max_re, edge.edge_of_chaos))
@@ -109,11 +115,14 @@ def _cmd_fhn_oracle(mu, beta, gamma, xi, overrides, output=None, sweep=None,
 def _fhn_bytes(capsys, monkeypatch, argv, csv_path, oracle):
     """Exit code, stdout and sweep CSV bytes of one ``fhn`` run, through the
     shipped command or through the per-point loop with the per-rational
-    axis scan."""
+    axis scan and the per-row oracles of the rational, its poles and its
+    axis candidates (numpy's polynomial utilities, one row at a time)."""
     with monkeypatch.context() as patch:
         if oracle:
             patch.setattr(cli, "cmd_fhn", _cmd_fhn_oracle)
+            patch.setattr(complexity, "fhn_rational", _fhn_rational_oracle)
             _use_per_rational_scan(patch)
+            _use_per_row_oracles(patch)
         code, out = run_cli(capsys, *argv)
     csv = csv_path.read_bytes() if csv_path.exists() else None
     if csv is not None:
@@ -344,29 +353,23 @@ class TestFhn:
         # rows; the other rows are unaffected, and the Hopf bracket skips the
         # failed point
         mus = np.linspace(0.0, 0.1, 21)
-        find_equilibrium, fhn_rational = nonlinear.find_equilibrium, complexity.fhn_rational
-        poles = complexity.poles
-        # the poisoned rationals are kept alive, so no later rational reuses an id
-        poisoned_x, poisoned_rf = set(), []
+        find_equilibrium = nonlinear.find_equilibrium
+        pole_conditions = complexity._pole_conditions
+        poisoned = set()  # the numerators of the rationals at mus[9]
 
         def failing_newton(sys, guess, **kwargs):
             if sys.params["mu"] == float(mus[3]):
                 raise NoConvergence("injected Newton failure")
             eq = find_equilibrium(sys, guess, **kwargs)
             if sys.params["mu"] == float(mus[9]):
-                poisoned_x.add(float(eq.x_star[0]))
+                poisoned.add(complexity.fhn_rational(
+                    float(eq.x_star[0]), sys.params["beta"], sys.params["xi"]).num)
             return eq
 
-        def marked_rational(x_d, beta, xi):
-            rf = fhn_rational(x_d, beta, xi)
-            if x_d in poisoned_x:
-                poisoned_rf.append(rf)
-            return rf
-
-        def failing_poles(rf, *args, **kwargs):
-            if any(rf is p for p in poisoned_rf):
+        def failing_conditions(rf, *args):
+            if rf.num in poisoned:
                 raise NotASimplePole("injected classification failure")
-            return poles(rf, *args, **kwargs)
+            return pole_conditions(rf, *args)
 
         hopf_locate = nonlinear.hopf_locate
         brackets = []
@@ -376,8 +379,7 @@ class TestFhn:
             return hopf_locate(builder, mu_lo, mu_hi, **kwargs)
 
         monkeypatch.setattr(nonlinear, "find_equilibrium", failing_newton)
-        monkeypatch.setattr(complexity, "fhn_rational", marked_rational)
-        monkeypatch.setattr(complexity, "poles", failing_poles)
+        monkeypatch.setattr(complexity, "_pole_conditions", failing_conditions)
         monkeypatch.setattr(nonlinear, "hopf_locate", recorded_hopf)
         csv_path = tmp_path / "sweep.csv"
         argv = ("fhn", "--mu", "0.03", "--sweep", "0:0.1:21", "--sweep-csv", str(csv_path))
@@ -389,6 +391,19 @@ class TestFhn:
         assert rows[10].endswith(",error,injected classification failure,,")
         assert sum(",error," in row for row in rows) == 2
         assert json.loads(stacked[1])["sweep"]["hopf"]["is_hopf"] is True
+
+    def test_overflowing_jacobian_gives_error_rows(self, capsys):
+        # exited 1 with numpy's LinAlgError from the spectrum of a Jacobian
+        # holding -xi beta = -1e309
+        code, out = run_cli(capsys, "fhn", "--beta", "1e308", "--xi", "10",
+                            "--sweep", "0:0.1:3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pipeline"]["stage"] == "find_equilibrium"
+        assert "is not finite" in report["pipeline"]["error"]
+        rows = report["sweep"]["rows"]
+        assert [row[1] for row in rows] == ["error"] * 3
+        assert all("Jacobian at the equilibrium" in row[2] for row in rows)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--mu", "--beta", "--gamma", "--xi"])

@@ -10,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from locact import complexity
 from locact.complexity import (
     ClassifierTolerances,
+    PoleSet,
     RationalFunction,
     classification_to_json,
     edge_of_chaos_classify,
@@ -20,7 +21,7 @@ from locact.complexity import (
     poles,
     residue_at_simple_pole,
 )
-from locact.errors import LocactError, NotASimplePole
+from locact.errors import ConvergenceFailure, LocactError, NonFiniteEntry, NotASimplePole
 from locact.serialize import dumps_canonical
 
 BETA, GAMMA, XI = 1.28, 0.12, 0.1
@@ -269,6 +270,140 @@ def _scalar_re_on_axis(num, den, w):
     return (nr * rat + ni) * (1.0 / (di + dr * rat))
 
 
+# -- the per-row arithmetic before the stacked arrays: byte oracles --------------
+
+
+def _trim_oracle(coeffs, coeff_tol):
+    c = np.asarray(coeffs, dtype=float).ravel()
+    if c.size == 0:
+        return np.array([0.0])
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0:
+        return np.array([0.0])
+    keep = c.size
+    while keep > 1 and abs(c[keep - 1]) <= coeff_tol * scale:
+        keep -= 1
+    return c[:keep].copy()
+
+
+def _make_rational_oracle(num, den, coeff_tol=complexity.COEFF_TOL,
+                          cluster_tol=complexity.CLUSTER_TOL):
+    """make_rational one rational at a time, roots by ``npoly.polyroots``."""
+    num = _trim_oracle(num, coeff_tol)
+    den = _trim_oracle(den, coeff_tol)
+    if den.size == 1 and den[0] == 0.0:
+        raise ValueError("denominator is identically zero")
+    if num.size == 1 and num[0] == 0.0:
+        return RationalFunction(num=(0.0,), den=tuple(den.tolist()))
+    nroots = list(npoly.polyroots(num)) if num.size > 1 else []
+    droots = list(npoly.polyroots(den)) if den.size > 1 else []
+    cancelled = []
+    kept_d = []
+    for dr in droots:
+        hit = None
+        for i, nr in enumerate(nroots):
+            if abs(nr - dr) <= cluster_tol * max(1.0, abs(dr)):
+                hit = i
+                break
+        if hit is None:
+            kept_d.append(dr)
+        else:
+            cancelled.append(complex(dr))
+            del nroots[hit]
+    if cancelled:
+        num = complexity._real_poly_from_roots(nroots, num[-1])
+        den = complexity._real_poly_from_roots(kept_d, den[-1])
+    return RationalFunction(num=tuple(num.tolist()), den=tuple(den.tolist()),
+                            cancelled=tuple(cancelled))
+
+
+def _fhn_rational_oracle(x_d, beta, xi):
+    d = x_d * x_d - 1.0
+    return _make_rational_oracle([xi * beta * d + xi, xi * beta + d, 1.0], [xi * beta, 1.0])
+
+
+def _poles_oracle(rf, cluster_tol=complexity.CLUSTER_TOL, on_axis_tol=1e-7):
+    den = np.asarray(rf.den, dtype=float)
+    if den.size <= 1:
+        return PoleSet(poles=(), on_axis_tol=on_axis_tol)
+    roots = np.sort_complex(npoly.polyroots(den))
+    clusters = []  # list of [sum, count]
+    for r in roots:
+        for c in clusters:
+            if abs(r - c[0] / c[1]) <= cluster_tol * max(1.0, abs(r)):
+                c[0] += r
+                c[1] += 1
+                break
+        else:
+            clusters.append([r, 1])
+    out = tuple((complex(s / m), int(m)) for s, m in clusters)
+    return PoleSet(poles=out, on_axis_tol=on_axis_tol)
+
+
+def _real_part_on_axis_poly_oracle(num, den):
+    cn = np.asarray(num, dtype=complex) * 1j ** np.arange(len(num))
+    cd = np.conj(np.asarray(den, dtype=complex) * 1j ** np.arange(len(den)))
+    return np.real(npoly.polymul(cn, cd))
+
+
+def _axis_polys_oracle(num, den):
+    out = []
+    for a, b in ((num, den), (den, den)):
+        c = _real_part_on_axis_poly_oracle(a, b)[0::2]
+        noise = (len(a) + len(b)) * np.finfo(float).eps * \
+            np.convolve(np.abs(a), np.abs(b))[0::2]
+        keep = c.size
+        while keep > 1 and abs(c[keep - 1]) <= noise[keep - 1]:
+            keep -= 1
+        out.append(c[:keep])
+    return out
+
+
+def _positive_real_roots_oracle(coeffs):
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(all="ignore"):
+        while c.size > 1 and not np.isfinite(c / c[-1]).all():
+            c = c[:-1]
+    r = npoly.polyroots(c) if c.size > 1 else np.array([])
+    return np.sort(r.real[(r.real > 0.0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))])
+
+
+def _axis_candidates_oracle(rf, windows):
+    """The candidates and limit of one row, with numpy's polynomial utilities."""
+    e, f = _axis_polys_oracle(rf.num, rf.den)
+    w_e = np.sqrt(_positive_real_roots_oracle(e))
+    w_s = np.sqrt(_positive_real_roots_oracle(
+        npoly.polysub(npoly.polymul(npoly.polyder(e), f), npoly.polymul(e, npoly.polyder(f)))))
+    edges = [x for c, r in windows for x in (c - 1.5 * r, c + 1.5 * r)]
+    w = np.concatenate([[0.0], w_e, (w_e[:-1] + w_e[1:]) / 2.0, 2.0 * w_e[-1:], w_s, edges])
+    keep = np.isfinite(w) & (w >= 0.0)
+    for c, r in windows:
+        keep &= np.abs(w - c) > r
+    if e.size == f.size:
+        limit = e[-1] / f[-1]
+    else:
+        limit = math.copysign(math.inf, e[-1]) if e.size > f.size else 0.0
+    return w[keep], limit
+
+
+def _use_per_row_oracles(monkeypatch):
+    """Root the poles and take the axis candidates of every rational one row
+    at a time with the oracles above, in the stacked functions' formats."""
+    def per_row_poles(rf, cluster_tol=complexity.CLUSTER_TOL, on_axis_tol=1e-7):
+        if isinstance(rf, RationalFunction):
+            return _poles_oracle(rf, cluster_tol, on_axis_tol)
+        return [_poles_oracle(r, cluster_tol, on_axis_tol) for r in rf]
+
+    def per_row_candidates(rfs, windows, *coefficient_rows):
+        found = [_axis_candidates_oracle(rf, wins) for rf, wins in zip(rfs, windows)]
+        row = np.repeat(np.arange(len(rfs)), [w.size for w, _ in found])
+        return row, np.concatenate([w for w, _ in found]), \
+            np.array([limit for _, limit in found]), {}
+
+    monkeypatch.setattr(complexity, "poles", per_row_poles)
+    monkeypatch.setattr(complexity, "_axis_candidates", per_row_candidates)
+
+
 def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTER_TOL):
     """The sampled minimum that min_real_on_axis computed before it decided
     from polynomial roots, one rational at a time: a 4096-point log+linear
@@ -280,7 +415,7 @@ def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTE
     ratio = float(nz.max() / nz.min()) if nz.size else 1.0
     omega_max = 1e4 * max(1.0, min(ratio, 1e6))
     exclusions = []
-    for loc, _ in poles(rf, cluster_tol=cluster_tol).poles:
+    for loc, _ in _poles_oracle(rf, cluster_tol=cluster_tol).poles:
         if abs(loc.real) <= on_axis_tol:
             exclusions.append((abs(loc.imag), max(1e-8, 1e-6 * (1.0 + abs(loc.imag)))))
     lin = np.linspace(0.0, min(10.0, omega_max), 2048)
@@ -321,7 +456,7 @@ def _min_real_on_axis_oracle(rf, on_axis_tol=1e-7, cluster_tol=complexity.CLUSTE
             all(abs(w_ref - c) > r for c, r in exclusions):
         w_star, v_star = float(w_ref), float(v_ref)
     # the sign of Re Y(i w) as w -> inf, from the leading coefficient of E
-    E = complexity._trim(complexity._real_part_on_axis_poly(num, den), complexity.COEFF_TOL)
+    E = _trim_oracle(_real_part_on_axis_poly_oracle(num, den), complexity.COEFF_TOL)
     if v_star >= 0.0 and E[-1] < 0.0:
         w_tail = omega_max
         for _ in range(12):
@@ -704,3 +839,210 @@ class TestEdgeOfChaosClassifier:
         assert wide.cond_i
         narrow = edge_of_chaos_classify(rf, ClassifierTolerances(on_axis_tol=1e-9))
         assert narrow.cond_i  # shrinking the band never un-detects a genuine pole
+
+
+def _bits(values, dtype=float):
+    """The bytes of a float or complex sequence: equal only bit for bit."""
+    return np.asarray(values, dtype=dtype).tobytes()
+
+
+def _rational_bits(rf):
+    if isinstance(rf, Exception):
+        return f"{type(rf).__name__}: {rf}"
+    return _bits(rf.num), _bits(rf.den), _bits(rf.cancelled, complex)
+
+
+def _pole_bits(ps):
+    return [(_bits([loc], complex), m) for loc, m in ps.poles], ps.on_axis_tol
+
+
+def _fhn_grid():
+    """Seeded FitzHugh-Nagumo points: x_d in [-2, 2], beta in [-1, 2], xi in
+    [-0.5, 0.5], with the degenerate x_d = +-1, 0 and xi = 0, beta = 0."""
+    rng = np.random.default_rng(41)
+    pairs = [(float(b), float(x)) for b, x in zip(rng.uniform(-1.0, 2.0, 24),
+                                                   rng.uniform(-0.5, 0.5, 24))]
+    pairs += [(BETA, XI), (BETA, 0.0), (0.0, XI), (-1.0, 0.5), (2.0, -0.5)]
+    x_d = np.concatenate([rng.uniform(-2.0, 2.0, 36), [-1.0, 0.0, 1.0, -2.0, 2.0]])
+    return pairs, x_d
+
+
+class TestByteOracles:
+    """FitzHugh-Nagumo rows of the stacked arrays against the per-row numpy
+    polynomial arithmetic they replace, bit for bit: each product sums at
+    most two nonzero terms, so any summation order gives numpy's bits."""
+
+    def test_fhn_rationals_poles_and_candidates(self):
+        pairs, x_d = _fhn_grid()
+        rationals = []
+        for beta, xi in pairs:
+            stack = fhn_rational(x_d, beta, xi)
+            for x, rf in zip(x_d.tolist(), stack):
+                want = _rational_bits(_fhn_rational_oracle(x, beta, xi))
+                assert _rational_bits(rf) == want == _rational_bits(fhn_rational(x, beta, xi))
+                rationals.append(rf)
+        assert any(rf.cancelled for rf in rationals)
+        for rf, ps in zip(rationals, poles(rationals)):
+            assert _pole_bits(ps) == _pole_bits(_poles_oracle(rf)), rf
+        windows = [complexity._axis_exclusions(_poles_oracle(rf), 1e-7) for rf in rationals]
+        assert any(windows)
+        num = complexity._coefficient_rows([rf.num for rf in rationals])
+        den = complexity._coefficient_rows([rf.den for rf in rationals])
+        row, w, limits, failed = complexity._axis_candidates(rationals, windows, num, den)
+        assert failed == {}
+        for i, (rf, wins) in enumerate(zip(rationals, windows)):
+            want_w, want_limit = _axis_candidates_oracle(rf, wins)
+            assert _bits(w[row == i]) == _bits(want_w), rf
+            assert _bits([limits[i]]) == _bits([want_limit]), rf
+
+    def test_fhn_classification_matches_per_row_oracles(self, monkeypatch):
+        pairs, x_d = _fhn_grid()
+        rationals = [rf for beta, xi in pairs[::4] for rf in fhn_rational(x_d, beta, xi)]
+        stacked = [_row_bytes(row) for row in edge_of_chaos_classify(rationals)]
+        _use_per_row_oracles(monkeypatch)
+        _use_per_rational_scan(monkeypatch)
+        assert stacked == [_row_bytes(_classified_alone(rf, ClassifierTolerances()))
+                           for rf in rationals]
+
+    def test_other_rationals_within_rounding_of_the_oracles(self, monkeypatch):
+        # products of more than two nonzero terms sum in a fixed order, where
+        # numpy's BLAS dot may use another: flags stay, v* moves by rounding
+        rationals = _seeded_rationals(np.random.default_rng(31), 100)
+        stacked = edge_of_chaos_classify(rationals)
+        _use_per_row_oracles(monkeypatch)
+        _use_per_rational_scan(monkeypatch)
+        for rf, row in zip(rationals, stacked):
+            want = _classified_alone(rf, ClassifierTolerances())
+            flags = [(ec.cond_i, ec.cond_ii, ec.cond_iii, ec.cond_iv) for ec in (row, want)]
+            assert flags[0] == flags[1], rf
+            v, v_want = row.evidence["iv"]["re_Y"], want.evidence["iv"]["re_Y"]
+            assert abs(v - v_want) <= 64.0 * np.finfo(float).eps * max(1.0, abs(v_want)), rf
+
+    def test_make_rational_rows_match_the_oracle(self):
+        # any rows: make_rational and poles need no products, only roots
+        rng = np.random.default_rng(42)
+        nums, dens = [], []
+        for i in range(300):
+            num = _random_coeffs(rng, int(rng.integers(0, 6)))
+            den = _random_coeffs(rng, int(rng.integers(0, 5)))
+            if i % 3 == 0:  # common roots to cancel
+                common = npoly.polyfromroots(rng.standard_normal(int(rng.integers(1, 3))))
+                num, den = npoly.polymul(num, common).tolist(), npoly.polymul(den, common).tolist()
+            nums.append(num)
+            dens.append(den)
+        stacked = make_rational(nums, dens)
+        alone = []
+        for num, den, rf in zip(nums, dens, stacked):
+            try:
+                want = _make_rational_oracle(num, den)
+            except ValueError as exc:
+                want = exc
+            assert _rational_bits(rf) == _rational_bits(want)
+            if not isinstance(rf, Exception):
+                alone.append(rf)
+                assert _rational_bits(make_rational(num, den)) == _rational_bits(rf)
+        assert sum(bool(rf.cancelled) for rf in alone) >= 50
+        for rf, ps in zip(alone, poles(alone)):
+            assert _pole_bits(ps) == _pole_bits(_poles_oracle(rf))
+
+
+_root_coefficient = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0)),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+class TestRoots:
+    """The stacked root finder: every row is npoly.polyroots of that row
+    alone, in values, order and dtype."""
+
+    @staticmethod
+    def _assert_rows(rows):
+        found = complexity._roots(complexity._coefficient_rows(rows))
+        assert len(found) == len(rows)
+        for row, got in zip(rows, found):
+            try:
+                with np.errstate(over="ignore"):  # an empty row is the zero polynomial
+                    want = npoly.polyroots(row or [0.0])
+            except np.linalg.LinAlgError:
+                assert isinstance(got, LocactError), row
+                continue
+            assert not isinstance(got, Exception), row
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), row
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.lists(_root_coefficient, max_size=7),
+                                   st.integers(0, 2)), min_size=1, max_size=8))
+    def test_mixed_length_stack(self, rows):
+        # trailing zeros, and one group of length 4 that holds an all-real
+        # row (roots 1, 2, 3) and a complex one (roots 2, +-i)
+        rows = [coeffs + [0.0] * zeros for coeffs, zeros in rows]
+        rows += [[-6.0, 11.0, -6.0, 1.0], [-2.0, 1.0, -2.0, 1.0, 0.0]]
+        self._assert_rows(rows)
+        self._assert_rows(rows[::-1])
+
+    def test_a_failing_row_fails_alone(self):
+        # a subnormal lead overflows the companion matrix
+        rows = [[1.0, 2.0, 5e-324], [2.0, -3.0, 1.0], [-1.0, 0.0, 1.0]]
+        found = complexity._roots(complexity._coefficient_rows(rows))
+        assert isinstance(found[0], NonFiniteEntry)
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
+            npoly.polyroots(rows[0])
+        self._assert_rows(rows[1:])
+        assert [r.tolist() for r in found[1:]] == [[1.0, 2.0], [-1.0, 1.0]]
+
+
+    def test_no_convergence_fails_only_that_row(self, monkeypatch):
+        # eigvals fails on any stack holding the companion row of x^2 - 7x + 1
+        eigvals = np.linalg.eigvals
+
+        def failing(a):
+            if (np.asarray(a)[..., :, -1] == 7.0).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        rows = [[2.0, -3.0, 1.0], [1.0, -7.0, 1.0], [-1.0, 0.0, 1.0]]
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        found = complexity._roots(complexity._coefficient_rows(rows))
+        assert isinstance(found[1], ConvergenceFailure)
+        assert [r.tolist() for r in found[::2]] == [[1.0, 2.0], [-1.0, 1.0]]
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("num, den", [
+        ([1.0, math.inf], [1.0, 1.0]), ([1.0], [math.nan, 1.0]),
+        ([-math.inf, 0.0, 1.0], [0.128, 1.0]),
+    ])
+    def test_make_rational_rejects_them(self, num, den):
+        # [1, inf] / [1, 1] used to drop the infinite lead and give 1/(s + 1)
+        with pytest.raises(NonFiniteEntry, match="must be finite"):
+            make_rational(num, den)
+
+    @pytest.mark.parametrize("x_d", [math.nan, 1e200, -math.inf])
+    def test_fhn_rational_rejects_an_overflowing_point(self, x_d):
+        # nan raised numpy's LinAlgError; 1e200 gave num = (inf,) and a
+        # classification with cond_iv False
+        with pytest.raises(NonFiniteEntry):
+            fhn_rational(x_d, BETA, XI)
+
+    def test_only_that_row_fails_in_a_stack(self):
+        x_d = np.array([0.3, math.nan, 1e200, -1.5])
+        rows = fhn_rational(x_d, BETA, XI)
+        assert [type(r).__name__ for r in rows] == \
+            ["RationalFunction", "NonFiniteEntry", "NonFiniteEntry", "RationalFunction"]
+        for x, rf in zip(x_d[[0, 3]].tolist(), rows[::3]):
+            assert _rational_bits(rf) == _rational_bits(fhn_rational(x, BETA, XI))
+        stacked = make_rational([[1.0, math.inf], [0.0, 1.0]], [[1.0, 1.0], [0.0]])
+        assert isinstance(stacked[0], NonFiniteEntry) and isinstance(stacked[1], ValueError)
+
+    def test_a_row_whose_roots_fail_is_an_error_row(self):
+        # built directly, bypassing make_rational: its denominator has no
+        # finite companion matrix
+        bad = RationalFunction(num=(1.0,), den=(1.0, math.inf, 1.0))
+        good = make_rational([1.0], [1.0, 1.0])
+        rows = edge_of_chaos_classify([good, bad, good])
+        assert isinstance(rows[1], NonFiniteEntry)
+        assert _row_bytes(rows[0]) == _row_bytes(rows[2]) == _row_bytes(edge_of_chaos_classify(good))
+        assert isinstance(min_real_on_axis([good, bad])[1], NonFiniteEntry)
+        with pytest.raises(NonFiniteEntry):
+            poles(bad)

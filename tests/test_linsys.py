@@ -309,6 +309,15 @@ class TestSolveForced:
         assert np.any(np.isclose(traj.times, 1.0))
         assert np.any(np.isclose(traj.times, 2.0))
 
+    @pytest.mark.parametrize("T", [1e305, 1.7976931348623157e308])
+    def test_grid_near_the_float_range(self, T):
+        # steps * L overflowed for T beyond about 1.8e308 / steps; L and T
+        # are now scaled by one power of two
+        edges, counts = linsys._segment_grid(T, [0.25 * T, 0.5 * T], 400_000)
+        assert edges == [0.0, 0.25 * T, 0.5 * T, T]
+        assert counts == [100_000, 100_000, 200_000]
+        assert linsys._segment_grid(T, [], 7) == ([0.0, T], [7])
+
     def test_signal_domain_checked(self):
         sys = linsys.make_system([[0.0]], [[1.0]])
         sig = MollifierReal(lam=0.0, v=[1.0], T=1.0)

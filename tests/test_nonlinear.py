@@ -8,6 +8,7 @@ from locact import activity, genericity, linsys, nonlinear
 from locact.errors import (
     DimensionMismatch,
     NoConvergence,
+    NonFiniteEvaluation,
     NoSignChange,
     NotAnEquilibrium,
     StageError,
@@ -91,6 +92,14 @@ class TestFindEquilibrium:
         # full = kinetic - P dD: only the (1,1) entry shifts by -mu
         diff = report.jacobian_kinetic - report.jacobian_full
         npt.assert_allclose(diff, [[0.05, 0.0], [0.0, 0.0]], atol=1e-9)
+
+    def test_non_finite_jacobian_raises(self):
+        # xi beta = 1e309 overflows the Jacobian at the converged point; its
+        # spectrum raised numpy's LinAlgError
+        sys = fhn_system(0.05, 1e308, GAMMA, 10.0)
+        guess = nonlinear.fhn_equilibrium_guesses(0.05, 1e308, GAMMA, 10.0)[0]
+        with pytest.raises(NonFiniteEvaluation, match="Jacobian at the equilibrium"):
+            find_equilibrium(sys, guess)
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_one_jacobian_and_one_spectrum_per_equilibrium(self, monkeypatch, analytic):
