@@ -170,8 +170,8 @@ def _stacked(results, single):
 
 
 def _lengths(keep):
-    """Per row, one past the last True of ``keep`` (a scratch array: its
-    first column is set), and at least 1."""
+    """Per row, one past the last True of ``keep``, and at least 1.  The
+    first column of ``keep`` is set in place."""
     keep[:, 0] = True
     return keep.shape[1] - keep[:, ::-1].argmax(axis=1)
 
