@@ -97,7 +97,7 @@ class GenericTwoPulseWitness:
 
 
 def default_quad_steps(T: float, cfg: Optional[WitnessSearchConfig] = None) -> int:
-    per_unit = cfg.quad_steps_per_unit_time if cfg is not None else 256
+    per_unit = (cfg or WitnessSearchConfig()).quad_steps_per_unit_time
     if T * per_unit >= MAX_QUAD_STEPS:  # also where the product overflows
         return MAX_QUAD_STEPS
     return max(800, int(math.ceil(T * per_unit)))
@@ -111,12 +111,12 @@ def _resolved_steps(sig, T: float, cfg) -> int:
     only needs to taper on very long horizons where the input is dead most
     of the time.
     """
+    cfg = cfg or WitnessSearchConfig()
     steps = default_quad_steps(T, cfg)
     if isinstance(sig, signals.MollifierComplex):
         steps = min(steps, 40_000)
     elif isinstance(sig, signals.MollifiedTwoPulse) and T > 60.0:
-        per_unit = cfg.quad_steps_per_unit_time if cfg is not None else 256
-        steps = int(math.ceil(60.0 * per_unit + 96.0 * (T - 60.0)))
+        steps = int(math.ceil(60.0 * cfg.quad_steps_per_unit_time + 96.0 * (T - 60.0)))
     return min(MAX_QUAD_STEPS, max(800, steps))
 
 
@@ -128,8 +128,6 @@ def energy_integral(sys: linsys.LinearPortSystem, u, T: float,
     RK4 scheme as ``solve_forced``; the estimate is the difference between
     the full- and half-step results (the half-step value is returned).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     if steps is None:
         steps = default_quad_steps(T)
     W_coarse = linsys.forced_energy(sys, u, T, steps)
@@ -395,10 +393,7 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
     cands = np.stack([eta - osc, eta + osc])  # rows: a = -1, +1
     hits = (cands < -1e-13 * (1.0 + abs(eta))).any(axis=0) & mollifiable
     if not hits.any():
-        raise ScanExhausted(
-            f"no negative closed-form energy up to T_max = {T_max}",
-            best_W=float(cands.min()),
-        )
+        raise ScanExhausted(f"no negative closed-form energy up to T_max = {T_max}")
     # the first hit can be barely negative (the start of a negativity well);
     # a short lookahead picks the bottom of that well, which keeps the sign
     # robust under mollification
@@ -429,9 +424,7 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
         eps_s *= 0.5
     if sign_valid is not None:
         return sign_valid
-    raise ScanExhausted(
-        f"mollified signal lost the sign of W at T = {T}", best_W=W_closed
-    )
+    raise ScanExhausted(f"mollified signal lost the sign of W at T = {T}")
 
 
 def _verified_record(sys, sig, T, cfg) -> Optional[WitnessRecord]:

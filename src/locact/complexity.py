@@ -64,7 +64,6 @@ class RationalFunction:
 @dataclass(frozen=True)
 class PoleSet:
     poles: tuple  # of (location: complex, multiplicity: int)
-    on_axis_tol: float
 
 
 @dataclass(frozen=True)
@@ -107,17 +106,9 @@ def _companion_roots(q):
         return [r for row in q for r in _companion_roots(row[None])]
     # the stack comes back real only when every row is; a row alone is real
     # when its own roots are
-    real = ~w.imag.any(axis=1)
-    if real.all() or not real.any():  # one dtype for the whole group
-        w = w.real if real.all() else w
-        w.sort(axis=1)
-        return list(w)
-    out = [None] * k
-    for rows, roots in ((np.flatnonzero(real), np.sort(w[real].real, axis=1)),
-                        (np.flatnonzero(~real), np.sort(w[~real], axis=1))):
-        for i, r in zip(rows.tolist(), roots):
-            out[i] = r
-    return out
+    real = (~w.imag.any(axis=1)).tolist()
+    return [r if ok else c for r, c, ok in
+            zip(np.sort(w.real, axis=1), np.sort(w, axis=1), real)]
 
 
 def _roots(c, length=None):
@@ -177,8 +168,6 @@ def _lengths(keep):
 
 
 def _real_poly_from_roots(roots, lead):
-    if len(roots) == 0:
-        return np.array([float(lead)])
     c = npoly.polyfromroots(np.asarray(roots, dtype=complex))
     return np.real(c) * float(lead)
 
@@ -255,7 +244,7 @@ def make_rational(num, den, coeff_tol: float = COEFF_TOL,
     return _stacked(out, single)
 
 
-def poles(rf, cluster_tol: float = CLUSTER_TOL, on_axis_tol: float = 1e-7):
+def poles(rf, cluster_tol: float = CLUSTER_TOL):
     """Denominator roots (companion-matrix eigenvalues) clustered into
     multiplicities at pairwise distance ``cluster_tol``.
 
@@ -281,24 +270,26 @@ def poles(rf, cluster_tol: float = CLUSTER_TOL, on_axis_tol: float = 1e-7):
                     break
             else:
                 clusters.append([r, 1])
-        out.append(PoleSet(poles=tuple((complex(s / m), int(m)) for s, m in clusters),
-                           on_axis_tol=on_axis_tol))
+        out.append(PoleSet(poles=tuple((complex(s / m), int(m)) for s, m in clusters)))
     return _stacked(out, single)
 
 
 def residue_at_simple_pole(rf: RationalFunction, p: complex,
                            cluster_tol: float = CLUSTER_TOL) -> complex:
-    """Residue ``num(p) / den'(p)`` at a simple pole p."""
-    ps = poles(rf, cluster_tol=cluster_tol)
-    match = None
-    for loc, mult in ps.poles:
-        if abs(loc - p) <= max(1e-6 * (1.0 + abs(p)), cluster_tol):
-            match = (loc, mult)
-            break
-    if match is None:
+    """Residue ``num(p) / den'(p)`` at a simple pole p: the pole of ``rf``
+    nearest p, within ``max(1e-6 (1 + |p|), cluster_tol)`` of it, must be
+    simple."""
+    loc, mult = min(poles(rf, cluster_tol=cluster_tol).poles,
+                    key=lambda pole: abs(pole[0] - p), default=(math.inf, 0))
+    if not abs(loc - p) <= max(1e-6 * (1.0 + abs(p)), cluster_tol):
         raise NotASimplePole(f"{p} is not a pole of the reduced function")
-    if match[1] != 1:
-        raise NotASimplePole(f"pole at {match[0]} has multiplicity {match[1]}")
+    if mult != 1:
+        raise NotASimplePole(f"pole at {loc} has multiplicity {mult}")
+    return _residue(rf, p)
+
+
+def _residue(rf, p):
+    """``num(p) / den'(p)``, the residue of ``rf`` at a simple pole p."""
     num = np.asarray(rf.num, dtype=float)
     den = np.asarray(rf.den, dtype=float)
     dden = np.arange(1, den.size) * den[1:]
@@ -312,6 +303,23 @@ def _axis_exclusions(ps: PoleSet, on_axis_tol):
             radius = max(1e-8, 1e-6 * (1.0 + abs(loc.imag)))
             wins.append((abs(loc.imag), radius))
     return wins
+
+
+def _outside_windows(row, w, windows):
+    """Where ``|w - c| > r`` for every window ``(c, r)`` of ``windows[row]``."""
+    keep = np.ones(w.shape, dtype=bool)
+    for i, wins in enumerate(windows):
+        for c, r in wins:
+            keep &= (row != i) | (np.abs(w - c) > r)
+    return keep
+
+
+def _normalized(rows):
+    """The rows scaled by powers of two to a largest ``|entry|`` in [0.5, 1),
+    and each row's exponent.  Exact where nothing over- or underflows, so
+    the products of two rows change by a power of two and cannot overflow."""
+    exponent = np.frexp(np.abs(rows).max(axis=1))[1]
+    return np.ldexp(rows, -exponent[:, None]), exponent
 
 
 def _re_and_step(num, den, w):
@@ -414,13 +422,15 @@ def _axis_candidates(rfs, windows, num, den):
     points (the roots of ``e' f - e f'``) and the window edges, in that
     order, less any omega inside a window.  The polynomials of all rows are
     stacked arrays, and e and the stationary polynomial of every row are
-    rooted by one :func:`_roots` call.
+    rooted by one :func:`_roots` call.  They are formed from the rows scaled
+    by :func:`_normalized`, so that no product overflows.
 
     Returns the flat arrays ``(row, w)``, which keep the candidates of each
     row in that order, the limit of each row, and a dict of the rows whose
     root finding failed (they keep only 0 and their window edges).
     """
     k = len(rfs)
+    (num, n_exp), (den, d_exp) = _normalized(num), _normalized(den)
     d_size = np.array([len(r.den) for r in rfs])
     size = np.concatenate([np.array([len(r.num) for r in rfs]) + d_size, 2 * d_size])
     with np.errstate(all="ignore"):
@@ -434,6 +444,7 @@ def _axis_candidates(rfs, windows, num, den):
         e_len, f_len = length[:k], length[k:]
         limit = np.where(e_len == f_len, lead[:k] / lead[k:],
                          np.where(e_len > f_len, np.copysign(np.inf, lead[:k]), 0.0))
+        limit = np.ldexp(limit, n_exp - d_exp)  # in the units of num and den
     polys = np.zeros((2 * k, products.shape[1]))
     polys[:k, :ef.shape[1]] = ef[:k]
     polys[k:] = products[:k] - products[k:]
@@ -451,10 +462,7 @@ def _axis_candidates(rfs, windows, num, den):
                           row[~of_e] - k, np.array([i for i, _ in edges], dtype=int)])
     w = np.concatenate([np.zeros(k), w_e, (w_e[:-1] + w_e[1:])[inner] / 2.0,
                         2.0 * w_e[last], w[~of_e], np.array([x for _, x in edges])])
-    keep = np.isfinite(w) & (w >= 0.0)
-    for i, wins in enumerate(windows):
-        for c, r in wins:
-            keep &= (row != i) | (np.abs(w - c) > r)
+    keep = np.isfinite(w) & (w >= 0.0) & _outside_windows(row, w, windows)
     return row[keep], w[keep], limit, failed
 
 
@@ -471,6 +479,8 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     leading coefficients of e and f, lies below every candidate, the result
     is ``(inf, limit)``.  The windows (``|omega - c| <= r`` around each pole
     within ``on_axis_tol`` of the axis) are those of conditions (ii)-(iii).
+    Each row is evaluated on its ``num`` and ``den`` scaled by powers of two
+    (:func:`_normalized`), and ``v*`` is scaled back.
 
     ``rf`` is one :class:`RationalFunction`, which gives ``(w*, v*)``, or a
     sequence of them, which gives a list with one entry per row: the pair,
@@ -493,26 +503,28 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     num = _coefficient_rows([r.num for r in rfs])
     den = _coefficient_rows([r.den for r in rfs])
     row, w, limits, failed = _axis_candidates(rfs, exclusions, num, den)
+    (num, n_exp), (den, d_exp) = _normalized(num), _normalized(den)
     num, den = num[row], den[row]
-    windows = [(i, c, r) for i, excl in enumerate(exclusions) for c, r in excl]
     v, step = _re_and_step(num, den, w)
     with np.errstate(all="ignore"):
         for _ in range(4):
             trial = w - step
             v_trial, step_trial = _re_and_step(num, den, trial)
-            ok = np.isfinite(v_trial) & (v_trial <= v) & (trial >= 0.0)
-            for i, c, r in windows:
-                ok &= (row != i) | (np.abs(trial - c) > r)
+            ok = np.isfinite(v_trial) & (v_trial <= v) & (trial >= 0.0) & \
+                _outside_windows(row, trial, exclusions)
             if not ok.any():
                 break  # a rejected step repeats itself
             w, v = np.where(ok, trial, w), np.where(ok, v_trial, v)
             step = np.where(ok, step_trial, step)
-    v = np.where(np.isfinite(v), v, np.inf)
-    order = np.lexsort((v, row))  # by row, then value; ties keep candidate order
-    # every row has a candidate: 0, or the upper edge of its highest window
-    best = order[np.searchsorted(row[order], np.arange(len(rfs)))]
-    pairs = [(math.inf, float(limit)) if limit < v[k] else (float(w[k]), float(v[k]))
-             for k, limit in zip(best, limits)]
+        v = np.where(np.isfinite(v), v, np.inf)
+        order = np.lexsort((v, row))  # by row, then value; ties keep candidate order
+        # every row has a candidate: 0, or the upper edge of its highest window
+        best = order[np.searchsorted(row[order], np.arange(len(rfs)))]
+        shift = n_exp - d_exp  # v is compared in the units of the scaled rows
+        below = np.ldexp(limits, -shift) < v[best]
+        v_best = np.ldexp(v[best], shift)
+    pairs = [(math.inf, float(limit)) if lim else (float(w_k), float(v_k))
+             for w_k, v_k, limit, lim in zip(w[best], v_best, limits, below)]
     for i, ps in enumerate(pole_sets):
         if isinstance(ps, LocactError) or i in failed:
             pairs[i] = failed.get(i, ps)
@@ -539,7 +551,7 @@ def _pole_conditions(rf, ps, tols):
     for loc, m in axis:
         if m != 1:
             continue
-        res = residue_at_simple_pole(rf, loc, cluster_tol=tols.cluster_tol)
+        res = _residue(rf, loc)
         bad = abs(res.imag) > tols.resid_tol or res.real < -tols.resid_tol
         if bad:
             cond_iii = True
@@ -561,7 +573,7 @@ def edge_of_chaos_classify(rf, tols: Optional[ClassifierTolerances] = None):
     tols = tols or ClassifierTolerances()
     single = isinstance(rf, RationalFunction)
     rfs = [rf] if single else list(rf)
-    pole_sets = poles(rfs, cluster_tol=tols.cluster_tol, on_axis_tol=tols.on_axis_tol)
+    pole_sets = poles(rfs, cluster_tol=tols.cluster_tol)
     results = []
     for r, ps in zip(rfs, pole_sets):
         try:

@@ -82,14 +82,7 @@ class NoUnstableEigenvalue(LocactError):
 
 
 class ScanExhausted(LocactError):
-    """Two-pulse horizon scan ran out of budget.
-
-    Carries ``best_W``, the most negative energy value seen during the scan.
-    """
-
-    def __init__(self, message, best_W=None):
-        super().__init__(message)
-        self.best_W = best_W
+    """Two-pulse horizon scan ran out of budget."""
 
 
 class NonOrthogonalProjection(LocactError):
@@ -146,4 +139,3 @@ class StageError(LocactError):
     def __init__(self, stage, cause):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-        self.cause = cause

@@ -514,12 +514,7 @@ def solve_forced(sys: LinearPortSystem, u, T: float, steps: int) -> Trajectory:
     solved by a blocked scan, in chunks of a fixed number of steps (see
     ``_rk4_forced``).  ``u`` may be a signal family or a callable.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    evaluate, knots, pwc = _signal_hooks(u, T)
-    times, states, _ = _rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc)
+    times, states, _ = _forced(sys, u, T, steps, keep_states=True)
     return Trajectory(times=_frozen(times), states=_frozen(states), T=float(T))
 
 
@@ -533,14 +528,20 @@ def forced_energy(sys: LinearPortSystem, u, T: float, steps: int) -> float:
     integration skips them while the state is zero, stops after the last
     segment that carries input, and carries the state across the others.
     The result equals the full-horizon integration bit for bit."""
+    return _forced(sys, u, T, steps, keep_states=False)[2]
+
+
+def _forced(sys, u, T, steps, keep_states):
+    """The entry checks of :func:`solve_forced` and :func:`forced_energy`,
+    then :func:`_rk4_forced`, skipping the quiet spans unless the states
+    are kept."""
     if T <= 0:
         raise ValueError("T must be positive")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     evaluate, knots, pwc = _signal_hooks(u, T)
-    quiet = u.quiet_spans() if _sig.is_signal(u) else ()
-    _, _, W = _rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc, quiet)
-    return W
+    quiet = None if keep_states else (u.quiet_spans() if _sig.is_signal(u) else ())
+    return _rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc, quiet)
 
 
 # -- matrix file ingestion ----------------------------------------------------

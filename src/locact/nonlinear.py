@@ -73,9 +73,15 @@ def jacobian_fd(f: Callable, x, h: float = FD_STEP) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _residual(sys: NonlinearPortSystem, x):
+    """The right-hand side ``f(x) - P D(x)``, zero at an equilibrium."""
+    return np.asarray(sys.f(x), dtype=float).ravel() \
+        - sys.P @ np.asarray(sys.D(x), dtype=float).ravel()
+
+
 def _g_and_jacobian(sys: NonlinearPortSystem, x):
     """Residual, full Jacobian and kinetic Jacobian at x."""
-    g = np.asarray(sys.f(x), dtype=float).ravel() - sys.P @ np.asarray(sys.D(x), dtype=float).ravel()
+    g = _residual(sys, x)
     Jf = _kinetic_jacobian(sys, x)
     JD = sys.jacobian_D(x) if sys.jacobian_D is not None else jacobian_fd(sys.D, x)
     return g, Jf - sys.P @ np.asarray(JD, dtype=float), Jf
@@ -127,8 +133,7 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
         alpha = 1.0
         for _ in range(30):
             x_new = x + alpha * step
-            g_new = np.asarray(sys.f(x_new), dtype=float).ravel() \
-                - sys.P @ np.asarray(sys.D(x_new), dtype=float).ravel()
+            g_new = _residual(sys, x_new)
             if np.all(np.isfinite(g_new)) and \
                     np.linalg.norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
                 break
@@ -161,9 +166,7 @@ def linearize_at(sys: NonlinearPortSystem, x_star,
     """Linear port system at an equilibrium: A is the Jacobian of the kinetic
     part f only (the dissipation channel is replaced by the input), P is kept."""
     x_star = np.asarray(x_star, dtype=float).ravel()
-    g = np.asarray(sys.f(x_star), dtype=float).ravel() \
-        - sys.P @ np.asarray(sys.D(x_star), dtype=float).ravel()
-    res = float(np.linalg.norm(g))
+    res = float(np.linalg.norm(_residual(sys, x_star)))
     if res > 10.0 * newton_tol:
         raise NotAnEquilibrium(f"residual {res:.3e} exceeds 10 * newton_tol")
     A = _kinetic_jacobian(sys, x_star)
@@ -238,69 +241,58 @@ def hopf_locate(builder: Callable, mu_lo: float, mu_hi: float, tol: float = 1e-6
     if not (mu_lo < mu_hi):
         raise NoSignChange("mu_lo must be strictly below mu_hi")
 
-    state = {"x": None if x_guess is None else np.asarray(x_guess, dtype=float)}
+    x = None if x_guess is None else np.asarray(x_guess, dtype=float)
+    mu_from = mu_lo  # the parameter of the last converged point x
 
-    def eval_at(mu, guess):
+    def solve(mu, guess):
         sys = builder(mu)
         if guess is None:
-            if sys.family == "fhn":
-                guess = fhn_equilibrium_guesses(**sys.params)[0]
-            else:
-                guess = np.zeros(sys.n)
-        report = find_equilibrium(sys, guess, newton_tol=newton_tol)
-        eigs = report.eigenvalues_full
-        return report, float(eigs.real.max()), eigs
+            guess = fhn_equilibrium_guesses(**sys.params)[0] if sys.family == "fhn" \
+                else np.zeros(sys.n)
+        return find_equilibrium(sys, guess, newton_tol=newton_tol)
 
     def continued(mu):
-        try:
-            report, phi, eigs = eval_at(mu, state["x"])
-        except NoConvergence:
-            # step-halving continuation from the last converged point
-            x = state["x"]
-            mu_from = state.get("mu_from", mu_lo)
-            for k in (2, 4, 8, 16):
-                try:
-                    x_tmp = x
-                    for j in range(1, k + 1):
-                        mu_j = mu_from + (mu - mu_from) * j / k
-                        report, phi, eigs = eval_at(mu_j, x_tmp)
-                        x_tmp = report.x_star
-                    break
-                except NoConvergence:
-                    continue
-            else:
-                raise BranchLost(f"equilibrium branch lost near mu = {mu}")
-        state["x"] = report.x_star
-        state["mu_from"] = mu
-        return report, phi, eigs
+        """The equilibrium at mu and its spectral abscissa, reached from the
+        last converged point in one step or, failing that, in 2, 4, 8 or 16."""
+        nonlocal x, mu_from
+        for k in (1, 2, 4, 8, 16):
+            guess = x
+            try:
+                for j in range(1, k + 1):
+                    report = solve(mu if k == 1 else mu_from + (mu - mu_from) * j / k, guess)
+                    guess = report.x_star
+                break
+            except NoConvergence:
+                continue
+        else:
+            raise BranchLost(f"equilibrium branch lost near mu = {mu}")
+        x, mu_from = report.x_star, mu
+        return report, float(report.eigenvalues_full.real.max())
 
-    rep_lo, phi_lo, _ = continued(mu_lo)
-    rep_hi, phi_hi, _ = continued(mu_hi)
-    if phi_lo == 0.0 or phi_hi == 0.0:
-        pass  # an endpoint sits exactly on the crossing; bisection still works
-    elif np.sign(phi_lo) == np.sign(phi_hi):
+    rep_lo, phi_lo = continued(mu_lo)
+    _, phi_hi = continued(mu_hi)
+    # an endpoint exactly on the crossing still brackets it
+    if np.sign(phi_lo) == np.sign(phi_hi) != 0.0:
         raise NoSignChange(
             f"spectral abscissa has the same sign at both ends "
             f"({phi_lo:.3e}, {phi_hi:.3e})"
         )
     lo, hi = float(mu_lo), float(mu_hi)
-    state["x"] = rep_lo.x_star
-    state["mu_from"] = lo
+    x, mu_from = rep_lo.x_star, lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        _, phi_mid, _ = continued(mid)
+        _, phi_mid = continued(mid)
         if np.sign(phi_mid) == np.sign(phi_lo):
-            lo = mid
-            phi_lo = phi_mid
+            lo, phi_lo = mid, phi_mid
         else:
             hi = mid
     mu_star = 0.5 * (lo + hi)
-    report, _, eigs = continued(mu_star)
+    report, _ = continued(mu_star)
+    eigs = report.eigenvalues_full
     crossing = eigs[int(np.argmax(eigs.real))]
     return HopfResult(
         mu_star=mu_star, is_hopf=bool(abs(crossing.imag) > 1e-6),
         crossing_eigenvalue=complex(crossing), equilibrium=report.x_star,
-        bracket=(lo, hi),
     )
 
 
@@ -310,7 +302,6 @@ class HopfResult:
     is_hopf: bool
     crossing_eigenvalue: complex
     equilibrium: np.ndarray
-    bracket: tuple
 
 
 def discrete_laplacian(N: int, boundary: str = "dirichlet") -> np.ndarray:
@@ -400,7 +391,8 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
             raise StageError(stage, exc) from exc
 
     eq = run("find_equilibrium", find_equilibrium, sys, x_guess)
-    lin = run("linearize_at", linearize_at, sys, eq.x_star)
+    # the kinetic Jacobian at the equilibrium, as linearize_at would form it
+    lin = run("linearize_at", linsys.make_system, eq.jacobian_kinetic, sys.P)
     try:
         gen = genericity.in_generic_M(lin)
     except ZeroProjection:

@@ -108,6 +108,33 @@ class TestResidues:
         with pytest.raises(NotASimplePole):
             residue_at_simple_pole(rf, 5.0)
 
+    def test_nearest_pole_in_the_window(self):
+        # s (s + 5e-7)^2: the double pole lies inside the lookup window of
+        # the simple pole at 0, which used to be rejected as "multiplicity 2"
+        rf = make_rational([1.0], npoly.polyfromroots([0.0, -5e-7, -5e-7]))
+        assert residue_at_simple_pole(rf, 0j) == pytest.approx(4e12, rel=1e-12)  # 1 / delta^2
+        with pytest.raises(NotASimplePole, match="multiplicity 2"):
+            residue_at_simple_pole(rf, -5e-7)
+        ec = edge_of_chaos_classify(rf)
+        assert ec.cond_iv and ec.edge_of_chaos and not ec.cond_iii
+        assert ec.evidence["iv"]["re_Y"] < -1e17
+
+    def test_classification_roots_each_polynomial_once(self, monkeypatch):
+        # (2s^2 + 1)/(s^3 + s) = 1/s + s/(s^2 + 1): the poles take one _roots
+        # call, the axis polynomials one; the residues at 0 and +-i come from
+        # the poles in hand
+        rf = make_rational([1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 1.0])
+        roots, calls = complexity._roots, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return roots(*args, **kwargs)
+
+        monkeypatch.setattr(complexity, "_roots", counted)
+        ec = edge_of_chaos_classify(rf)
+        assert len(calls) == 2
+        assert not (ec.cond_ii or ec.cond_iii)
+
     def test_residue_matches_numeric_limit(self, rng):
         # average of (s - p) Y(s) over 8 angles at radius 1e-6
         for _ in range(10):
@@ -322,10 +349,10 @@ def _fhn_rational_oracle(x_d, beta, xi):
     return _make_rational_oracle([xi * beta * d + xi, xi * beta + d, 1.0], [xi * beta, 1.0])
 
 
-def _poles_oracle(rf, cluster_tol=complexity.CLUSTER_TOL, on_axis_tol=1e-7):
+def _poles_oracle(rf, cluster_tol=complexity.CLUSTER_TOL):
     den = np.asarray(rf.den, dtype=float)
     if den.size <= 1:
-        return PoleSet(poles=(), on_axis_tol=on_axis_tol)
+        return PoleSet(poles=())
     roots = np.sort_complex(npoly.polyroots(den))
     clusters = []  # list of [sum, count]
     for r in roots:
@@ -337,7 +364,7 @@ def _poles_oracle(rf, cluster_tol=complexity.CLUSTER_TOL, on_axis_tol=1e-7):
         else:
             clusters.append([r, 1])
     out = tuple((complex(s / m), int(m)) for s, m in clusters)
-    return PoleSet(poles=out, on_axis_tol=on_axis_tol)
+    return PoleSet(poles=out)
 
 
 def _real_part_on_axis_poly_oracle(num, den):
@@ -389,10 +416,10 @@ def _axis_candidates_oracle(rf, windows):
 def _use_per_row_oracles(monkeypatch):
     """Root the poles and take the axis candidates of every rational one row
     at a time with the oracles above, in the stacked functions' formats."""
-    def per_row_poles(rf, cluster_tol=complexity.CLUSTER_TOL, on_axis_tol=1e-7):
+    def per_row_poles(rf, cluster_tol=complexity.CLUSTER_TOL):
         if isinstance(rf, RationalFunction):
-            return _poles_oracle(rf, cluster_tol, on_axis_tol)
-        return [_poles_oracle(r, cluster_tol, on_axis_tol) for r in rf]
+            return _poles_oracle(rf, cluster_tol)
+        return [_poles_oracle(r, cluster_tol) for r in rf]
 
     def per_row_candidates(rfs, windows, *coefficient_rows):
         found = [_axis_candidates_oracle(rf, wins) for rf, wins in zip(rfs, windows)]
@@ -745,14 +772,14 @@ class TestStackedClassifier:
         good = make_rational([1.0, 1.0], [1.0, 0.0, 1.0])
         bad = make_rational([2.0, 1.0], [4.0, 0.0, 1.0])
         low_pass = make_rational([1.0], [1.0, 1.0])
-        residue = complexity.residue_at_simple_pole
+        residue = complexity._residue
 
-        def failing(rf, p, cluster_tol=complexity.CLUSTER_TOL):
+        def failing(rf, p):
             if rf is bad:
                 raise NotASimplePole("injected residue failure")
-            return residue(rf, p, cluster_tol=cluster_tol)
+            return residue(rf, p)
 
-        monkeypatch.setattr(complexity, "residue_at_simple_pole", failing)
+        monkeypatch.setattr(complexity, "_residue", failing)
         rows = edge_of_chaos_classify([good, bad, low_pass])
         assert isinstance(rows[1], NotASimplePole)
         assert str(rows[1]) == "injected residue failure"
@@ -853,7 +880,7 @@ def _rational_bits(rf):
 
 
 def _pole_bits(ps):
-    return [(_bits([loc], complex), m) for loc, m in ps.poles], ps.on_axis_tol
+    return [(_bits([loc], complex), m) for loc, m in ps.poles]
 
 
 def _fhn_grid():
@@ -1046,3 +1073,46 @@ class TestNonFiniteCoefficients:
         assert isinstance(min_real_on_axis([good, bad])[1], NonFiniteEntry)
         with pytest.raises(NonFiniteEntry):
             poles(bad)
+
+
+def _normal(x):
+    """A finite float with the full precision: nonzero and not subnormal."""
+    return 2.0 ** -1022 <= abs(x) < math.inf
+
+
+class TestCommonScale:
+    """Y does not change when num and den are scaled by one factor, and
+    min_real_on_axis follows a power-of-two scale of either exactly."""
+
+    @pytest.mark.parametrize("k", [-600, -270, -269, 0, 255, 256])
+    def test_scaled_quadratic(self, k):
+        # the axis products of k = 256 overflowed, those of k <= -270
+        # underflowed: (inf, 1.0) and (0.0, 2.0) before the rows were scaled
+        rf = make_rational(np.ldexp([2.0, 1.0, 1.0], k), np.ldexp([1.0, 3.0, 1.0], k))
+        assert min_real_on_axis(rf) == (1.2507069070310484, 0.30888330538072)
+
+    def test_scaled_square(self):
+        # s^2 written with coefficients 1e160: Re Y(i w) = -w^2 is unbounded
+        # below, which the overflowing products reported as (0.0, 0.0)
+        rf = make_rational([0.0, 0.0, 1e160], [1e160])
+        assert min_real_on_axis(rf) == (math.inf, -math.inf)
+        ec = edge_of_chaos_classify(rf)
+        assert ec.cond_iv and ec.edge_of_chaos
+
+    @settings(max_examples=60, deadline=None)
+    @given(rf=_rational(), a=st.integers(-1000, 1000), b=st.integers(-1000, 1000))
+    def test_power_of_two_scales(self, rf, a, b):
+        with np.errstate(over="ignore", under="ignore"):
+            num, den = np.ldexp(rf.num, a), np.ldexp(rf.den, b)
+        # the scaled coefficients are exact: every nonzero one stays normal
+        assume(all(x == 0.0 or _normal(y) for x, y in zip(rf.num + rf.den, [*num, *den])))
+        try:
+            w_star, v_star = min_real_on_axis(rf)
+        except LocactError:
+            assume(False)
+        with np.errstate(over="ignore", under="ignore"):
+            want = float(np.ldexp(v_star, a - b))
+        # and so is the scaled value: a subnormal keeps fewer bits
+        assume(v_star == 0.0 or math.isinf(v_star) or (_normal(v_star) and _normal(want)))
+        got = min_real_on_axis(RationalFunction(num=tuple(num.tolist()), den=tuple(den.tolist())))
+        assert _same_float(got[0], w_star) and _same_float(got[1], want)

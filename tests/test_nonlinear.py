@@ -6,7 +6,9 @@ import pytest
 
 from locact import activity, genericity, linsys, nonlinear
 from locact.errors import (
+    BranchLost,
     DimensionMismatch,
+    LocactError,
     NoConvergence,
     NonFiniteEvaluation,
     NoSignChange,
@@ -186,6 +188,148 @@ class TestHopf:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(NoSignChange):
             hopf_locate(lambda m: fhn_system(m), 0.05, 0.05)
+
+
+def _hopf_locate_oracle(builder, mu_lo, mu_hi, tol=1e-6, x_guess=None,
+                       newton_tol=nonlinear.NEWTON_TOL):
+    """hopf_locate as it was written before its continuation became one loop:
+    a direct solve, then a fallback of 2, 4, 8 and 16 steps.  Returns the
+    fields of its HopfResult."""
+    if not (mu_lo < mu_hi):
+        raise NoSignChange("mu_lo must be strictly below mu_hi")
+
+    state = {"x": None if x_guess is None else np.asarray(x_guess, dtype=float)}
+
+    def eval_at(mu, guess):
+        sys = builder(mu)
+        if guess is None:
+            if sys.family == "fhn":
+                guess = fhn_equilibrium_guesses(**sys.params)[0]
+            else:
+                guess = np.zeros(sys.n)
+        report = nonlinear.find_equilibrium(sys, guess, newton_tol=newton_tol)
+        eigs = report.eigenvalues_full
+        return report, float(eigs.real.max()), eigs
+
+    def continued(mu):
+        try:
+            report, phi, eigs = eval_at(mu, state["x"])
+        except NoConvergence:
+            x = state["x"]
+            mu_from = state.get("mu_from", mu_lo)
+            for k in (2, 4, 8, 16):
+                try:
+                    x_tmp = x
+                    for j in range(1, k + 1):
+                        mu_j = mu_from + (mu - mu_from) * j / k
+                        report, phi, eigs = eval_at(mu_j, x_tmp)
+                        x_tmp = report.x_star
+                    break
+                except NoConvergence:
+                    continue
+            else:
+                raise BranchLost(f"equilibrium branch lost near mu = {mu}")
+        state["x"] = report.x_star
+        state["mu_from"] = mu
+        return report, phi, eigs
+
+    rep_lo, phi_lo, _ = continued(mu_lo)
+    _, phi_hi, _ = continued(mu_hi)
+    if phi_lo == 0.0 or phi_hi == 0.0:
+        pass
+    elif np.sign(phi_lo) == np.sign(phi_hi):
+        raise NoSignChange(
+            f"spectral abscissa has the same sign at both ends "
+            f"({phi_lo:.3e}, {phi_hi:.3e})"
+        )
+    lo, hi = float(mu_lo), float(mu_hi)
+    state["x"] = rep_lo.x_star
+    state["mu_from"] = lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        _, phi_mid, _ = continued(mid)
+        if np.sign(phi_mid) == np.sign(phi_lo):
+            lo = mid
+            phi_lo = phi_mid
+        else:
+            hi = mid
+    mu_star = 0.5 * (lo + hi)
+    report, _, eigs = continued(mu_star)
+    crossing = eigs[int(np.argmax(eigs.real))]
+    return mu_star, bool(abs(crossing.imag) > 1e-6), complex(crossing), report.x_star
+
+
+def _hopf_bits(mu_star, is_hopf, crossing, equilibrium):
+    return (mu_star.hex(), is_hopf, crossing.real.hex(), crossing.imag.hex(),
+            [float(x).hex() for x in equilibrium])
+
+
+def _hopf_run(locate, monkeypatch, fails, *args, **kwargs):
+    """The result bits or the error of one run, and the number of Newton
+    solves it made; the solves whose index is in ``fails`` raise
+    NoConvergence."""
+    calls = []
+    find = nonlinear.find_equilibrium
+
+    def failing(sys, guess, **kw):
+        calls.append(sys.params["mu"])
+        if fails(len(calls) - 1):
+            raise NoConvergence("injected Newton failure")
+        return find(sys, guess, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nonlinear, "find_equilibrium", failing)
+        try:
+            res = locate(*args, **kwargs)
+        except LocactError as exc:
+            return f"{type(exc).__name__}: {exc}", calls
+    if isinstance(res, nonlinear.HopfResult):
+        res = (res.mu_star, res.is_hopf, res.crossing_eigenvalue, res.equilibrium)
+    return _hopf_bits(*res), calls
+
+
+class TestHopfOracle:
+    """hopf_locate gives the oracle's results bit for bit, with the same
+    Newton solves, also where the step-halving fallback and BranchLost are
+    reached."""
+
+    PATTERNS = {
+        "none": lambda i: False,
+        "every fourth": lambda i: i % 4 == 3,  # the 2-step fallback recovers
+        "pairs": lambda i: i % 7 in (2, 3),  # a 2-step fallback fails as well
+        "first": lambda i: i == 0,  # fallback before any point converged
+        "four in a row": lambda i: i in range(4, 8),  # down to 16 steps
+        "from the ninth": lambda i: i >= 8,  # BranchLost
+    }
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_seeded_brackets(self, monkeypatch, pattern):
+        rng = np.random.default_rng(43)
+        fails = self.PATTERNS[pattern]
+        outcomes = set()
+        for _ in range(4):
+            beta = float(rng.uniform(1.25, 1.31))  # the crossing lies in (0.02, 0.08)
+            mu_lo, mu_hi = float(rng.uniform(-0.05, 0.0)), float(rng.uniform(0.1, 0.15))
+            guess = None if rng.uniform() < 0.5 else [-1.0, -0.6]
+
+            def builder(mu):
+                return fhn_system(mu, beta, GAMMA, XI)
+
+            args = (builder, mu_lo, mu_hi)
+            kwargs = {"tol": float(10.0 ** rng.uniform(-8, -4)), "x_guess": guess}
+            got = _hopf_run(hopf_locate, monkeypatch, fails, *args, **kwargs)
+            assert got == _hopf_run(_hopf_locate_oracle, monkeypatch, fails, *args, **kwargs)
+            outcomes.add(got[0].split(":")[0] if isinstance(got[0], str) else "HopfResult")
+        assert outcomes == ({"BranchLost"} if pattern == "from the ninth" else {"HopfResult"})
+
+    def test_same_sign_and_degenerate_brackets(self, monkeypatch):
+        def builder(mu):
+            return fhn_system(mu, BETA, GAMMA, XI)
+
+        for args in ((builder, 0.2, 0.3), (builder, 0.05, 0.05), (builder, 0.0, 0.02)):
+            got = _hopf_run(hopf_locate, monkeypatch, lambda i: i == 1, *args)
+            assert got == _hopf_run(_hopf_locate_oracle, monkeypatch, lambda i: i == 1, *args)
+            assert got[0].startswith("NoSignChange")
 
 
 class TestDiscreteLaplacian:

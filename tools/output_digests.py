@@ -1,0 +1,128 @@
+"""Print one SHA-256 per output of the standard corpus of a locact tree.
+
+    python tools/output_digests.py [TREE]
+
+TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
+``demos/``; it defaults to the checkout this script sits in.  Each line is
+``<digest> <output name>``.  The corpus:
+
+- the stdout of every demo;
+- the exit code, stdout and sweep CSV of fixed ``fhn`` argvs;
+- every request of the ``cli-reports`` stream of seeds 1-3: exit code,
+  stdout and CSV, with the work directory replaced by ``<workdir>``;
+- ``verdict_to_json`` of every request of the ``identity-ports`` and
+  ``generic-ports`` streams of seeds 0-5.
+
+The inputs come from the generators of ``bench/workloads.py``, with the
+request counts of a 20-second run.  Two trees print the same lines exactly
+when every output is byte-identical:
+
+    diff <(python tools/output_digests.py OLD) <(python tools/output_digests.py NEW)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SECONDS = 20
+SWEEPS = [
+    ("--mu", "0.05", "--sweep", "0:0.1:401"),
+    ("--mu", "0.7", "--sweep=-0.5:1.5:81"),
+    ("--mu", "-0.1", "--beta", "0.7", "--sweep=-2:3:201"),
+    *(("--mu", mu, "--sweep", "0:0.1:401")
+      for mu in ("0", "0.02", "0.045", "0.0501", "0.055", "0.08", "0.1")),
+    ("--beta", "1e308", "--xi", "10", "--sweep", "0:0.1:401"),
+    ("--xi", "0", "--sweep", "0:0.1:401"),
+    ("--tol.cluster_tol=1e-3", "--sweep", "0:0.1:401"),
+]
+INLINE_SWEEP = ("--mu", "0.03", "--sweep", "0:0.1:41")  # rows in stdout, no CSV
+
+
+def digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        data = part if isinstance(part, bytes) else str(part).encode()
+        h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+def demo_outputs(tree):
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for demo in sorted((tree / "demos").glob("*.py")):
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                                  capture_output=True, timeout=600)
+        yield f"demo/{demo.stem}", digest(proc.returncode, proc.stdout)
+
+
+def cli_run(cli, argv, workdir):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue().replace(str(workdir), "<workdir>")
+
+
+def sweep_outputs(cli, workdir):
+    csv_path = workdir / "sweep.csv"
+    for argv in SWEEPS:
+        code, stdout = cli_run(cli, ("fhn", *argv, "--sweep-csv", str(csv_path)), workdir)
+        csv = csv_path.read_bytes() if csv_path.exists() else b""
+        csv_path.unlink(missing_ok=True)
+        yield "fhn " + " ".join(argv), digest(code, stdout, csv)
+    yield "fhn " + " ".join(INLINE_SWEEP), digest(*cli_run(cli, ("fhn", *INLINE_SWEEP), workdir))
+
+
+def cli_report_outputs(cli, workloads, workdir):
+    kind = workloads.WORKLOADS["cli-reports"]
+    for seed in (1, 2, 3):
+        load = kind(seed, workdir, kind.requests(SECONDS))
+        load.prepare()
+        for k in range(load.count):
+            _, argv, _ = load.request(k)
+            code, stdout = cli_run(cli, argv, workdir)
+            csv_path = Path(argv[-1])
+            csv = csv_path.read_bytes() if csv_path.exists() else b""
+            csv_path.unlink(missing_ok=True)
+            yield f"cli-reports/seed{seed}/{k}", digest(code, stdout, csv)
+
+
+def verdict_outputs(activity, dumps_canonical, workloads, workdir):
+    for name in ("identity-ports", "generic-ports"):
+        kind = workloads.WORKLOADS[name]
+        for seed in range(6):
+            load = kind(seed, workdir, kind.requests(SECONDS))
+            load.prepare()
+            for k in range(load.count):
+                verdict = load.run(load.request(k))
+                yield f"{name}/seed{seed}/{k}", \
+                    digest(dumps_canonical(activity.verdict_to_json(verdict)))
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
+    from locact import activity, cli
+    from locact.serialize import dumps_canonical
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        outputs = [demo_outputs(tree), sweep_outputs(cli, workdir),
+                   cli_report_outputs(cli, workloads, workdir),
+                   verdict_outputs(activity, dumps_canonical, workloads, workdir)]
+        for stream in outputs:
+            for name, value in stream:
+                print(value, name, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
