@@ -33,10 +33,9 @@ from .complexity import (
     PoleSet,
     RationalFunction,
     edge_of_chaos_classify,
-    fhn_complexity_function,
-    fhn_rational,
     make_rational,
     min_real_on_axis,
+    one_port_rational,
     poles,
     residue_at_simple_pole,
 )
@@ -64,6 +63,7 @@ from .nonlinear import (
     NonlinearPortSystem,
     analyze_equilibrium_pipeline,
     discrete_laplacian,
+    fhn_complexity_function,
     fhn_system,
     find_equilibrium,
     hopf_locate,

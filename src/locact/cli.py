@@ -195,8 +195,8 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                 rows[i] = (float(m), "error", str(exc), "", "")
         # the rationals of the converged points, built and classified as stacks
         built, rfs = [], []
-        x_d = np.array([eq.x_star[0] for _, eq in points])
-        for (i, eq), rf in zip(points, complexity.fhn_rational(x_d, beta, xi)):
+        jacobians = np.array([eq.jacobian_kinetic for _, eq in points]).reshape(-1, 2, 2)
+        for (i, eq), rf in zip(points, complexity.one_port_rational(jacobians)):
             if isinstance(rf, LocactError):
                 rows[i] = (float(mus[i]), "error", str(rf), "", "")
             else:

@@ -19,7 +19,6 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ConvergenceFailure,
-    EquilibriumNotFound,
     LocactError,
     NonFiniteEntry,
     NotASimplePole,
@@ -411,10 +410,11 @@ def _positive_real_roots(c):
     return row[order], x[order], failed
 
 
-def _axis_candidates(rfs, windows, num, den):
+def _axis_candidates(windows, num, den, size):
     """The candidate omegas of each row and the limit of Re Y(i w) at
-    infinity, for a stack of rationals, their axis windows and their
-    coefficient rows ``num`` and ``den``.
+    infinity, for a stack of rationals given by their axis windows, their
+    coefficient rows ``num`` and ``den`` scaled by :func:`_normalized`, and
+    the sizes of their axis products (see :func:`_axis_polys`).
 
     With ``x = w^2``, ``Re Y(i w) = e(x) / f(x)``.  The candidates of a row
     are 0, the roots of e with the midpoints between them and a point past
@@ -422,17 +422,14 @@ def _axis_candidates(rfs, windows, num, den):
     points (the roots of ``e' f - e f'``) and the window edges, in that
     order, less any omega inside a window.  The polynomials of all rows are
     stacked arrays, and e and the stationary polynomial of every row are
-    rooted by one :func:`_roots` call.  They are formed from the rows scaled
-    by :func:`_normalized`, so that no product overflows.
+    rooted by one :func:`_roots` call.
 
     Returns the flat arrays ``(row, w)``, which keep the candidates of each
-    row in that order, the limit of each row, and a dict of the rows whose
-    root finding failed (they keep only 0 and their window edges).
+    row in that order, the limit of each row in the units of the scaled
+    rows, and a dict of the rows whose root finding failed (they keep only 0
+    and their window edges).
     """
-    k = len(rfs)
-    (num, n_exp), (den, d_exp) = _normalized(num), _normalized(den)
-    d_size = np.array([len(r.den) for r in rfs])
-    size = np.concatenate([np.array([len(r.num) for r in rfs]) + d_size, 2 * d_size])
+    k = len(num)
     with np.errstate(all="ignore"):
         ef, length = _axis_polys(num, den, size)
         slope = np.zeros_like(ef)
@@ -444,7 +441,6 @@ def _axis_candidates(rfs, windows, num, den):
         e_len, f_len = length[:k], length[k:]
         limit = np.where(e_len == f_len, lead[:k] / lead[k:],
                          np.where(e_len > f_len, np.copysign(np.inf, lead[:k]), 0.0))
-        limit = np.ldexp(limit, n_exp - d_exp)  # in the units of num and den
     polys = np.zeros((2 * k, products.shape[1]))
     polys[:k, :ef.shape[1]] = ef[:k]
     polys[k:] = products[:k] - products[k:]
@@ -500,10 +496,11 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
         pole_sets = poles(rfs, cluster_tol=cluster_tol)
     exclusions = [() if isinstance(ps, LocactError) else _axis_exclusions(ps, on_axis_tol)
                   for ps in pole_sets]
-    num = _coefficient_rows([r.num for r in rfs])
-    den = _coefficient_rows([r.den for r in rfs])
-    row, w, limits, failed = _axis_candidates(rfs, exclusions, num, den)
-    (num, n_exp), (den, d_exp) = _normalized(num), _normalized(den)
+    num, n_exp = _normalized(_coefficient_rows([r.num for r in rfs]))
+    den, d_exp = _normalized(_coefficient_rows([r.den for r in rfs]))
+    d_len = np.array([len(r.den) for r in rfs])
+    size = np.concatenate([np.array([len(r.num) for r in rfs]) + d_len, 2 * d_len])
+    row, w, limits, failed = _axis_candidates(exclusions, num, den, size)
     num, den = num[row], den[row]
     v, step = _re_and_step(num, den, w)
     with np.errstate(all="ignore"):
@@ -520,11 +517,10 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
         order = np.lexsort((v, row))  # by row, then value; ties keep candidate order
         # every row has a candidate: 0, or the upper edge of its highest window
         best = order[np.searchsorted(row[order], np.arange(len(rfs)))]
-        shift = n_exp - d_exp  # v is compared in the units of the scaled rows
-        below = np.ldexp(limits, -shift) < v[best]
-        v_best = np.ldexp(v[best], shift)
-    pairs = [(math.inf, float(limit)) if lim else (float(w_k), float(v_k))
-             for w_k, v_k, limit, lim in zip(w[best], v_best, limits, below)]
+        below = limits < v[best]  # both in the units of the scaled rows
+        w_best = np.where(below, np.inf, w[best])
+        v_best = np.ldexp(np.where(below, limits, v[best]), n_exp - d_exp)
+    pairs = list(zip(w_best.tolist(), v_best.tolist()))
     for i, ps in enumerate(pole_sets):
         if isinstance(ps, LocactError) or i in failed:
             pairs[i] = failed.get(i, ps)
@@ -601,51 +597,22 @@ def edge_of_chaos_classify(rf, tols: Optional[ClassifierTolerances] = None):
     return _stacked(results, single)
 
 
-# -- the FitzHugh-Nagumo instance ----------------------------------------------
-
-
-def fhn_rational(x_d, beta: float, xi: float):
-    """Complexity function of the linearized FitzHugh-Nagumo port system at an
-    equilibrium with first coordinate ``x_d``:
-
-    ``Y(s) = (s^2 + (xi beta + x_d^2 - 1) s + xi beta (x_d^2 - 1) + xi) / (s + xi beta)``
-
-    A scalar ``x_d`` gives one :class:`RationalFunction`; a 1-D array gives
-    the stack of :func:`make_rational`, one entry per point (the function,
-    or the ``NonFiniteEntry`` of a point whose coefficients overflow).
-    """
-    x = np.asarray(x_d, dtype=float)
-    num, den = np.ones(x.shape + (3,)), np.ones(x.shape + (2,))
+def one_port_rational(J):
+    """Complexity function ``Y(s) = det(sI - J) / det(sI - J_22) = (s^2 -
+    tr J s + det J) / (s - J_22)`` of the 2x2 matrix ``J`` whose port is the
+    first state: one :class:`RationalFunction`, or for a ``(k, 2, 2)`` stack
+    the stack of :func:`make_rational`, one entry per matrix (the function,
+    or the ``NonFiniteEntry`` of a matrix whose coefficients overflow)."""
+    J = np.asarray(J, dtype=float)
+    num, den = np.ones(J.shape[:-2] + (3,)), np.ones(J.shape[:-2] + (2,))
+    # p = -J_11 written 0 - J_11, so that a zero entry gives +0, the sign of
+    # the zero of a difference x - x; q = -J_22 keeps the sign of a zero
+    p, q = 0.0 - J[..., 0, 0], -J[..., 1, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        d = x * x - 1.0
-        num[..., 0] = xi * beta * d + xi
-        num[..., 1] = xi * beta + d
-    den[..., 0] = xi * beta
+        num[..., 0] = p * q - J[..., 0, 1] * J[..., 1, 0]
+        num[..., 1] = p + q
+    den[..., 0] = q
     return make_rational(num, den)
-
-
-def fhn_complexity_function(mu: float, beta: float, gamma: float, xi: float,
-                            x_guess=None) -> RationalFunction:
-    """FitzHugh-Nagumo complexity function at the equilibrium for the given
-    parameters; the equilibrium is located by the nonlinear module."""
-    from . import nonlinear
-    from .errors import NoConvergence
-
-    sys = nonlinear.fhn_system(mu, beta, gamma, xi)
-    guesses = []
-    if x_guess is not None:
-        guesses.append(np.asarray(x_guess, dtype=float))
-    else:
-        guesses.extend(nonlinear.fhn_equilibrium_guesses(mu, beta, gamma, xi))
-    for guess in guesses:
-        try:
-            report = nonlinear.find_equilibrium(sys, guess)
-        except NoConvergence:
-            continue
-        return fhn_rational(float(report.x_star[0]), beta, xi)
-    raise EquilibriumNotFound(
-        f"no equilibrium found for mu={mu}, beta={beta}, gamma={gamma}, xi={xi}"
-    )
 
 
 def rational_to_json(rf: RationalFunction) -> dict:

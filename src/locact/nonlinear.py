@@ -15,10 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import activity, genericity, linsys
+from . import activity, complexity, genericity, linsys
 from .errors import (
     BranchLost,
     DimensionMismatch,
+    EquilibriumNotFound,
     NoConvergence,
     NonFiniteEvaluation,
     NoSignChange,
@@ -229,6 +230,25 @@ def fhn_equilibrium_guesses(mu: float, beta: float, gamma: float, xi: float):
     return [np.array([-1.0, -0.6]), np.zeros(2)]
 
 
+def fhn_complexity_function(mu: float, beta: float, gamma: float, xi: float,
+                            x_guess=None) -> complexity.RationalFunction:
+    """FitzHugh-Nagumo complexity function: :func:`complexity.one_port_rational`
+    of the kinetic Jacobian at the equilibrium for the given parameters,
+    found from ``x_guess`` or else from the first guess that converges."""
+    sys = fhn_system(mu, beta, gamma, xi)
+    guesses = [np.asarray(x_guess, dtype=float)] if x_guess is not None \
+        else fhn_equilibrium_guesses(mu, beta, gamma, xi)
+    for guess in guesses:
+        try:
+            report = find_equilibrium(sys, guess)
+        except NoConvergence:
+            continue
+        return complexity.one_port_rational(report.jacobian_kinetic)
+    raise EquilibriumNotFound(
+        f"no equilibrium found for mu={mu}, beta={beta}, gamma={gamma}, xi={xi}"
+    )
+
+
 def hopf_locate(builder: Callable, mu_lo: float, mu_hi: float, tol: float = 1e-6,
                 x_guess=None, newton_tol: float = NEWTON_TOL):
     """Bisection in the parameter of the real spectral abscissa of the full
@@ -259,7 +279,7 @@ def hopf_locate(builder: Callable, mu_lo: float, mu_hi: float, tol: float = 1e-6
             guess = x
             try:
                 for j in range(1, k + 1):
-                    report = solve(mu if k == 1 else mu_from + (mu - mu_from) * j / k, guess)
+                    report = solve(mu if j == k else mu_from + (mu - mu_from) * j / k, guess)
                     guess = report.x_star
                 break
             except NoConvergence:
@@ -382,8 +402,6 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
     """Equilibrium -> kinetic linearization -> activity verdict -> genericity
     membership, plus the edge-of-chaos classification under ``tols`` for the
     FitzHugh-Nagumo family; stage failures raise ``StageError`` by stage."""
-    from . import complexity
-
     def run(stage, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -401,8 +419,7 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
     gen_json = None if gen is None else genericity.report_to_json(gen)
     edge_json = None
     if sys.family == "fhn":
-        rf = complexity.fhn_rational(float(eq.x_star[0]), sys.params["beta"],
-                                     sys.params["xi"])
+        rf = complexity.one_port_rational(eq.jacobian_kinetic)
         edge = run("edge_of_chaos_classify", complexity.edge_of_chaos_classify, rf, tols)
         edge_json = complexity.classification_to_json(edge)
         edge_json["Y"] = complexity.rational_to_json(rf)

@@ -162,7 +162,7 @@ def test_criterion_07_destabilization_example():
 
 
 def test_criterion_08_edge_of_chaos_classification():
-    rf = complexity.fhn_complexity_function(0.05, 1.28, 0.12, 0.1)
+    rf = nonlinear.fhn_complexity_function(0.05, 1.28, 0.12, 0.1)
     ec = complexity.edge_of_chaos_classify(rf)
     (pole, mult), = complexity.poles(rf).poles
     assert pole == pytest.approx(-0.128, abs=1e-12) and mult == 1

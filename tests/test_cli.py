@@ -11,6 +11,7 @@ from locact.errors import LocactError, NoConvergence, NotASimplePole, StageError
 from locact.serialize import dumps_canonical, format_csv_row
 from test_complexity import (
     _fhn_rational_oracle,
+    _one_port_rational_oracle,
     _use_numpy_evaluator,
     _use_per_rational_scan,
     _use_per_row_oracles,
@@ -51,8 +52,8 @@ def run_cli(capsys, *argv):
 def _cmd_fhn_oracle(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                     sweep_csv=None):
     """``cli.cmd_fhn`` with a per-point sweep loop: Newton, spectrum, the
-    rational and its classification point by point, the rational from the
-    per-row oracle of ``fhn_rational``."""
+    rational and its classification point by point, the rational from its
+    closed form in x_d, beta and xi."""
     for name, value in (("mu", mu), ("beta", beta), ("gamma", gamma), ("xi", xi)):
         if not np.isfinite(value):
             raise cli.InputError(f"--{name} must be finite, got {value}")
@@ -120,7 +121,7 @@ def _fhn_bytes(capsys, monkeypatch, argv, csv_path, oracle):
     with monkeypatch.context() as patch:
         if oracle:
             patch.setattr(cli, "cmd_fhn", _cmd_fhn_oracle)
-            patch.setattr(complexity, "fhn_rational", _fhn_rational_oracle)
+            patch.setattr(complexity, "one_port_rational", _one_port_rational_oracle)
             _use_per_rational_scan(patch)
             _use_per_row_oracles(patch)
         code, out = run_cli(capsys, *argv)
@@ -362,8 +363,7 @@ class TestFhn:
                 raise NoConvergence("injected Newton failure")
             eq = find_equilibrium(sys, guess, **kwargs)
             if sys.params["mu"] == float(mus[9]):
-                poisoned.add(complexity.fhn_rational(
-                    float(eq.x_star[0]), sys.params["beta"], sys.params["xi"]).num)
+                poisoned.add(complexity.one_port_rational(eq.jacobian_kinetic).num)
             return eq
 
         def failing_conditions(rf, *args):

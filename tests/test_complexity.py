@@ -14,17 +14,27 @@ from locact.complexity import (
     RationalFunction,
     classification_to_json,
     edge_of_chaos_classify,
-    fhn_complexity_function,
-    fhn_rational,
     make_rational,
     min_real_on_axis,
+    one_port_rational,
     poles,
     residue_at_simple_pole,
 )
 from locact.errors import ConvergenceFailure, LocactError, NonFiniteEntry, NotASimplePole
+from locact.nonlinear import fhn_complexity_function, fhn_system
 from locact.serialize import dumps_canonical
 
 BETA, GAMMA, XI = 1.28, 0.12, 0.1
+
+
+def _fhn_rational(x_d, beta, xi):
+    """The FitzHugh-Nagumo complexity function at an equilibrium with first
+    coordinate ``x_d``, from the model's kinetic Jacobian there; an array of
+    ``x_d`` gives the stack, one entry per point."""
+    jacobian = fhn_system(0.0, beta, 0.0, xi).jacobian_f
+    x = np.asarray(x_d, dtype=float)
+    J = np.array([jacobian([x_k, 0.0]) for x_k in x.ravel().tolist()])
+    return one_port_rational(J.reshape(x.shape + (2, 2)))
 
 
 def fhn_xd_oracle(mu):
@@ -57,7 +67,7 @@ class TestFhnComplexityFunction:
         npt.assert_allclose(rf.den, [XI * BETA, 1.0], atol=1e-12)
 
     def test_unit_equilibrium_degenerate_numerator(self):
-        rf = fhn_rational(1.0, BETA, XI)
+        rf = _fhn_rational(1.0, BETA, XI)
         npt.assert_allclose(rf.num, [XI, XI * BETA, 1.0], atol=1e-15)
 
     def test_xi_zero_reduces_the_origin_pole(self):
@@ -65,11 +75,60 @@ class TestFhnComplexityFunction:
         # numerator also vanishes at the origin: the common root cancels and
         # is recorded, leaving the polynomial s + (x_d^2 - 1)
         d = (-0.9) ** 2 - 1.0
-        rf = fhn_rational(-0.9, BETA, 0.0)
+        rf = _fhn_rational(-0.9, BETA, 0.0)
         assert rf.cancelled == (0.0 + 0.0j,)
         npt.assert_allclose(rf.den, [1.0], atol=1e-15)
         npt.assert_allclose(rf.num, [d, 1.0], atol=1e-12)
         assert poles(rf).poles == ()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestOnePortRational:
+    """Y(s) from a 2x2 Jacobian is FitzHugh-Nagumo's closed form bit for bit."""
+
+    @staticmethod
+    def _jacobian(x, beta, xi):
+        return fhn_system(0.0, beta, 0.0, xi).jacobian_f([x, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.one_of(st.sampled_from((1.0, -1.0, 0.0, -0.0, 1e154, -1e155)),
+                                 _finite), min_size=1, max_size=6),
+           beta=st.one_of(st.sampled_from((0.0, -0.0, BETA, 1e308)), _finite),
+           xi=st.one_of(st.sampled_from((0.0, -0.0, XI, 1e-9, 10.0)), _finite))
+    def test_fhn_jacobian_gives_the_closed_form(self, xs, beta, xi):
+        wants = []
+        for x in xs:
+            try:
+                wants.append(_rational_bits(_fhn_rational_oracle(x, beta, xi)))
+            except NonFiniteEntry as exc:
+                wants.append(_rational_bits(exc))
+        stack = one_port_rational(np.array([self._jacobian(x, beta, xi) for x in xs]))
+        assert [_rational_bits(rf) for rf in stack] == wants
+        for x, want in zip(xs, wants):
+            try:
+                rf = one_port_rational(self._jacobian(x, beta, xi))
+            except NonFiniteEntry as exc:
+                rf = exc
+            assert _rational_bits(rf) == want, (x, beta, xi)
+
+    def test_signed_zeros(self):
+        # x = +-1 makes the entry 1 - x^2 exactly +0, as x^2 - 1 is
+        for x in (1.0, -1.0, 0.0):
+            for beta in (0.0, -0.0, BETA):
+                for xi in (0.0, -0.0, XI, -XI):
+                    want = _rational_bits(_fhn_rational_oracle(x, beta, xi))
+                    assert _rational_bits(one_port_rational(
+                        self._jacobian(x, beta, xi))) == want, (x, beta, xi)
+
+    def test_empty_stack(self):
+        assert one_port_rational(np.empty((0, 2, 2))) == []
+
+    def test_general_matrix(self):
+        # J = [[1, 2], [3, 4]]: det(sI - J) = s^2 - 5s - 2 over s - 4
+        rf = one_port_rational([[1.0, 2.0], [3.0, 4.0]])
+        assert rf.num == (-2.0, -5.0, 1.0) and rf.den == (-4.0, 1.0)
 
 
 class TestPoles:
@@ -82,7 +141,7 @@ class TestPoles:
         assert poles(rf).poles == ((0.0 + 0.0j, 2),)
 
     def test_fhn_denominator_pole(self):
-        rf = fhn_rational(fhn_xd_oracle(0.05), BETA, XI)
+        rf = _fhn_rational(fhn_xd_oracle(0.05), BETA, XI)
         (loc, mult), = poles(rf).poles
         assert loc == pytest.approx(-XI * BETA, abs=1e-12)  # -0.128
         assert mult == 1
@@ -168,7 +227,7 @@ class TestMinRealOnAxis:
 
     def test_fhn_negative_real_part(self):
         xd = fhn_xd_oracle(0.05)
-        rf = fhn_rational(xd, BETA, XI)
+        rf = _fhn_rational(xd, BETA, XI)
         # dense-grid oracle over [0, 1000]
         w = np.linspace(1e-3, 1000.0, 200001)
         vals = np.real(rf(1j * w))
@@ -194,7 +253,7 @@ class TestMinRealOnAxis:
 
     def test_limit_at_infinity_below_every_finite_omega(self):
         # FHN rationals decrease towards x_d^2 - 1 on the whole axis
-        rf = fhn_rational(0.3, BETA, XI)
+        rf = _fhn_rational(0.3, BETA, XI)
         assert min_real_on_axis(rf) == (math.inf, 0.3 * 0.3 - 1.0)
         # Re Y = w^2 grows without bound: the infimum is at 0
         assert min_real_on_axis(make_rational([1.0, 0.0, -1.0], [1.0])) == (0.0, 1.0)
@@ -316,6 +375,11 @@ def _trim_oracle(coeffs, coeff_tol):
 def _make_rational_oracle(num, den, coeff_tol=complexity.COEFF_TOL,
                           cluster_tol=complexity.CLUSTER_TOL):
     """make_rational one rational at a time, roots by ``npoly.polyroots``."""
+    rows = [[float(x) for x in c] for c in (num, den)]
+    if not all(map(math.isfinite, rows[0] + rows[1])):
+        width = max(map(len, rows))  # both padded, as in make_rational's stack
+        num, den = (r + [0.0] * (width - len(r)) for r in rows)
+        raise NonFiniteEntry(f"coefficients must be finite, got num={num}, den={den}")
     num = _trim_oracle(num, coeff_tol)
     den = _trim_oracle(den, coeff_tol)
     if den.size == 1 and den[0] == 0.0:
@@ -347,6 +411,13 @@ def _make_rational_oracle(num, den, coeff_tol=complexity.COEFF_TOL,
 def _fhn_rational_oracle(x_d, beta, xi):
     d = x_d * x_d - 1.0
     return _make_rational_oracle([xi * beta * d + xi, xi * beta + d, 1.0], [xi * beta, 1.0])
+
+
+def _one_port_rational_oracle(J):
+    """one_port_rational of one 2x2 matrix, by make_rational's per-row oracle."""
+    (a, b), (c, d) = np.asarray(J, dtype=float).tolist()
+    p, q = 0.0 - a, -d
+    return _make_rational_oracle([p * q - b * c, p + q, 1.0], [q, 1.0])
 
 
 def _poles_oracle(rf, cluster_tol=complexity.CLUSTER_TOL):
@@ -395,9 +466,9 @@ def _positive_real_roots_oracle(coeffs):
     return np.sort(r.real[(r.real > 0.0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))])
 
 
-def _axis_candidates_oracle(rf, windows):
+def _axis_candidates_oracle(num, den, windows):
     """The candidates and limit of one row, with numpy's polynomial utilities."""
-    e, f = _axis_polys_oracle(rf.num, rf.den)
+    e, f = _axis_polys_oracle(num, den)
     w_e = np.sqrt(_positive_real_roots_oracle(e))
     w_s = np.sqrt(_positive_real_roots_oracle(
         npoly.polysub(npoly.polymul(npoly.polyder(e), f), npoly.polymul(e, npoly.polyder(f)))))
@@ -421,9 +492,12 @@ def _use_per_row_oracles(monkeypatch):
             return _poles_oracle(rf, cluster_tol)
         return [_poles_oracle(r, cluster_tol) for r in rf]
 
-    def per_row_candidates(rfs, windows, *coefficient_rows):
-        found = [_axis_candidates_oracle(rf, wins) for rf, wins in zip(rfs, windows)]
-        row = np.repeat(np.arange(len(rfs)), [w.size for w, _ in found])
+    def per_row_candidates(windows, num, den, size):
+        # the rows' own lengths, from the sizes len(num) + len(den) and 2 len(den)
+        d_len = size[len(num):] // 2
+        found = [_axis_candidates_oracle(n[:n_len], d[:d_l], wins) for n, d, n_len, d_l, wins
+                 in zip(num, den, size[:len(num)] - d_len, d_len, windows)]
+        row = np.repeat(np.arange(len(num)), [w.size for w, _ in found])
         return row, np.concatenate([w for w, _ in found]), \
             np.array([limit for _, limit in found]), {}
 
@@ -563,7 +637,7 @@ class TestReOnAxis:
 
     def test_min_real_on_axis_matches_old_closure(self, monkeypatch):
         rng = np.random.default_rng(21)
-        rationals = [fhn_rational(float(xd), BETA, XI)
+        rationals = [_fhn_rational(float(xd), BETA, XI)
                      for xd in np.linspace(-1.6, 1.6, 33)]
         rationals += [fhn_complexity_function(float(mu), BETA, GAMMA, XI)
                       for mu in np.linspace(-0.5, 1.5, 21)]
@@ -691,9 +765,9 @@ def _seeded_rationals(rng, count):
                                           10.0 ** float(rng.uniform(-10.0, -8.5))))
             continue
         elif kind == 4:
-            rationals.append(fhn_rational(float(rng.uniform(-2.0, 2.0)),
-                                          float(rng.uniform(-1.0, 2.0)),
-                                          float(rng.uniform(-0.5, 0.5))))
+            rationals.append(_fhn_rational(float(rng.uniform(-2.0, 2.0)),
+                                           float(rng.uniform(-1.0, 2.0)),
+                                           float(rng.uniform(-0.5, 0.5))))
             continue
         try:
             rationals.append(make_rational(num, den))
@@ -758,7 +832,7 @@ class TestStackedClassifier:
         _assert_rows_match_alone([rfs, data.draw(st.permutations(rfs))])
 
     def test_stack_of_one_is_the_scalar_call(self):
-        rf = fhn_rational(fhn_xd_oracle(0.05), BETA, XI)
+        rf = _fhn_rational(fhn_xd_oracle(0.05), BETA, XI)
         (row,) = edge_of_chaos_classify([rf])
         assert _row_bytes(row) == _row_bytes(edge_of_chaos_classify(rf))
         assert min_real_on_axis([rf]) == [min_real_on_axis(rf)]
@@ -851,7 +925,7 @@ class TestEdgeOfChaosClassifier:
         for rf in (make_rational([1.0], [-1.0, 1.0]),
                    make_rational([1.0], [0.0, 0.0, 1.0]),
                    make_rational([1.0], [1.0, 1.0]),
-                   fhn_rational(fhn_xd_oracle(0.05), BETA, XI)):
+                   _fhn_rational(fhn_xd_oracle(0.05), BETA, XI)):
             ec = edge_of_chaos_classify(rf)
             assert ec.locally_active == (ec.cond_i or ec.cond_ii or ec.cond_iii
                                          or ec.cond_iv)
@@ -903,28 +977,34 @@ class TestByteOracles:
         pairs, x_d = _fhn_grid()
         rationals = []
         for beta, xi in pairs:
-            stack = fhn_rational(x_d, beta, xi)
+            stack = _fhn_rational(x_d, beta, xi)
             for x, rf in zip(x_d.tolist(), stack):
                 want = _rational_bits(_fhn_rational_oracle(x, beta, xi))
-                assert _rational_bits(rf) == want == _rational_bits(fhn_rational(x, beta, xi))
+                assert _rational_bits(rf) == want == _rational_bits(_fhn_rational(x, beta, xi))
                 rationals.append(rf)
         assert any(rf.cancelled for rf in rationals)
         for rf, ps in zip(rationals, poles(rationals)):
             assert _pole_bits(ps) == _pole_bits(_poles_oracle(rf)), rf
         windows = [complexity._axis_exclusions(_poles_oracle(rf), 1e-7) for rf in rationals]
         assert any(windows)
-        num = complexity._coefficient_rows([rf.num for rf in rationals])
-        den = complexity._coefficient_rows([rf.den for rf in rationals])
-        row, w, limits, failed = complexity._axis_candidates(rationals, windows, num, den)
+        num, n_exp = complexity._normalized(
+            complexity._coefficient_rows([rf.num for rf in rationals]))
+        den, d_exp = complexity._normalized(
+            complexity._coefficient_rows([rf.den for rf in rationals]))
+        d_len = np.array([len(rf.den) for rf in rationals])
+        size = np.concatenate([np.array([len(rf.num) for rf in rationals]) + d_len, 2 * d_len])
+        row, w, limits, failed = complexity._axis_candidates(windows, num, den, size)
         assert failed == {}
+        # in the units of the rows as built: the scaling moves no bit here
+        limits = np.ldexp(limits, n_exp - d_exp)
         for i, (rf, wins) in enumerate(zip(rationals, windows)):
-            want_w, want_limit = _axis_candidates_oracle(rf, wins)
+            want_w, want_limit = _axis_candidates_oracle(rf.num, rf.den, wins)
             assert _bits(w[row == i]) == _bits(want_w), rf
             assert _bits([limits[i]]) == _bits([want_limit]), rf
 
     def test_fhn_classification_matches_per_row_oracles(self, monkeypatch):
         pairs, x_d = _fhn_grid()
-        rationals = [rf for beta, xi in pairs[::4] for rf in fhn_rational(x_d, beta, xi)]
+        rationals = [rf for beta, xi in pairs[::4] for rf in _fhn_rational(x_d, beta, xi)]
         stacked = [_row_bytes(row) for row in edge_of_chaos_classify(rationals)]
         _use_per_row_oracles(monkeypatch)
         _use_per_rational_scan(monkeypatch)
@@ -1050,15 +1130,23 @@ class TestNonFiniteCoefficients:
         # nan raised numpy's LinAlgError; 1e200 gave num = (inf,) and a
         # classification with cond_iv False
         with pytest.raises(NonFiniteEntry):
-            fhn_rational(x_d, BETA, XI)
+            _fhn_rational(x_d, BETA, XI)
+
+    def test_finite_matrix_whose_determinant_overflows(self):
+        J = np.array([[1e200, -1.0], [0.1, -1e200]])
+        with pytest.raises(NonFiniteEntry, match="must be finite"):
+            one_port_rational(J)
+        rows = one_port_rational(np.stack([J, [[0.0, -1.0], [1.0, -1.0]]]))
+        assert isinstance(rows[0], NonFiniteEntry)
+        assert (rows[1].num, rows[1].den) == ((1.0, 1.0, 1.0), (1.0, 1.0))
 
     def test_only_that_row_fails_in_a_stack(self):
         x_d = np.array([0.3, math.nan, 1e200, -1.5])
-        rows = fhn_rational(x_d, BETA, XI)
+        rows = _fhn_rational(x_d, BETA, XI)
         assert [type(r).__name__ for r in rows] == \
             ["RationalFunction", "NonFiniteEntry", "NonFiniteEntry", "RationalFunction"]
         for x, rf in zip(x_d[[0, 3]].tolist(), rows[::3]):
-            assert _rational_bits(rf) == _rational_bits(fhn_rational(x, BETA, XI))
+            assert _rational_bits(rf) == _rational_bits(_fhn_rational(x, BETA, XI))
         stacked = make_rational([[1.0, math.inf], [0.0, 1.0]], [[1.0, 1.0], [0.0]])
         assert isinstance(stacked[0], NonFiniteEntry) and isinstance(stacked[1], ValueError)
 
@@ -1090,6 +1178,18 @@ class TestCommonScale:
         # underflowed: (inf, 1.0) and (0.0, 2.0) before the rows were scaled
         rf = make_rational(np.ldexp([2.0, 1.0, 1.0], k), np.ldexp([1.0, 3.0, 1.0], k))
         assert min_real_on_axis(rf) == (1.2507069070310484, 0.30888330538072)
+
+    def test_limit_compared_in_scaled_units(self):
+        # the limit at infinity lies 2.5 % below every candidate in the
+        # units of the scaled rows; scaled back it underflows to -0.0, which
+        # lost to the candidate at omega = 276541.99...
+        rf = make_rational([-9.856757483692054e-109, -4.3585244568796933e-206,
+                            -5.1496980017009315e-118],
+                           [-1.4247969369113033e+34, 415131645268587.25,
+                            3.2593248731169694e+225])
+        w_star, v_star = min_real_on_axis(rf)
+        assert w_star == math.inf and _same_float(v_star, -0.0)
+        assert not edge_of_chaos_classify(rf).cond_iv
 
     def test_scaled_square(self):
         # s^2 written with coefficients 1e160: Re Y(i w) = -w^2 is unbounded

@@ -193,8 +193,8 @@ class TestHopf:
 def _hopf_locate_oracle(builder, mu_lo, mu_hi, tol=1e-6, x_guess=None,
                        newton_tol=nonlinear.NEWTON_TOL):
     """hopf_locate as it was written before its continuation became one loop:
-    a direct solve, then a fallback of 2, 4, 8 and 16 steps.  Returns the
-    fields of its HopfResult."""
+    a direct solve, then a fallback of 2, 4, 8 and 16 steps whose last step
+    is at mu itself.  Returns the fields of its HopfResult."""
     if not (mu_lo < mu_hi):
         raise NoSignChange("mu_lo must be strictly below mu_hi")
 
@@ -221,7 +221,7 @@ def _hopf_locate_oracle(builder, mu_lo, mu_hi, tol=1e-6, x_guess=None,
                 try:
                     x_tmp = x
                     for j in range(1, k + 1):
-                        mu_j = mu_from + (mu - mu_from) * j / k
+                        mu_j = mu if j == k else mu_from + (mu - mu_from) * j / k
                         report, phi, eigs = eval_at(mu_j, x_tmp)
                         x_tmp = report.x_star
                     break
@@ -321,6 +321,19 @@ class TestHopfOracle:
             assert got == _hopf_run(_hopf_locate_oracle, monkeypatch, fails, *args, **kwargs)
             outcomes.add(got[0].split(":")[0] if isinstance(got[0], str) else "HopfResult")
         assert outcomes == ({"BranchLost"} if pattern == "from the ninth" else {"HopfResult"})
+
+    def test_fallback_ends_at_mu(self, monkeypatch):
+        # -0.0123 + (0.1234 + 0.0123) * 2 / 2 rounds to 0.12339999999999998:
+        # the fallback's last step used to solve one ulp away from mu_hi
+        def builder(mu):
+            return fhn_system(mu, BETA, GAMMA, XI)
+
+        got, calls = _hopf_run(hopf_locate, monkeypatch, lambda i: i == 1, builder,
+                               -0.0123, 0.1234)
+        assert -0.0123 + (0.1234 + 0.0123) * 2 / 2 != 0.1234
+        assert calls[:4] == [-0.0123, 0.1234, -0.0123 + (0.1234 + 0.0123) / 2, 0.1234]
+        assert (got, calls) == _hopf_run(_hopf_locate_oracle, monkeypatch, lambda i: i == 1,
+                                         builder, -0.0123, 0.1234)
 
     def test_same_sign_and_degenerate_brackets(self, monkeypatch):
         def builder(mu):

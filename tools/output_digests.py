@@ -10,6 +10,10 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
 - the exit code, stdout and sweep CSV of fixed ``fhn`` argvs;
 - every request of the ``cli-reports`` stream of seeds 1-3: exit code,
   stdout and CSV, with the work directory replaced by ``<workdir>``;
+- the exit code and stdout of ``rd-cell`` on fixed specs (FitzHugh-Nagumo
+  and linear kinetics, each boundary, with and without ``guesses``), of
+  ``analyze`` on the first ``identity-ports`` matrices of seed 0 with
+  ``P = I``, ``e1 e1^T`` and an oblique ``P``, and of ``genericity --n 1..4``;
 - ``verdict_to_json`` of every request of the ``identity-ports`` and
   ``generic-ports`` streams of seeds 0-5.
 
@@ -25,11 +29,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SECONDS = 20
 SWEEPS = [
@@ -43,6 +50,16 @@ SWEEPS = [
     ("--tol.cluster_tol=1e-3", "--sweep", "0:0.1:401"),
 ]
 INLINE_SWEEP = ("--mu", "0.03", "--sweep", "0:0.1:41")  # rows in stdout, no CSV
+RD_KINETICS = [  # (m, n, D, kinetics, guesses)
+    (1, 2, [0.0125], {"type": "fhn"}, [[-1.0, -0.6], [0.0, 0.0], [1.5, 0.5]]),
+    (1, 2, [0.05], {"type": "fhn", "mu": 0.0, "beta": 0.7, "xi": 0.08}, [[1.0, 1.0]]),
+    (1, 2, [0.0125], {"type": "linear", "A": [[0.5, -1.0], [1.0, -0.8]]}, [[0.0, 0.0]]),
+    (2, 2, [0.1, 0.3], {"type": "linear", "A": [[0.2, 1.0], [-1.0, 0.1]]}, [[1.0, -1.0]]),
+    (1, 3, [0.2], {"type": "linear", "A": [[0.3, 1.0, 0.0], [-1.0, -0.5, 0.4],
+                                           [0.0, -0.4, -1.0]]}, [[0.0, 0.0, 0.0]]),
+]
+BOUNDARIES = ("dirichlet", "neumann", "toroidal")
+ANALYZE_MATRICES = 12  # the first identity-ports requests of seed 0
 
 
 def digest(*parts):
@@ -93,6 +110,49 @@ def cli_report_outputs(cli, workloads, workdir):
             yield f"cli-reports/seed{seed}/{k}", digest(code, stdout, csv)
 
 
+def rd_cell_outputs(cli, workdir):
+    spec_path = workdir / "spec.json"
+    for i, (m, n, D, kinetics, guesses) in enumerate(RD_KINETICS):
+        for boundary in BOUNDARIES:
+            for with_guesses in (False, True):
+                spec = {"N": 3, "boundary": boundary, "m": m, "n": n, "D": D,
+                        "kinetics": kinetics}
+                if with_guesses:
+                    spec["guesses"] = guesses
+                spec_path.write_text(json.dumps(spec), encoding="utf-8")
+                name = f"rd-cell/{i}/{boundary}" + ("/guesses" if with_guesses else "")
+                yield name, digest(*cli_run(cli, ("rd-cell", str(spec_path)), workdir))
+
+
+def projections(n):
+    """P = I, e1 e1^T and the oblique e1 (e1 + e2)^T (n >= 2)."""
+    e1 = np.eye(n)[0]
+    yield "identity", np.eye(n)
+    yield "e1e1", np.outer(e1, e1)
+    if n >= 2:
+        yield "oblique", np.outer(e1, e1 + np.eye(n)[1])
+
+
+def analyze_outputs(cli, linsys, workloads, workdir):
+    kind = workloads.WORKLOADS["identity-ports"]
+    load = kind(0, workdir, kind.requests(SECONDS))
+    load.prepare()
+    A_path, P_path = workdir / "A.json", workdir / "P.json"
+    for k in range(ANALYZE_MATRICES):
+        A = load.request(k)
+        A_path.write_text(linsys.format_matrix_json(A), encoding="utf-8")
+        for name, P in projections(A.shape[0]):
+            P_path.write_text(linsys.format_matrix_json(P), encoding="utf-8")
+            yield f"analyze/{k}/{name}", \
+                digest(*cli_run(cli, ("analyze", str(A_path), str(P_path)), workdir))
+
+
+def genericity_outputs(cli, workdir):
+    for n in range(1, 5):
+        argv = ("--seed", "0", "genericity", "--n", str(n))
+        yield " ".join(argv), digest(*cli_run(cli, argv, workdir))
+
+
 def verdict_outputs(activity, dumps_canonical, workloads, workdir):
     for name in ("identity-ports", "generic-ports"):
         kind = workloads.WORKLOADS[name]
@@ -109,7 +169,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    from locact import activity, cli
+    from locact import activity, cli, linsys
     from locact.serialize import dumps_canonical
     import workloads
 
@@ -117,6 +177,9 @@ def main(argv=None):
         workdir = Path(tmp)
         outputs = [demo_outputs(tree), sweep_outputs(cli, workdir),
                    cli_report_outputs(cli, workloads, workdir),
+                   rd_cell_outputs(cli, workdir),
+                   analyze_outputs(cli, linsys, workloads, workdir),
+                   genericity_outputs(cli, workdir),
                    verdict_outputs(activity, dumps_canonical, workloads, workdir)]
         for stream in outputs:
             for name, value in stream:
