@@ -29,7 +29,6 @@ from .errors import (
     OverflowRisk,
     PulseOverlap,
     ScanExhausted,
-    SignalDomainError,
     ZeroEigenvalue,
 )
 
@@ -103,8 +102,8 @@ def default_quad_steps(T: float, cfg: Optional[WitnessSearchConfig] = None) -> i
     return max(800, int(math.ceil(T * per_unit)))
 
 
-def _resolved_steps(sig, T: float, cfg) -> int:
-    """Step budget for a witness integration.
+def _resolved_steps(sig, cfg) -> int:
+    """Step budget for a witness integration over the signal's horizon.
 
     Narrow windows are resolved by the integrator's split grid (the window
     edges are signal breakpoints with a per-segment floor), so the budget
@@ -112,6 +111,7 @@ def _resolved_steps(sig, T: float, cfg) -> int:
     of the time.
     """
     cfg = cfg or WitnessSearchConfig()
+    T = sig.T
     steps = default_quad_steps(T, cfg)
     if isinstance(sig, signals.MollifierComplex):
         steps = min(steps, 40_000)
@@ -323,11 +323,10 @@ def witness_complex_eigen(sys: linsys.LinearPortSystem, alpha: float, beta: floa
     """
     sig = _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
                                 eigvec_in_imP_tol)
-    T = sig.T
     if steps is None:
-        steps = _resolved_steps(sig, T, None)
-    W, _ = energy_integral(sys, sig, T, steps)
-    return sig, T, W
+        steps = _resolved_steps(sig, None)
+    W, _ = energy_integral(sys, sig, sig.T, steps)
+    return sig, sig.T, W
 
 
 def passivity_certificate(sys: linsys.LinearPortSystem,
@@ -410,7 +409,7 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
     sign_valid = None
     for _ in range(7):
         smooth = signals.mollify_two_pulse(base, eps_s)
-        steps = _resolved_steps(smooth, T, cfg)
+        steps = _resolved_steps(smooth, cfg)
         W_m, err = energy_integral(sys, smooth, T, steps)
         if W_m < -err:
             witness = GenericTwoPulseWitness(signal=smooth, T=T, a=a, W=W_m,
@@ -427,16 +426,13 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
     raise ScanExhausted(f"mollified signal lost the sign of W at T = {T}")
 
 
-def _verified_record(sys, sig, T, cfg) -> Optional[WitnessRecord]:
-    """Re-integrate a candidate witness at double resolution; accept only if
-    W is negative beyond the quadrature error estimate."""
-    steps = min(MAX_QUAD_STEPS, 2 * _resolved_steps(sig, T, cfg))
-    try:
-        W, err = energy_integral(sys, sig, T, steps)
-    except SignalDomainError:
-        return None
+def _verified_record(sys, sig, cfg) -> Optional[WitnessRecord]:
+    """Re-integrate a candidate witness at double resolution over its horizon;
+    accept only if W is negative beyond the quadrature error estimate."""
+    steps = min(MAX_QUAD_STEPS, 2 * _resolved_steps(sig, cfg))
+    W, err = energy_integral(sys, sig, sig.T, steps)
     if W < -err:
-        return WitnessRecord(signal=sig, T=T, W=W, quadrature_error_estimate=err)
+        return WitnessRecord(signal=sig, T=sig.T, W=W, quadrature_error_estimate=err)
     return None
 
 
@@ -458,7 +454,7 @@ def _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes):
                                          in_imP_tol)
             except (EigpairMismatch, EigvecNotInImP, NonPositiveEigenvalue):
                 continue
-            rec = _verified_record(sys, sig, T, cfg)
+            rec = _verified_record(sys, sig, cfg)
             if rec:
                 notes.append(f"witness: real eigenpair lam={l.real:.6g}")
                 return rec
@@ -473,7 +469,7 @@ def _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes):
             except (EigpairMismatch, EigvecNotInImP, NonPositiveEigenvalue,
                     NoPositiveSlopeFound):
                 continue
-            rec = _verified_record(sys, sig, sig.T, cfg)
+            rec = _verified_record(sys, sig, cfg)
             if rec:
                 notes.append(
                     f"witness: complex pair {l.real:.6g} +/- {l.imag:.6g}i"
@@ -546,7 +542,7 @@ def classify_activity(sys: linsys.LinearPortSystem,
         retry = (horizon,) if 1.0 < horizon < math.inf else ()
         for T in (min(1.0, horizon),) + retry:
             rec = _verified_record(
-                sys, signals.MollifierTrajectory(v=w, Av=sys.A @ w, T=T), T, cfg)
+                sys, signals.MollifierTrajectory(v=w, Av=sys.A @ w, T=T), cfg)
             if rec:
                 notes.append(f"witness: quadratic-form bump trajectory, T={T:.6g}")
                 break
@@ -570,7 +566,7 @@ def classify_activity(sys: linsys.LinearPortSystem,
         PAP = sys.P @ sys.A @ sys.P
         if np.isfinite(PAP).all():
             m, w = linsys.top_sym_eigenpair(PAP)
-            rec = _verified_record(sys, signals.MollifierReal(lam=0.0, v=w, T=1.0), 1.0, cfg)
+            rec = _verified_record(sys, signals.MollifierReal(lam=0.0, v=w, T=1.0), cfg)
             if rec:
                 notes.append(f"witness: bump along the top eigenvector of sym(PAP) "
                              f"(eigenvalue {m:.6g}), T=1")

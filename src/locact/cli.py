@@ -71,7 +71,10 @@ def _extract_tol_flags(argv):
 def _witness_config(overrides):
     kwargs = {key: overrides[key] for key in _WITNESS_KEYS if key in overrides}
     if "quad_steps_per_unit_time" in kwargs:
-        kwargs["quad_steps_per_unit_time"] = int(kwargs["quad_steps_per_unit_time"])
+        steps = kwargs["quad_steps_per_unit_time"]
+        if not steps.is_integer():
+            raise InputError(f"quad_steps_per_unit_time must be an integer, got {steps}")
+        kwargs["quad_steps_per_unit_time"] = int(steps)
     try:
         return activity.WitnessSearchConfig(**kwargs)
     except ValueError as exc:
@@ -349,7 +352,8 @@ def build_parser():
             f"{cmd}: {', '.join(keys)}" for cmd, keys in _COMMAND_KEYS.items()),
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (fallback: env LOCACT_SEED, then 0)")
+                        help="RNG seed of 'genericity' (fallback: env LOCACT_SEED, "
+                             "then 0); other commands reject it")
     parser.add_argument("--output", type=str, default=None,
                         help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -398,6 +402,9 @@ def main(argv=None) -> int:
                 f"tolerance key '{ignored[0]}' has no effect on "
                 f"'{args.command}' (it takes: {', '.join(taken)})"
             )
+        if args.seed is not None and args.command != "genericity":
+            raise InputError(f"--seed has no effect on '{args.command}' "
+                             "(only 'genericity' takes it)")
         if args.command == "analyze":
             return cmd_analyze_linear(args.matrix, args.projection, overrides,
                                       output=args.output)
@@ -405,7 +412,9 @@ def main(argv=None) -> int:
             return cmd_witness(args.matrix, args.projection, overrides,
                                output=args.output, csv_path=args.csv)
         if args.command == "fhn":
-            sweep = _parse_sweep(args.sweep) if args.sweep else None
+            sweep = _parse_sweep(args.sweep) if args.sweep is not None else None
+            if sweep is None and args.sweep_csv is not None:
+                raise InputError("--sweep-csv has no effect without --sweep")
             return cmd_fhn(args.mu, args.beta, args.gamma, args.xi, overrides,
                            output=args.output, sweep=sweep,
                            sweep_csv=args.sweep_csv)

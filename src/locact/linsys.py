@@ -570,14 +570,17 @@ def parse_matrix_json(text: str) -> np.ndarray:
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse whitespace-separated text: first line ``n``, then n rows."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    """Parse whitespace-separated text: a first line holding only ``n``, then
+    exactly n rows of n numbers; blank lines are skipped."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    n = int(lines[0].split()[0])
-    if len(lines) - 1 < n:
+    if len(lines[0]) != 1:
+        raise ValueError("the first line must hold only n")
+    n = int(lines[0][0])
+    if len(lines) - 1 != n:
         raise DimensionMismatch(f"expected {n} data rows, found {len(lines) - 1}")
-    rows = [[float(v) for v in lines[1 + i].split()] for i in range(n)]
+    rows = [[float(v) for v in ln] for ln in lines[1:]]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("row length differs from declared n")
     return np.array(rows, dtype=float)
@@ -589,13 +592,6 @@ def format_matrix_json(M) -> str:
         "[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in M
     )
     return '{"n": %d, "rows": [\n    %s\n]}\n' % (M.shape[0], rows)
-
-
-def format_matrix_text(M) -> str:
-    M = np.asarray(M, dtype=float)
-    lines = [str(M.shape[0])]
-    lines += [" ".join(format(v, ".17g") for v in row) for row in M]
-    return "\n".join(lines) + "\n"
 
 
 def load_matrix(path) -> np.ndarray:

@@ -80,12 +80,11 @@ def _residual(sys: NonlinearPortSystem, x):
         - sys.P @ np.asarray(sys.D(x), dtype=float).ravel()
 
 
-def _g_and_jacobian(sys: NonlinearPortSystem, x):
-    """Residual, full Jacobian and kinetic Jacobian at x."""
-    g = _residual(sys, x)
+def _jacobians(sys: NonlinearPortSystem, x):
+    """Full Jacobian and kinetic Jacobian at x."""
     Jf = _kinetic_jacobian(sys, x)
     JD = sys.jacobian_D(x) if sys.jacobian_D is not None else jacobian_fd(sys.D, x)
-    return g, Jf - sys.P @ np.asarray(JD, dtype=float), Jf
+    return Jf - sys.P @ np.asarray(JD, dtype=float), Jf
 
 
 def _kinetic_jacobian(sys: NonlinearPortSystem, x):
@@ -117,7 +116,8 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
     if x.size != sys.n:
         raise DimensionMismatch(f"guess has dimension {x.size}, system has {sys.n}")
     notes = []
-    g, J, J_kin = _g_and_jacobian(sys, x)
+    g = _residual(sys, x)
+    J, J_kin = _jacobians(sys, x)
     res = float(np.linalg.norm(g))
     best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
     for _ in range(max_iter):
@@ -141,8 +141,9 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
             alpha *= 0.5
         else:
             x_new = x + alpha * step
-        x = x_new
-        g, J, J_kin = _g_and_jacobian(sys, x)
+            g_new = _residual(sys, x_new)
+        x, g = x_new, g_new
+        J, J_kin = _jacobians(sys, x)
         res = float(np.linalg.norm(g))
         if res < best_res:
             best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
@@ -335,25 +336,19 @@ def discrete_laplacian(N: int, boundary: str = "dirichlet") -> np.ndarray:
     kind = boundary.lower()
     if kind not in ("dirichlet", "neumann", "toroidal"):
         raise ValueError(f"unknown boundary type: {boundary!r}")
-    size = N * N
-    M = np.zeros((size, size))
-
-    def idx(j, k):
-        return j * N + k
-
-    for j in range(N):
-        for k in range(N):
-            row = idx(j, k)
-            M[row, row] += -4.0
-            for dj, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                jj, kk = j + dj, k + dk
-                if 0 <= jj < N and 0 <= kk < N:
-                    M[row, idx(jj, kk)] += 1.0
-                elif kind == "neumann":
-                    M[row, row] += 1.0
-                elif kind == "toroidal":
-                    M[row, idx(jj % N, kk % N)] += 1.0
-                # dirichlet: missing neighbor contributes 0
+    rows = np.arange(N * N)  # node (j, k) is row j N + k
+    j, k = np.divmod(rows, N)
+    M = np.diag(np.full(N * N, -4.0))
+    for dj, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        jj, kk = j + dj, k + dk
+        inside = (0 <= jj) & (jj < N) & (0 <= kk) & (kk < N)
+        if kind == "toroidal":
+            cols = (jj % N) * N + kk % N
+        else:  # a Neumann ghost adds to the node itself, a Dirichlet one adds 0
+            cols = np.where(inside, jj * N + kk, rows)
+        take = inside | (kind != "dirichlet")
+        # each row appears once per direction, so coinciding neighbors add up
+        M[rows[take], cols[take]] += 1.0
     return M
 
 

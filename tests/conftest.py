@@ -45,6 +45,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def format_matrix_text(M) -> str:
+    """The whitespace-text matrix file of M: a line ``n``, then n rows of
+    17-significant-digit entries."""
+    M = np.asarray(M, dtype=float)
+    lines = [str(M.shape[0])]
+    lines += [" ".join(format(v, ".17g") for v in row) for row in M]
+    return "\n".join(lines) + "\n"
+
+
 def spectrum_oracle(A, spec_tol=1e-8):
     """Per-matrix eigendecomposition, as ``linsys.spectrum`` computed it
     before the stacked kernel: the reference every slice of

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import format_matrix_text
 from locact import activity, cli, complexity, genericity, linsys, nonlinear
 from locact.errors import LocactError, NoConvergence, NotASimplePole, StageError
 from locact.serialize import dumps_canonical, format_csv_row
@@ -19,7 +20,7 @@ from test_complexity import (
 
 
 def write_matrix(path, M, fmt="json"):
-    text = linsys.format_matrix_json(M) if fmt == "json" else linsys.format_matrix_text(M)
+    text = linsys.format_matrix_json(M) if fmt == "json" else format_matrix_text(M)
     path.write_text(text)
     return str(path)
 
@@ -324,6 +325,19 @@ class TestFhn:
         assert edge["cond_iv"] is False and edge["edge_of_chaos"] is False
         assert edge["evidence"] == default["evidence"]
 
+    def test_sweep_takes_one_residual_per_newton_iterate(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # 413 Newton solves; each iterate's residual is evaluated once, by
+        # the line search that accepted it
+        calls = []
+        residual = nonlinear._residual
+        monkeypatch.setattr(nonlinear, "_residual",
+                            lambda sys, x: calls.append(x) or residual(sys, x))
+        code, _ = run_cli(capsys, "fhn", "--mu", "0.05", "--sweep", "0:0.1:401",
+                          "--sweep-csv", str(tmp_path / "sweep.csv"))
+        assert code == 0
+        assert len(calls) == 1229
+
     def test_bad_sweep_spec_exits_2(self, capsys):
         code, out = run_cli(capsys, "fhn", "--sweep", "0:0.1")
         assert code == 2
@@ -507,22 +521,56 @@ _IGNORED_PAIRS = (
 )
 
 
-class TestToleranceKeysPerCommand:
-    @pytest.fixture
-    def argv_of(self, paper_pair, tmp_path):
-        spec = tmp_path / "cell.json"
-        spec.write_text(json.dumps({
-            "N": 1, "m": 1, "n": 2, "D": [0.0125],
-            "kinetics": {"type": "linear", "A": [[0.5, -1.0], [1.0, -0.8]]},
-        }))
-        return {
-            "analyze": ["analyze", *paper_pair],
-            "witness": ["witness", *paper_pair],
-            "fhn": ["fhn", "--mu", "0.05"],
-            "rd-cell": ["rd-cell", str(spec)],
-            "genericity": ["genericity", "--n", "2", "--samples", "5"],
-        }
+@pytest.fixture
+def argv_of(paper_pair, tmp_path):
+    spec = tmp_path / "cell.json"
+    spec.write_text(json.dumps({
+        "N": 1, "m": 1, "n": 2, "D": [0.0125],
+        "kinetics": {"type": "linear", "A": [[0.5, -1.0], [1.0, -0.8]]},
+    }))
+    return {
+        "analyze": ["analyze", *paper_pair],
+        "witness": ["witness", *paper_pair],
+        "fhn": ["fhn", "--mu", "0.05"],
+        "rd-cell": ["rd-cell", str(spec)],
+        "genericity": ["genericity", "--n", "2", "--samples", "5"],
+    }
 
+
+class TestFlagsWithoutEffect:
+    """A flag that would change nothing exits 2 and is named."""
+
+    @pytest.mark.parametrize("command", ["analyze", "witness", "fhn", "rd-cell"])
+    def test_seed_outside_genericity_exits_2(self, argv_of, capsys, command):
+        code, out = run_cli(capsys, "--seed", "3", *argv_of[command])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert "--seed" in error and command in error
+
+    def test_sweep_csv_without_sweep_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        code, out = run_cli(capsys, "fhn", "--mu", "0.05", "--sweep-csv", str(csv_path))
+        assert code == 2
+        assert "--sweep-csv" in json.loads(out)["error"]
+        assert not csv_path.exists()
+
+    def test_empty_sweep_exits_2(self, capsys):
+        code, out = run_cli(capsys, "fhn", "--mu", "0.05", "--sweep=")
+        assert code == 2
+        assert "--sweep" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("command", ["analyze", "fhn"])
+    def test_non_integral_quad_steps_exits_2(self, argv_of, capsys, command):
+        code, out = run_cli(capsys, *argv_of[command],
+                            "--tol.quad_steps_per_unit_time=256.9")
+        assert code == 2
+        assert "quad_steps_per_unit_time" in json.loads(out)["error"]
+        _, default = run_cli(capsys, *argv_of[command])
+        assert run_cli(capsys, *argv_of[command],
+                       "--tol.quad_steps_per_unit_time=256") == (0, default)
+
+
+class TestToleranceKeysPerCommand:
     @pytest.mark.parametrize("command,key", _IGNORED_PAIRS)
     def test_key_without_effect_exits_2(self, argv_of, capsys, command, key):
         code, out = run_cli(capsys, *argv_of[command], f"--tol.{key}=5")
@@ -602,8 +650,11 @@ class TestExitCodeContract:
         '{"n": 1e400, "rows": [[1]]}',
         '{"n": 2, "rows": [[1e308, 1e308], [1e308, 1e308]]}',
         '{"n": ' + "[" * 100000 + "]" * 100000 + "}",
+        "2\n1 0\n0 1\n5 5\n",
+        "2 7 junk\n1 0\n0 1\n",
     ], ids=["rows-number", "row-number", "n-null", "entry-object", "n-overflow",
-            "norm-overflow", "nested-past-recursion-limit"])
+            "norm-overflow", "nested-past-recursion-limit", "text-extra-row",
+            "text-tokens-after-n"])
     def test_malformed_or_overflowing_matrix_exits_2(self, tmp_path, capsys, text):
         A = tmp_path / "A.json"
         A.write_text(text)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_spectrum, random_stack, spectrum_oracle
+from conftest import (
+    assert_same_spectrum,
+    format_matrix_text,
+    random_stack,
+    spectrum_oracle,
+)
 from locact import linsys, signals
 from locact.errors import (
     ConvergenceFailure,
@@ -597,7 +602,7 @@ class TestMatrixIO:
 
     def test_text_round_trip_bit_exact(self, rng):
         M = rng.standard_normal((4, 4)) / 3.0
-        back = linsys.parse_matrix_text(linsys.format_matrix_text(M))
+        back = linsys.parse_matrix_text(format_matrix_text(M))
         assert np.array_equal(back, M)
 
     def test_load_matrix_sniffs_format(self, tmp_path):
@@ -605,7 +610,7 @@ class TestMatrixIO:
         j = tmp_path / "m.json"
         t = tmp_path / "m.txt"
         j.write_text(linsys.format_matrix_json(M))
-        t.write_text(linsys.format_matrix_text(M))
+        t.write_text(format_matrix_text(M))
         npt.assert_array_equal(linsys.load_matrix(j), M)
         npt.assert_array_equal(linsys.load_matrix(t), M)
 
@@ -627,3 +632,16 @@ class TestMatrixIO:
     def test_bad_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             linsys.parse_matrix_json('{"n": 2, "rows": [[1, 2]]}')
+
+    @pytest.mark.parametrize("text,error", [
+        ("2\n1 0\n0 1\n5 5\n", DimensionMismatch),
+        ("2 7 junk\n1 0\n0 1\n", ValueError),
+        ("2\n1 0\n", DimensionMismatch),
+        ("2\n1 0\n0 1 2\n", DimensionMismatch),
+    ], ids=["extra-row", "tokens-after-n", "missing-row", "long-row"])
+    def test_text_rows_must_match_n(self, text, error):
+        with pytest.raises(error):
+            linsys.parse_matrix_text(text)
+
+    def test_text_blank_lines_skipped(self):
+        npt.assert_array_equal(linsys.parse_matrix_text("\n2\n\n1 0\n  \n0 1\n\n"), np.eye(2))

@@ -26,6 +26,7 @@ from locact.nonlinear import (
     linearize_at,
     rd_single_cell,
 )
+from locact.serialize import dumps_canonical
 
 BETA, GAMMA, XI = 1.28, 0.12, 0.1
 
@@ -116,11 +117,137 @@ class TestFindEquilibrium:
                             lambda J: spectra.append(J) or eigvals(J))
         report = find_equilibrium(sys, [-1.0, -0.6])
         assert len(spectra) == 1
-        _, J_full, J_kin = nonlinear._g_and_jacobian(sys, report.x_star)
+        J_full, J_kin = nonlinear._jacobians(sys, report.x_star)
         npt.assert_array_equal(report.jacobian_full, J_full)
         npt.assert_array_equal(report.jacobian_kinetic, J_kin)
         npt.assert_array_equal(report.eigenvalues_full, eigvals(J_full))
         assert report.stability == "Unstable"
+
+
+def _find_equilibrium_oracle(sys, x_guess, newton_tol=nonlinear.NEWTON_TOL,
+                             max_iter=100):
+    """find_equilibrium as it was written before each iterate took its
+    residual from the line search: the residual is evaluated again, with the
+    Jacobians, at every iterate."""
+    def g_and_jacobian(x):
+        g = nonlinear._residual(sys, x)
+        Jf = nonlinear._kinetic_jacobian(sys, x)
+        JD = sys.jacobian_D(x) if sys.jacobian_D is not None else jacobian_fd(sys.D, x)
+        return g, Jf - sys.P @ np.asarray(JD, dtype=float), Jf
+
+    x = np.asarray(x_guess, dtype=float).ravel().copy()
+    notes = []
+    g, J, J_kin = g_and_jacobian(x)
+    res = float(np.linalg.norm(g))
+    best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
+    for _ in range(max_iter):
+        if res <= newton_tol:
+            break
+        try:
+            if np.linalg.cond(J) > 1e14:
+                raise np.linalg.LinAlgError("ill-conditioned")
+            step = np.linalg.solve(J, -g)
+        except np.linalg.LinAlgError:
+            step = -np.linalg.pinv(J) @ g
+            if "pseudo-inverse step" not in notes:
+                notes.append("pseudo-inverse step")
+        alpha = 1.0
+        for _ in range(30):
+            x_new = x + alpha * step
+            g_new = nonlinear._residual(sys, x_new)
+            if np.all(np.isfinite(g_new)) and \
+                    np.linalg.norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
+                break
+            alpha *= 0.5
+        else:
+            x_new = x + alpha * step
+        x = x_new
+        g, J, J_kin = g_and_jacobian(x)
+        res = float(np.linalg.norm(g))
+        if res < best_res:
+            best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
+    if best_res > newton_tol:
+        raise NoConvergence(
+            f"Newton stalled at residual {best_res:.3e} (tol {newton_tol:.1e})",
+            best_x=best_x, best_residual=best_res,
+        )
+    if not np.isfinite(best_J).all():
+        raise NonFiniteEvaluation(
+            f"the Jacobian at the equilibrium {best_x.tolist()} is not finite")
+    eigenvalues = np.linalg.eigvals(best_J)
+    return nonlinear.EquilibriumReport(
+        x_star=best_x, residual=best_res, jacobian_full=best_J,
+        jacobian_kinetic=best_J_kin, eigenvalues_full=eigenvalues,
+        stability=nonlinear._stability_label(eigenvalues), notes="; ".join(notes),
+    )
+
+
+def _equilibrium_bits(find, *args, **kwargs):
+    """The report fields of one solve as bytes, or the error it raised."""
+    try:
+        r = find(*args, **kwargs)
+    except NoConvergence as exc:
+        return "NoConvergence", str(exc), exc.best_x.tobytes(), exc.best_residual.hex()
+    except NonFiniteEvaluation as exc:
+        return "NonFiniteEvaluation", str(exc)
+    return (r.x_star.tobytes(), r.residual.hex(), r.jacobian_full.tobytes(),
+            r.jacobian_kinetic.tobytes(), r.eigenvalues_full.tobytes(),
+            r.stability, r.notes)
+
+
+def _rd_fhn_cell(mu):
+    """The FitzHugh-Nagumo cell of ``rd-cell``: finite-difference Jacobians."""
+    base = fhn_system(mu, BETA, GAMMA, XI)
+    return rd_single_cell(lambda x: np.asarray(base.f(x))[:1],
+                          lambda x: np.asarray(base.f(x))[1:], [0.0125], 1, 2)
+
+
+class TestFindEquilibriumOracle:
+    """find_equilibrium gives the oracle's reports and errors bit for bit."""
+
+    def test_seeded_fhn_parameters(self):
+        rng = np.random.default_rng(30)
+        pinv_steps = 0
+        for i in range(40):
+            mu, beta, gamma = rng.uniform(-0.5, 1.0), rng.uniform(0.5, 2.0), \
+                rng.uniform(-0.5, 0.5)
+            xi = 0.0 if i % 4 == 0 else rng.uniform(0.01, 0.3)  # xi = 0: singular J
+            sys = fhn_system(mu, beta, gamma, xi)
+            for guess in [*fhn_equilibrium_guesses(mu, beta, gamma, xi),
+                          rng.uniform(-2.0, 2.0, 2)]:
+                got = _equilibrium_bits(find_equilibrium, sys, guess)
+                assert got == _equilibrium_bits(_find_equilibrium_oracle, sys, guess)
+                pinv_steps += "pseudo-inverse step" in got[-1]
+        assert pinv_steps > 0
+
+    @pytest.mark.parametrize("mu", [0.0, 0.05, 0.3])
+    def test_rd_cell_with_finite_difference_jacobians(self, mu):
+        cell = _rd_fhn_cell(mu)
+        for guess in ([-1.0, -0.6], [0.0, 0.0], [1.5, 0.5]):
+            assert _equilibrium_bits(find_equilibrium, cell, guess) == \
+                _equilibrium_bits(_find_equilibrium_oracle, cell, guess)
+
+    def test_exhausted_halvings(self, monkeypatch):
+        # at x = 0 the pseudo-inverse step of x^2 + 1 is 0, so every
+        # iteration runs all 30 halvings and takes the point it falls through to
+        sys = nonlinear.NonlinearPortSystem(
+            f=lambda x: np.array([x[0] ** 2 + 1.0]), D=lambda x: np.zeros(1),
+            P=np.zeros((1, 1)), n=1)
+        calls = []
+        residual = nonlinear._residual
+        monkeypatch.setattr(nonlinear, "_residual",
+                            lambda s, x: calls.append(x) or residual(s, x))
+        got = _equilibrium_bits(find_equilibrium, sys, [0.0], max_iter=5)
+        assert len(calls) == 1 + 5 * 31
+        assert got[0] == "NoConvergence"
+        assert got == _equilibrium_bits(_find_equilibrium_oracle, sys, [0.0], max_iter=5)
+
+    def test_non_finite_jacobian(self):
+        sys = fhn_system(0.05, 1e308, GAMMA, 10.0)
+        guess = fhn_equilibrium_guesses(0.05, 1e308, GAMMA, 10.0)[0]
+        got = _equilibrium_bits(find_equilibrium, sys, guess)
+        assert got[0] == "NonFiniteEvaluation"
+        assert got == _equilibrium_bits(_find_equilibrium_oracle, sys, guess)
 
 
 class TestLinearizeAt:
@@ -345,7 +472,34 @@ class TestHopfOracle:
             assert got[0].startswith("NoSignChange")
 
 
+def _discrete_laplacian_oracle(N, boundary):
+    """discrete_laplacian as a loop over the grid nodes and their neighbors."""
+    M = np.zeros((N * N, N * N))
+    for j in range(N):
+        for k in range(N):
+            row = j * N + k
+            M[row, row] += -4.0
+            for dj, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                jj, kk = j + dj, k + dk
+                if 0 <= jj < N and 0 <= kk < N:
+                    M[row, jj * N + kk] += 1.0
+                elif boundary == "neumann":
+                    M[row, row] += 1.0
+                elif boundary == "toroidal":
+                    M[row, (jj % N) * N + kk % N] += 1.0
+    return M
+
+
 class TestDiscreteLaplacian:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "toroidal"])
+    def test_matches_node_loop_oracle_bit_for_bit(self, boundary):
+        # N = 1 and 2 toroidal: a node's wrapped neighbors coincide
+        for N in range(1, 9):
+            L = discrete_laplacian(N, boundary)
+            oracle = _discrete_laplacian_oracle(N, boundary)
+            assert L.tobytes() == oracle.tobytes()  # signed zeros included
+            assert dumps_canonical(L.tolist()) == dumps_canonical(oracle.tolist())
+
     def test_single_cell_dirichlet(self):
         npt.assert_array_equal(discrete_laplacian(1, "dirichlet"), [[-4.0]])
 

@@ -11,7 +11,9 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
 - every request of the ``cli-reports`` stream of seeds 1-3: exit code,
   stdout and CSV, with the work directory replaced by ``<workdir>``;
 - the exit code and stdout of ``rd-cell`` on fixed specs (FitzHugh-Nagumo
-  and linear kinetics, each boundary, with and without ``guesses``), of
+  and linear kinetics on the 3 x 3 grid, each boundary, with and without
+  ``guesses``, and FitzHugh-Nagumo kinetics on the 1 x 1 and 2 x 2 grids,
+  whose toroidal neighbours coincide, for each boundary), of
   ``analyze`` on the first ``identity-ports`` matrices of seed 0 with
   ``P = I``, ``e1 e1^T`` and an oblique ``P``, and of ``genericity --n 1..4``;
 - ``verdict_to_json`` of every request of the ``identity-ports`` and
@@ -59,6 +61,7 @@ RD_KINETICS = [  # (m, n, D, kinetics, guesses)
                                            [0.0, -0.4, -1.0]]}, [[0.0, 0.0, 0.0]]),
 ]
 BOUNDARIES = ("dirichlet", "neumann", "toroidal")
+SMALL_GRIDS = (1, 2)  # FitzHugh-Nagumo kinetics only
 ANALYZE_MATRICES = 12  # the first identity-ports requests of seed 0
 
 
@@ -112,16 +115,20 @@ def cli_report_outputs(cli, workloads, workdir):
 
 def rd_cell_outputs(cli, workdir):
     spec_path = workdir / "spec.json"
+
+    def run(name, spec):
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        return name, digest(*cli_run(cli, ("rd-cell", str(spec_path)), workdir))
+
     for i, (m, n, D, kinetics, guesses) in enumerate(RD_KINETICS):
         for boundary in BOUNDARIES:
-            for with_guesses in (False, True):
-                spec = {"N": 3, "boundary": boundary, "m": m, "n": n, "D": D,
-                        "kinetics": kinetics}
-                if with_guesses:
-                    spec["guesses"] = guesses
-                spec_path.write_text(json.dumps(spec), encoding="utf-8")
-                name = f"rd-cell/{i}/{boundary}" + ("/guesses" if with_guesses else "")
-                yield name, digest(*cli_run(cli, ("rd-cell", str(spec_path)), workdir))
+            spec = {"N": 3, "boundary": boundary, "m": m, "n": n, "D": D,
+                    "kinetics": kinetics}
+            yield run(f"rd-cell/{i}/{boundary}", spec)
+            yield run(f"rd-cell/{i}/{boundary}/guesses", {**spec, "guesses": guesses})
+            if kinetics["type"] == "fhn":
+                for N in SMALL_GRIDS:
+                    yield run(f"rd-cell/{i}/{boundary}/N{N}", {**spec, "N": N})
 
 
 def projections(n):
