@@ -37,7 +37,6 @@ from .complexity import (
     min_real_on_axis,
     one_port_rational,
     poles,
-    residue_at_simple_pole,
 )
 from .genericity import (
     GenericityReport,
@@ -76,14 +75,11 @@ from .signals import (
     MollifierComplex,
     MollifierReal,
     MollifierTrajectory,
-    Sampled,
     TwoPulse,
     eval_signal,
     mollifier,
     mollifier_derivative,
-    mollify_two_pulse,
     signal_from_json,
-    signal_to_json,
 )
 
 __version__ = "0.1.0"

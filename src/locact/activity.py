@@ -408,7 +408,7 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
     eps_s = min(0.1, (T - 2.0) / 4.0)
     sign_valid = None
     for _ in range(7):
-        smooth = signals.mollify_two_pulse(base, eps_s)
+        smooth = signals.MollifiedTwoPulse(base=base, eps_s=eps_s)
         steps = _resolved_steps(smooth, cfg)
         W_m, err = energy_integral(sys, smooth, T, steps)
         if W_m < -err:
@@ -594,7 +594,7 @@ def verdict_to_json(verdict: ActivityVerdict) -> dict:
     witness = None
     if verdict.witness is not None:
         witness = {
-            "signal": signals.signal_to_json(verdict.witness.signal),
+            "signal": verdict.witness.signal.to_json(),
             "T": verdict.witness.T,
             "W": verdict.witness.W,
             "quadrature_error_estimate": verdict.witness.quadrature_error_estimate,

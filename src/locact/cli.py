@@ -102,10 +102,17 @@ def _load_system(matrix_path, projection_path, overrides):
         raise InputError(str(exc)) from exc
 
 
-def _emit(text, output):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+def _write(text, path):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(text, output):
+    if output is not None:
+        _write(text, output)
     else:
         _sysmod.stdout.write(text)
         if not text.endswith("\n"):
@@ -149,9 +156,8 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
             [traj.times[i], *traj.states[i], *u_vals[i], integrand[i]]
         ))
     csv_text = "\n".join(lines) + "\n"
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+    if csv_path is not None:
+        _write(csv_text, csv_path)
     report = {
         "status": verdict.status,
         "witness": activity.verdict_to_json(verdict)["witness"],
@@ -159,7 +165,7 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
         "trajectory_csv": csv_path,
     }
     _emit(dumps_canonical(report) + "\n", output)
-    if not csv_path:
+    if csv_path is None:
         _sysmod.stdout.write(csv_text)
     return 0
 
@@ -218,9 +224,8 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
         csv_lines = ["mu,x_d,y_d,maxReEig_full,edge_of_chaos"]
         csv_lines += [format_csv_row(r) for r in rows]
         csv_text = "\n".join(csv_lines) + "\n"
-        if sweep_csv:
-            with open(sweep_csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+        if sweep_csv is not None:
+            _write(csv_text, sweep_csv)
         mu_star = None
         for (m0, p0), (m1, p1) in zip(abscissas[:-1], abscissas[1:]):
             if np.sign(p0) != np.sign(p1) and p0 != 0.0:
@@ -236,13 +241,30 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                 break
         report["sweep"] = {"points": len(rows), "csv": sweep_csv,
                            "hopf": mu_star}
-        if not sweep_csv:
+        if sweep_csv is None:
             report["sweep"]["rows"] = [list(r) for r in rows]
     _emit(dumps_canonical(report) + "\n", output)
     return 0
 
 
 _RD_KINETICS = ("fhn", "linear")
+
+
+def _spec_int(value, key):
+    """An integer spec value: an int or an integral float, not a bool."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise InputError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _spec_float(value, key):
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"'{key}' must be a number: {exc}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"'{key}' must be finite, got {value}")
+    return value
 
 
 def cmd_rd_cell(spec_path, overrides, output=None):
@@ -252,11 +274,11 @@ def cmd_rd_cell(spec_path, overrides, output=None):
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read model spec: {exc}") from exc
     try:
-        N = int(spec.get("N", 1))
+        N = _spec_int(spec.get("N", 1), "N")
         boundary = spec.get("boundary", "dirichlet")
-        m = int(spec["m"])
-        n = int(spec["n"])
-        D = [float(d) for d in spec["D"]]
+        m = _spec_int(spec["m"], "m")
+        n = _spec_int(spec["n"], "n")
+        D = [_spec_float(d, "D") for d in spec["D"]]
         kin = spec["kinetics"]
         kind = kin["type"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -271,7 +293,7 @@ def cmd_rd_cell(spec_path, overrides, output=None):
     if kind == "fhn":
         if (m, n) != (1, 2):
             raise InputError("fhn kinetics requires m=1, n=2")
-        params = {k: float(kin.get(k, d)) for k, d in
+        params = {k: _spec_float(kin.get(k, d), k) for k, d in
                   (("mu", 0.05), ("beta", 1.28), ("gamma", 0.12), ("xi", 0.1))}
         base = nonlinear.fhn_system(**params)
         f_a = lambda x: np.asarray(base.f(x))[:1]
@@ -280,10 +302,12 @@ def cmd_rd_cell(spec_path, overrides, output=None):
     else:
         try:
             A_kin = np.asarray(kin["A"], dtype=float)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"linear kinetics needs a matrix 'A': {exc}") from exc
         if A_kin.shape != (n, n):
             raise InputError(f"kinetics matrix must be {n}x{n}")
+        if not np.isfinite(A_kin).all():
+            raise InputError("kinetics matrix 'A' must be finite")
         f_a = lambda x: A_kin[:m] @ np.asarray(x, dtype=float)
         f_b = lambda x: A_kin[m:] @ np.asarray(x, dtype=float)
         default_guess = np.zeros(n)
@@ -387,6 +411,18 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        _sysmod.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sysmod.stdout.fileno())
+        return 2
+    return code
+
+
+def _main(argv):
     argv = list(_sysmod.argv[1:] if argv is None else argv)
     try:
         overrides, rest = _extract_tol_flags(argv)
@@ -405,6 +441,9 @@ def main(argv=None) -> int:
         if args.seed is not None and args.command != "genericity":
             raise InputError(f"--seed has no effect on '{args.command}' "
                              "(only 'genericity' takes it)")
+        for flag in ("output", "csv", "sweep_csv"):
+            if getattr(args, flag, None) == "":
+                raise InputError(f"--{flag.replace('_', '-')} needs a file path")
         if args.command == "analyze":
             return cmd_analyze_linear(args.matrix, args.projection, overrides,
                                       output=args.output)

@@ -17,12 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    ConvergenceFailure,
-    LocactError,
-    NonFiniteEntry,
-    NotASimplePole,
-)
+from .errors import ConvergenceFailure, LocactError, NonFiniteEntry
 
 COEFF_TOL = 1e-12
 CLUSTER_TOL = 1e-7
@@ -271,20 +266,6 @@ def poles(rf, cluster_tol: float = CLUSTER_TOL):
                 clusters.append([r, 1])
         out.append(PoleSet(poles=tuple((complex(s / m), int(m)) for s, m in clusters)))
     return _stacked(out, single)
-
-
-def residue_at_simple_pole(rf: RationalFunction, p: complex,
-                           cluster_tol: float = CLUSTER_TOL) -> complex:
-    """Residue ``num(p) / den'(p)`` at a simple pole p: the pole of ``rf``
-    nearest p, within ``max(1e-6 (1 + |p|), cluster_tol)`` of it, must be
-    simple."""
-    loc, mult = min(poles(rf, cluster_tol=cluster_tol).poles,
-                    key=lambda pole: abs(pole[0] - p), default=(math.inf, 0))
-    if not abs(loc - p) <= max(1e-6 * (1.0 + abs(p)), cluster_tol):
-        raise NotASimplePole(f"{p} is not a pole of the reduced function")
-    if mult != 1:
-        raise NotASimplePole(f"pole at {loc} has multiplicity {mult}")
-    return _residue(rf, p)
 
 
 def _residue(rf, p):

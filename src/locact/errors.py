@@ -93,17 +93,11 @@ class ZeroProjection(LocactError):
     pass
 
 
-# -- rational functions -----------------------------------------------------
-
-class NotASimplePole(LocactError):
-    pass
-
+# -- nonlinear analysis ------------------------------------------------------
 
 class EquilibriumNotFound(LocactError):
     pass
 
-
-# -- nonlinear analysis ------------------------------------------------------
 
 class NonFiniteEvaluation(LocactError):
     pass

@@ -289,36 +289,6 @@ def top_sym_eigenpair(M):
 # -- forced integration -------------------------------------------------------
 
 
-def _signal_hooks(u, T):
-    """Return (vector_eval, knots, piecewise_constant) for a signal-like u.
-
-    Accepts the signal families of :mod:`locact.signals` or any callable
-    t -> R^n.
-    """
-    if _sig.is_signal(u):
-        if u.T < T * (1.0 - _DOMAIN_SLACK):
-            raise SignalDomainError(
-                f"signal horizon {float(u.T)} is shorter than T={T}"
-            )
-        def evaluate(ts):
-            return np.atleast_2d(_sig.eval_signal(u, ts))
-        return evaluate, u.breakpoints(), u.piecewise_constant
-    if callable(u):
-        def evaluate(ts):
-            ts = np.atleast_1d(ts)
-            try:
-                vals = np.asarray(u(ts), dtype=float)
-                if vals.ndim == 2 and vals.shape[0] == ts.size:
-                    return vals
-                if vals.ndim == 1 and ts.size == 1:
-                    return vals[None, :]
-            except Exception:
-                pass
-            return np.stack([np.atleast_1d(np.asarray(u(t), dtype=float)) for t in ts])
-        return evaluate, (), False
-    raise TypeError(f"cannot evaluate input signal of type {type(u)!r}")
-
-
 def _segment_grid(T, knots, steps):
     """Split [0, T] at the interior knots and spread the step budget.
 
@@ -428,10 +398,9 @@ def _affine_scan(pows, x0, c):
     return states.reshape(nb * B, n)[:m]
 
 
-def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
-                quiet=None):
+def _rk4_forced(A, P, sig, T, steps, quiet=None):
     """Classical RK4 for ``x' = A x + P u``, x(0) = 0, jointly integrating the
-    energy integrand ``z' = <x, P u>``.
+    energy integrand ``z' = <x, P u>``, with ``u`` the signal family ``sig``.
 
     The grid is split at the signal's discontinuities so no step straddles a
     jump; on piecewise-constant signals each segment uses its midpoint value,
@@ -459,7 +428,8 @@ def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
     ``quiet`` is None.
     """
     n = A.shape[0]
-    edges, counts = _segment_grid(T, knots, steps)
+    edges, counts = _segment_grid(T, sig.breakpoints(), steps)
+    piecewise_constant = sig.piecewise_constant
     want_states = quiet is None
     live = [not any(a <= lo and hi <= b for a, b in quiet or ())
             for lo, hi in zip(edges[:-1], edges[1:])]
@@ -476,7 +446,7 @@ def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
         RT, E = _step_maps(A, h)
         pows = _powers(RT, math.isqrt(min(m, _CHUNK_STEPS) - 1) + 1)
         if piecewise_constant and flag:
-            const = evaluate(np.array([0.5 * (lo + hi)]))[0] @ P.T
+            const = _sig.eval_signal(sig, np.array([0.5 * (lo + hi)]))[0] @ P.T
         for first in range(0, m, _CHUNK_STEPS):
             last = min(first + _CHUNK_STEPS, m)
             if not flag:
@@ -488,9 +458,9 @@ def _rk4_forced(A, P, evaluate, T, steps, knots, piecewise_constant,
             if piecewise_constant:
                 F = (np.broadcast_to(const, (last - first, n)),) * 3
             else:
-                ends = evaluate(grid)
-                F = (ends[:-1] @ P.T, evaluate(grid[:-1] + 0.5 * h) @ P.T,
-                     ends[1:] @ P.T)
+                ends = _sig.eval_signal(sig, grid)
+                mids = _sig.eval_signal(sig, grid[:-1] + 0.5 * h)
+                F = (ends[:-1] @ P.T, mids @ P.T, ends[1:] @ P.T)
             c, W_input = _input_terms(A, h, F)
             states = _affine_scan(pows, x, c)
             g = F[0] @ E[0]
@@ -512,7 +482,7 @@ def solve_forced(sys: LinearPortSystem, u, T: float, steps: int) -> Trajectory:
     Fixed-step classical RK4 on a uniform grid, split at the discontinuity
     points of two-pulse signals.  The steps are written as affine maps and
     solved by a blocked scan, in chunks of a fixed number of steps (see
-    ``_rk4_forced``).  ``u`` may be a signal family or a callable.
+    ``_rk4_forced``).  ``u`` is a signal family of :mod:`locact.signals`.
     """
     times, states, _ = _forced(sys, u, T, steps, keep_states=True)
     return Trajectory(times=_frozen(times), states=_frozen(states), T=float(T))
@@ -539,9 +509,12 @@ def _forced(sys, u, T, steps, keep_states):
         raise ValueError("T must be positive")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    evaluate, knots, pwc = _signal_hooks(u, T)
-    quiet = None if keep_states else (u.quiet_spans() if _sig.is_signal(u) else ())
-    return _rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc, quiet)
+    if not isinstance(u, _sig._Family):
+        raise TypeError(f"the input must be a signal family, got {type(u)!r}")
+    if u.T < T * (1.0 - _DOMAIN_SLACK):
+        raise SignalDomainError(f"signal horizon {float(u.T)} is shorter than T={T}")
+    quiet = None if keep_states else u.quiet_spans()
+    return _rk4_forced(sys.A, sys.P, u, T, steps, quiet)
 
 
 # -- matrix file ingestion ----------------------------------------------------

@@ -1,6 +1,5 @@
 """Input-signal families: Friedrichs mollifier signals, discontinuous
-two-pulse signals, their mollified continuous approximations, and sampled
-signals with linear interpolation.
+two-pulse signals and their mollified continuous approximations.
 
 Each family carries its own evaluation, integration knots and JSON.  All
 signals live on a finite horizon [0, T]; evaluation outside the horizon
@@ -303,7 +302,9 @@ class MollifierComplex(_Family):
 @dataclass(frozen=True)
 class MollifiedTwoPulse(_Family):
     """Continuous approximation of a two-pulse: convolution with the
-    normalized mollifier of width ``eps_s``."""
+    normalized mollifier of width ``eps_s``, which must satisfy
+    ``0 < eps_s < 1/(2k)`` and ``eps_s < (T - 2/k)/2`` (else
+    ``SmoothingTooWide``)."""
 
     base: TwoPulse
     eps_s: float
@@ -341,47 +342,6 @@ class MollifiedTwoPulse(_Family):
         return np.outer(profile, b.direction)
 
 
-@dataclass(frozen=True)
-class Sampled(_Family):
-    """Knot-value pairs with linear interpolation between knots."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2 or values.shape[0] != times.size:
-            raise ValueError("values must have shape (len(times), n)")
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing with >= 2 knots")
-        if abs(times[0]) > 1e-12:
-            raise ValueError("sampled signals must start at t = 0")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("non-finite sample data")
-        object.__setattr__(self, "times", _frozen(times))
-        object.__setattr__(self, "values", _frozen(values))
-
-    @property
-    def T(self):
-        return float(self.times[-1])
-
-    def breakpoints(self):
-        return tuple(self.times[1:-1]) if self.times.size <= 257 else ()
-
-    def evaluate(self, t):
-        return np.stack(
-            [np.interp(t, self.times, self.values[:, j]) for j in range(self.values.shape[1])],
-            axis=1,
-        )
-
-
-def is_signal(u) -> bool:
-    return isinstance(u, _Family)
-
-
 def breakpoints(sig):
     return sig.breakpoints()
 
@@ -401,28 +361,7 @@ def eval_signal(sig, t):
     return out[0] if scalar else out
 
 
-def mollify_two_pulse(base: TwoPulse, eps_s: float) -> MollifiedTwoPulse:
-    """Continuous mollification of a two-pulse signal.
-
-    Requires ``0 < eps_s < 1/(2k)`` and ``eps_s < (T - 2/k)/2`` so the
-    smoothed pulses neither merge nor spill out of the plateau structure;
-    violations raise ``SmoothingTooWide``.
-    """
-    return MollifiedTwoPulse(base=base, eps_s=float(eps_s))
-
-
-def l2_distance(sig_a, sig_b, T: float, samples: int = 20001) -> float:
-    """L2([0,T]) distance between two signals by composite-trapezoid quadrature."""
-    t = np.linspace(0.0, T, samples)
-    diff = eval_signal(sig_a, t) - eval_signal(sig_b, t)
-    return float(np.sqrt(np.trapezoid(np.sum(diff * diff, axis=1), t)))
-
-
 # -- serialization -------------------------------------------------------------
-
-
-def signal_to_json(sig) -> dict:
-    return sig.to_json()
 
 
 def signal_from_json(obj: dict):

@@ -1,5 +1,7 @@
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -7,6 +9,57 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+from locact.signals import _Family, _frozen  # noqa: E402
+
+
+@dataclass(frozen=True)
+class Sampled(_Family):
+    """Knot-value pairs with linear interpolation between knots."""
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float).ravel()
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim == 1:
+            values = values[:, None]
+        if values.ndim != 2 or values.shape[0] != times.size:
+            raise ValueError("values must have shape (len(times), n)")
+        if times.size < 2 or np.any(np.diff(times) <= 0):
+            raise ValueError("times must be strictly increasing with >= 2 knots")
+        if abs(times[0]) > 1e-12:
+            raise ValueError("sampled signals must start at t = 0")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("non-finite sample data")
+        object.__setattr__(self, "times", _frozen(times))
+        object.__setattr__(self, "values", _frozen(values))
+
+    @property
+    def T(self):
+        return float(self.times[-1])
+
+    def breakpoints(self):
+        return tuple(self.times[1:-1]) if self.times.size <= 257 else ()
+
+    def evaluate(self, t):
+        return np.stack(
+            [np.interp(t, self.times, self.values[:, j]) for j in range(self.values.shape[1])],
+            axis=1,
+        )
+
+
+@dataclass(frozen=True)
+class FunctionSignal(_Family):
+    """The input ``fn`` on [0, T], with no knots: ``fn`` maps an array of m
+    times to an (m, n) array of values."""
+
+    fn: Callable
+    T: float
+
+    def evaluate(self, t):
+        return np.asarray(self.fn(t), dtype=float)
 
 
 def random_system(rng, n, unit_ports=True):

@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_member_of_M
+from conftest import FunctionSignal, random_member_of_M
 from locact import activity, complexity, genericity, linsys, nonlinear, signals
 from locact.activity import (
     ACTIVE,
@@ -189,6 +189,11 @@ def test_criterion_08_edge_of_chaos_classification():
 def test_criterion_09_genericity_density_and_openness():
     tol = 1e-8
     P_cache = {}
+    # a (20, n, n) draw is the stream of 20 draws of (n, n)
+    stacked = np.random.default_rng(20240009).standard_normal((20, 3, 3))
+    one_by_one = np.random.default_rng(20240009)
+    assert stacked.tobytes() == np.stack(
+        [one_by_one.standard_normal((3, 3)) for _ in range(20)]).tobytes()
     rng = np.random.default_rng(20240009)
     for n in (1, 2, 3, 4):
         fraction = genericity.sample_density_M(n, 1000, seed=1000 + n, tol=tol)
@@ -205,11 +210,13 @@ def test_criterion_09_genericity_density_and_openness():
             if not genericity.in_generic_M(sys, tol=tol).in_M:
                 continue
             members += 1
-            for _ in range(20):
-                E = rng.standard_normal((n, n))
-                E *= (tol / 10.0) / np.linalg.norm(E)
-                assert genericity.in_generic_M(
-                    linsys.make_system(A + E, P), tol=tol / 2.0).in_M
+            # 20 perturbations of norm tol / 10, tested as one stack; for
+            # P = e1 e1^T the port reflector is I
+            E = rng.standard_normal((20, n, n))
+            E *= np.array([(tol / 10.0) / np.linalg.norm(e) for e in E])[:, None, None]
+            groups = genericity._membership(A + E, tol / 2.0)
+            assert sum(g.in_M.size for g in groups) == 20
+            assert all(g.in_M.all() for g in groups)
         assert members >= 990
     _report(9, "generic-set density >= 0.99 for n in 1..4 + openness probes")
 
@@ -239,7 +246,8 @@ def test_criterion_10_numerical_hygiene():
 
         ends = {}
         for steps in (20, 40, 80, 160):
-            ends[steps] = linsys.solve_forced(sys, u, 1.5, steps).states[-1]
+            ends[steps] = linsys.solve_forced(sys, FunctionSignal(u, 1.5), 1.5,
+                                              steps).states[-1]
         ref = ends[160] + (ends[160] - ends[80]) / 15.0
         e1 = np.linalg.norm(ends[20] - ref)
         e2 = np.linalg.norm(ends[40] - ref)

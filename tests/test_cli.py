@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import format_matrix_text
 from locact import activity, cli, complexity, genericity, linsys, nonlinear
-from locact.errors import LocactError, NoConvergence, NotASimplePole, StageError
+from locact.errors import LocactError, NoConvergence, StageError
 from locact.serialize import dumps_canonical, format_csv_row
 from test_complexity import (
     _fhn_rational_oracle,
@@ -382,7 +386,7 @@ class TestFhn:
 
         def failing_conditions(rf, *args):
             if rf.num in poisoned:
-                raise NotASimplePole("injected classification failure")
+                raise LocactError("injected classification failure")
             return pole_conditions(rf, *args)
 
         hopf_locate = nonlinear.hopf_locate
@@ -474,6 +478,48 @@ class TestRdCell:
     def test_missing_file_exits_2(self, capsys):
         code, out = run_cli(capsys, "rd-cell", "/nonexistent/spec.json")
         assert code == 2
+
+    LINEAR = {"N": 1, "m": 1, "n": 2, "D": [0.0125],
+              "kinetics": {"type": "linear", "A": [[0.5, -1.0], [1.0, -0.8]]}}
+    FHN = {"N": 1, "m": 1, "n": 2, "D": [0.0125], "kinetics": {"type": "fhn"}}
+
+    def _run_spec(self, tmp_path, capsys, text):
+        path = tmp_path / "cell.json"
+        path.write_text(text)
+        return run_cli(capsys, "rd-cell", str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("N", 1.5), ("m", 1.9), ("n", 2.2), ("N", True), ("m", True), ("n", "2")])
+    def test_non_integer_size_exits_2(self, tmp_path, capsys, key, value):
+        # int() truncated these, and took a bool for 1
+        code, out = self._run_spec(tmp_path, capsys,
+                                   json.dumps({**self.LINEAR, key: value}))
+        assert code == 2
+        assert f"'{key}'" in json.loads(out)["error"]
+
+    def test_integral_float_size_is_accepted(self, tmp_path, capsys):
+        want = self._run_spec(tmp_path, capsys, json.dumps(self.LINEAR))
+        assert want[0] == 0
+        spec = {**self.LINEAR, "N": 1.0, "m": 1.0, "n": 2.0}
+        assert self._run_spec(tmp_path, capsys, json.dumps(spec)) == want
+
+    @pytest.mark.parametrize("base, key, text", [
+        ("LINEAR", "D", '"D": [1e400]'), ("LINEAR", "D", '"D": [NaN]'),
+        ("LINEAR", "D", '"D": [-Infinity]'),
+        ("FHN", "mu", '"kinetics": {"type": "fhn", "mu": NaN}'),
+        ("FHN", "beta", '"kinetics": {"type": "fhn", "beta": 1e400}'),
+        ("FHN", "gamma", '"kinetics": {"type": "fhn", "gamma": -Infinity}'),
+        ("FHN", "xi", '"kinetics": {"type": "fhn", "xi": NaN}'),
+        ("LINEAR", "A", '"kinetics": {"type": "linear", "A": [[0.5, NaN], [1.0, -0.8]]}'),
+        ("LINEAR", "A", '"kinetics": {"type": "linear", "A": [[0.5, -1.0], [1e400, -0.8]]}'),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, base, key, text):
+        spec = getattr(self, base)
+        head = text.split(":")[0]
+        fields = [f'"{k}": {json.dumps(v)}' for k, v in spec.items() if f'"{k}"' != head]
+        code, out = self._run_spec(tmp_path, capsys, "{" + ", ".join(fields + [text]) + "}")
+        assert code == 2
+        assert f"'{key}'" in json.loads(out)["error"]
 
 
 class TestGenericityCommand:
@@ -568,6 +614,64 @@ class TestFlagsWithoutEffect:
         _, default = run_cli(capsys, *argv_of[command])
         assert run_cli(capsys, *argv_of[command],
                        "--tol.quad_steps_per_unit_time=256") == (0, default)
+
+
+_SWEEP = ("--sweep", "0:0.1:3")
+
+
+class TestOutputPaths:
+    """Every file the CLI writes goes through one helper: an empty path or
+    one that cannot be written exits 2 with a one-line error."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--output"), ("witness", "--csv"), ("fhn", "--sweep-csv")])
+    def test_empty_path_exits_2(self, argv_of, capsys, command, flag):
+        argv = argv_of[command] + (list(_SWEEP) if command == "fhn" else [])
+        for extra in ([flag, ""], [f"{flag}="]):
+            if flag == "--output":
+                code, out = run_cli(capsys, *extra, *argv)
+            else:
+                code, out = run_cli(capsys, *argv, *extra)
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert flag in error and "\n" not in error
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("analyze", "--output", "missing/r.json"),
+        ("witness", "--csv", "missing/x.csv"),
+        ("fhn", "--sweep-csv", "."),
+        ("fhn", "--output", "."),
+    ])
+    def test_unwritable_path_exits_2(self, argv_of, tmp_path, capsys, command, flag,
+                                     target):
+        path = str(tmp_path / target)
+        argv = argv_of[command] + (list(_SWEEP) if command == "fhn" else [])
+        if flag == "--output":
+            code, out = run_cli(capsys, flag, path, *argv)
+        else:
+            code, out = run_cli(capsys, *argv, flag, path)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error.startswith(f"cannot write {path}: ") and "\n" not in error
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("command", ["analyze", "witness"])
+def test_closed_stdout_exits_2(paper_pair, command):
+    # stdout is a pipe whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "locact.cli", command, *paper_pair],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(_SRC)))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
 
 
 class TestToleranceKeysPerCommand:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FunctionSignal,
+    Sampled,
     assert_same_spectrum,
     format_matrix_text,
     random_stack,
@@ -22,13 +24,12 @@ from locact.errors import (
     SignalDomainError,
 )
 from locact.signals import (
+    MollifiedTwoPulse,
     MollifierComplex,
     MollifierReal,
-    Sampled,
     TwoPulse,
     eval_signal,
     mollifier,
-    mollify_two_pulse,
 )
 
 
@@ -260,13 +261,15 @@ class TestMaxSymEigenvalue:
 class TestSolveForced:
     def test_zero_input_zero_state(self):
         sys = linsys.make_system([[0.3, -0.1], [0.2, -0.4]], np.eye(2))
-        traj = linsys.solve_forced(sys, lambda t: np.zeros(2), 1.0, 64)
+        u = FunctionSignal(lambda t: np.zeros((t.size, 2)), 1.0)
+        traj = linsys.solve_forced(sys, u, 1.0, 64)
         npt.assert_allclose(traj.states, 0.0)
         assert traj.times[0] == 0.0
 
     def test_constant_input_integrates(self):
         sys = linsys.make_system([[0.0]], [[1.0]])
-        traj = linsys.solve_forced(sys, lambda t: np.array([1.0]), 1.0, 64)
+        u = FunctionSignal(lambda t: np.ones((t.size, 1)), 1.0)
+        traj = linsys.solve_forced(sys, u, 1.0, 64)
         assert traj.states[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_mollifier_solution_identity(self):
@@ -284,10 +287,11 @@ class TestSolveForced:
     def test_superposition(self, rng):
         n = 3
         sys = linsys.make_system(rng.standard_normal((n, n)), np.eye(n))
-        u1 = lambda t: np.column_stack([np.sin(t), np.cos(t), t])
-        u2 = lambda t: np.column_stack([t * t, np.ones_like(t), -t])
+        f1 = lambda t: np.column_stack([np.sin(t), np.cos(t), t])
+        f2 = lambda t: np.column_stack([t * t, np.ones_like(t), -t])
         alpha, beta = 0.7, -1.3
-        combo = lambda t: alpha * u1(t) + beta * u2(t)
+        u1, u2 = FunctionSignal(f1, 2.0), FunctionSignal(f2, 2.0)
+        combo = FunctionSignal(lambda t: alpha * f1(t) + beta * f2(t), 2.0)
         xa = linsys.solve_forced(sys, u1, 2.0, 400).states
         xb = linsys.solve_forced(sys, u2, 2.0, 400).states
         xc = linsys.solve_forced(sys, combo, 2.0, 400).states
@@ -296,7 +300,8 @@ class TestSolveForced:
     def test_convergence_order(self, rng):
         # error against a Richardson reference drops by >= 12 when halving h
         sys = linsys.make_system(rng.standard_normal((3, 3)) * 0.8, np.eye(3))
-        u = lambda t: np.column_stack([np.sin(3 * t), np.exp(0.2 * t), np.cos(t)])
+        u = FunctionSignal(
+            lambda t: np.column_stack([np.sin(3 * t), np.exp(0.2 * t), np.cos(t)]), 1.5)
         ends = {}
         for steps in (50, 100, 200, 400):
             ends[steps] = linsys.solve_forced(sys, u, 1.5, steps).states[-1]
@@ -329,6 +334,16 @@ class TestSolveForced:
         with pytest.raises(SignalDomainError):
             linsys.solve_forced(sys, sig, 2.0, 64)
 
+    def test_plain_callable_rejected(self):
+        # the integrator takes the signal families only
+        sys = linsys.make_system([[0.0]], [[1.0]])
+        u = lambda t: np.ones((np.size(t), 1))
+        for integrate in (linsys.solve_forced, linsys.forced_energy):
+            with pytest.raises(TypeError, match="signal family"):
+                integrate(sys, u, 1.0, 64)
+        assert linsys.forced_energy(sys, FunctionSignal(u, 1.0), 1.0, 64) == \
+            pytest.approx(0.5, abs=1e-12)
+
 
 def _rk4_loop_oracle(sys, u, T, steps):
     """The integrator as a plain per-step RK4 loop.
@@ -337,8 +352,12 @@ def _rk4_loop_oracle(sys, u, T, steps):
     absolute integrand ``|<x, P u>|``.
     """
     A, P, n = sys.A, sys.P, sys.n
-    evaluate, knots, piecewise_constant = linsys._signal_hooks(u, T)
-    edges, counts = linsys._segment_grid(T, knots, steps)
+
+    def evaluate(ts):
+        return eval_signal(u, ts)
+
+    piecewise_constant = u.piecewise_constant
+    edges, counts = linsys._segment_grid(T, u.breakpoints(), steps)
     x = np.zeros(n)
     W = mass = 0.0
     all_times = [np.array([0.0])]
@@ -395,7 +414,7 @@ def _random_signal(rng, family, n):
         if family == "two_pulse":
             return base, T
         limit = min(0.5 / base.k, 0.5 * (T - 2.0 / base.k))
-        return mollify_two_pulse(base, float(rng.uniform(0.1, 0.9)) * limit), T
+        return MollifiedTwoPulse(base=base, eps_s=float(rng.uniform(0.1, 0.9)) * limit), T
     if family == "mollifier_real":
         T = float(rng.uniform(0.5, 3.0))
         return MollifierReal(lam=float(rng.uniform(0, 2)), v=rng.standard_normal(n), T=T), T
@@ -412,7 +431,7 @@ def _random_signal(rng, family, n):
         return Sampled(times=times, values=rng.standard_normal((times.size, n))), T
     T = float(rng.uniform(0.5, 3.0))
     omega, phase = rng.uniform(0.5, 5, n), rng.uniform(0, 2 * np.pi, n)
-    return (lambda t: np.sin(np.outer(t, omega) + phase)), T
+    return FunctionSignal(lambda t: np.sin(np.outer(t, omega) + phase), T), T
 
 
 def _random_projection(rng, kind, n):
@@ -465,6 +484,7 @@ class TestInputSamples:
             return np.sin(np.outer(t, [1.0, 2.0]))
 
         sys = linsys.make_system([[-1.0, 2.0], [0.5, -0.3]], np.eye(2))
+        u = FunctionSignal(u, 1.5)
         if want_states:
             linsys.solve_forced(sys, u, 1.5, steps)
         else:
@@ -477,8 +497,7 @@ class TestInputSamples:
 
 def _full_horizon_energy(sys, u, T, steps):
     """:func:`linsys.forced_energy` with every segment sampled, quiet or not."""
-    evaluate, knots, pwc = linsys._signal_hooks(u, T)
-    return linsys._rk4_forced(sys.A, sys.P, evaluate, T, steps, knots, pwc, quiet=())[2]
+    return linsys._rk4_forced(sys.A, sys.P, u, T, steps, quiet=())[2]
 
 
 def _quiet_signal(rng, family, n):
@@ -490,7 +509,7 @@ def _quiet_signal(rng, family, n):
                         k=float(rng.uniform(2.0 / T + 0.05, 3.0)), T=T,
                         direction=rng.standard_normal(n))
         limit = min(0.5 / base.k, 0.5 * (T - 2.0 / base.k))
-        return mollify_two_pulse(base, float(rng.uniform(0.05, 0.95)) * limit), T
+        return MollifiedTwoPulse(base=base, eps_s=float(rng.uniform(0.05, 0.95)) * limit), T
     eps = float(rng.uniform(0.02, 1.0))
     t0 = eps if family == "window_at_0" else eps + float(rng.uniform(0.01, 3.0))
     T = t0 + eps if family == "window_at_T" else t0 + eps + float(rng.uniform(0.01, 3.0))
@@ -565,13 +584,13 @@ class TestQuietSpanSamples:
         "window": (MollifierComplex(alpha=0.3, beta=2.0, v1=[1.0, 0.0], v2=[0.0, 1.0],
                                     t0=1.0, eps=0.25, T=3.0), 1000, 335, 2003),
         # seven segments of 1350 steps; the 450 between the pulses are not sampled
-        "two_pulse": (mollify_two_pulse(TwoPulse(a=1.0, b=-0.5, k=1.0, T=4.0,
-                                                 direction=[1.0, 0.0]), 0.1),
+        "two_pulse": (MollifiedTwoPulse(base=TwoPulse(a=1.0, b=-0.5, k=1.0, T=4.0,
+                                                      direction=[1.0, 0.0]), eps_s=0.1),
                       1000, 1806, 2707),
         # six segments of 2048 steps; the 18900 between the pulses are
         # carried across in five chunks
-        "long_gap": (mollify_two_pulse(TwoPulse(a=1.0, b=-0.5, k=1.0, T=40.0,
-                                                direction=[1.0, 0.0]), 0.1),
+        "long_gap": (MollifiedTwoPulse(base=TwoPulse(a=1.0, b=-0.5, k=1.0, T=40.0,
+                                                     direction=[1.0, 0.0]), eps_s=0.1),
                      20000, 24582, 62387),
     }
 

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import Sampled
 from locact import signals
 from locact.errors import SignalDomainError, SmoothingTooWide
 from locact.signals import (
@@ -12,16 +13,12 @@ from locact.signals import (
     MollifierComplex,
     MollifierReal,
     MollifierTrajectory,
-    Sampled,
     TwoPulse,
     eval_signal,
-    l2_distance,
     mollifier,
     mollifier_cdf,
     mollifier_derivative,
-    mollify_two_pulse,
     signal_from_json,
-    signal_to_json,
 )
 
 
@@ -176,7 +173,7 @@ class TestBatchPosition:
 
     def test_mollified_two_pulse_time_alone_and_in_batch(self):
         base = TwoPulse(a=-1.0, b=1.0, k=1.0, T=4.05, direction=[1.0, 2.0])
-        sig = mollify_two_pulse(base, 0.1)
+        sig = MollifiedTwoPulse(base=base, eps_s=0.1)
         t = np.random.default_rng(5).uniform(0.0, sig.T, 1000)
         batch = eval_signal(sig, t)
         for i in range(t.size):
@@ -230,23 +227,30 @@ class TestEvalSignal:
         assert out.shape == (7, 2)
 
 
+def l2_distance(sig_a, sig_b, T: float, samples: int = 20001) -> float:
+    """L2([0,T]) distance between two signals by composite-trapezoid quadrature."""
+    t = np.linspace(0.0, T, samples)
+    diff = eval_signal(sig_a, t) - eval_signal(sig_b, t)
+    return float(np.sqrt(np.trapezoid(np.sum(diff * diff, axis=1), t)))
+
+
 class TestMollify:
     def test_plateau_preserved_at_pulse_center(self):
         base = TwoPulse(a=3.0, b=-1.0, k=1.0, T=4.0, direction=[1.0])
-        smooth = mollify_two_pulse(base, 0.2)
+        smooth = MollifiedTwoPulse(base=base, eps_s=0.2)
         center = eval_signal(smooth, 0.5)[0]
         assert center == pytest.approx(3.0, abs=1e-12)
 
     def test_gap_is_zero(self):
         base = TwoPulse(a=1.0, b=1.0, k=1.0, T=4.0, direction=[1.0])
-        smooth = mollify_two_pulse(base, 0.1)
+        smooth = MollifiedTwoPulse(base=base, eps_s=0.1)
         assert eval_signal(smooth, 2.0)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_l2_distance_decreases_and_bounded(self):
         base = TwoPulse(a=1.0, b=-1.0, k=1.0, T=4.0, direction=[1.0])
         dists = []
         for eps in (0.2, 0.1, 0.05):
-            smooth = mollify_two_pulse(base, eps)
+            smooth = MollifiedTwoPulse(base=base, eps_s=eps)
             d = l2_distance(smooth, base, 4.0)
             assert d <= math.sqrt(2.0 * (1.0 + 1.0) * 2.0 * eps)
             dists.append(d)
@@ -255,13 +259,13 @@ class TestMollify:
     def test_smoothing_too_wide_rejected(self):
         base = TwoPulse(a=1.0, b=1.0, k=1.0, T=4.0, direction=[1.0])
         with pytest.raises(SmoothingTooWide):
-            mollify_two_pulse(base, 0.6)  # > 1/(2k)
+            MollifiedTwoPulse(base=base, eps_s=0.6)  # > 1/(2k)
         with pytest.raises(SmoothingTooWide):
-            mollify_two_pulse(base, 1.2)  # > (T - 2/k)/2
+            MollifiedTwoPulse(base=base, eps_s=1.2)  # > (T - 2/k)/2
 
     def test_continuity_at_transition_edges(self):
         base = TwoPulse(a=1.0, b=2.0, k=1.0, T=5.0, direction=[1.0])
-        smooth = mollify_two_pulse(base, 0.25)
+        smooth = MollifiedTwoPulse(base=base, eps_s=0.25)
         t = np.linspace(0.0, 5.0, 4001)
         vals = eval_signal(smooth, t)[:, 0]
         assert np.max(np.abs(np.diff(vals))) < 0.02  # no jumps at grid scale
@@ -317,11 +321,11 @@ class TestSerialization:
         MollifierTrajectory(v=[0.6, 0.8], Av=[-1.0, 2.0], T=0.5),
     ])
     def test_round_trip(self, sig):
-        back = signal_from_json(signal_to_json(sig))
+        back = signal_from_json(sig.to_json())
         assert type(back) is type(sig)
         t = np.linspace(0.0, sig.T, 50)
         npt.assert_allclose(eval_signal(back, t), eval_signal(sig, t), atol=1e-14)
-        assert signal_to_json(back) == signal_to_json(sig)
+        assert back.to_json() == sig.to_json()
 
     @pytest.mark.parametrize("sig, expected", [
         (TwoPulse(a=1.0, b=-1.0, k=2.0, T=3.0, direction=[3.0, 4.0]),
@@ -348,7 +352,7 @@ class TestSerialization:
     ])
     def test_json_keys_and_values(self, sig, expected):
         # the key order is part of the report bytes, nested dicts included
-        assert json.dumps(signal_to_json(sig)) == json.dumps(expected)
+        assert json.dumps(sig.to_json()) == json.dumps(expected)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
