@@ -436,46 +436,81 @@ def _verified_record(sys, sig, cfg) -> Optional[WitnessRecord]:
     return None
 
 
-def _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes):
-    """Try the eigenpair witnesses for every sufficiently unstable mode whose
-    eigenvector sits in im P."""
+def _candidates(sys, spec, cfg, identity, cert, generic, notes):
+    """Yield ``(candidate, note)`` for each witness route, in the order they
+    are tried: a signal to verify, or a verified ``WitnessRecord``.  Routes
+    that run append their informational notes to ``notes``.
+
+    The routes are the eigenpair witnesses of every sufficiently unstable
+    mode whose eigenvector sits in im P; then, for P = I, the trajectory bump
+    at ``T = min(1, 1/||A||_2)`` and at ``T = 1/||A||_2``; otherwise the
+    two-pulse search and, under a band certificate, the bump
+    ``rho'(2t - 1) w`` on T = 1, w the top eigenvector of ``sym(PAP)``.
+    """
     lam = spec.eigenvalues
     for i in range(lam.size):
-        l = lam[i]
+        l, v = lam[i], spec.G[:, i]
         if l.real <= 1e-8:
             continue
-        v = spec.G[:, i]
-        if abs(l.imag) <= 1e-10:
-            vr = v.real if np.linalg.norm(v.real) > np.linalg.norm(v.imag) else v.imag
-            # keep lam * T at most 100, far below the overflow guard
-            T = min(1.0, 100.0 / float(l.real))
-            try:
-                sig = _real_eigen_signal(sys, float(l.real), vr, T, linsys.SPEC_TOL,
-                                         in_imP_tol)
-            except (EigpairMismatch, EigvecNotInImP, NonPositiveEigenvalue):
-                continue
-            rec = _verified_record(sys, sig, cfg)
-            if rec:
-                notes.append(f"witness: real eigenpair lam={l.real:.6g}")
-                return rec
-        elif l.imag > 0:
-            if 2.0 * math.pi / l.imag > 120.0:
-                continue  # near-real pair: the rotation period makes the
-                          # windowed witness unaffordable; later routes cover it
-            try:
+        try:
+            if abs(l.imag) <= 1e-10:
+                vr = v.real if np.linalg.norm(v.real) > np.linalg.norm(v.imag) else v.imag
+                # keep lam * T at most 100, far below the overflow guard
+                sig = _real_eigen_signal(sys, float(l.real), vr,
+                                         min(1.0, 100.0 / float(l.real)),
+                                         linsys.SPEC_TOL, cfg.eigvec_in_imP_tol)
+                note = f"witness: real eigenpair lam={l.real:.6g}"
+            elif l.imag > 0 and 2.0 * math.pi / l.imag <= 120.0:
+                # a near-real pair is skipped: its rotation period makes the
+                # windowed witness unaffordable; later routes cover it
                 sig = _complex_eigen_signal(sys, float(l.real), float(l.imag),
                                             v.real, v.imag, 1.0, linsys.SPEC_TOL,
-                                            in_imP_tol)
-            except (EigpairMismatch, EigvecNotInImP, NonPositiveEigenvalue,
-                    NoPositiveSlopeFound):
+                                            cfg.eigvec_in_imP_tol)
+                note = f"witness: complex pair {l.real:.6g} +/- {l.imag:.6g}i"
+            else:
                 continue
-            rec = _verified_record(sys, sig, cfg)
-            if rec:
-                notes.append(
-                    f"witness: complex pair {l.real:.6g} +/- {l.imag:.6g}i"
-                )
-                return rec
-    return None
+        except (EigpairMismatch, EigvecNotInImP, NonPositiveEigenvalue,
+                NoPositiveSlopeFound):
+            continue
+        yield sig, note
+
+    if identity:
+        # A + A^T has a positive eigenvalue m here (the certificate failed), so
+        # the system is active: the input that moves the state along
+        # x = rho(2t/T - 1) w, w the top eigenvector, has W = -m (T/2) int rho^2
+        # exactly; with T = 1/||A||, W is unchanged when A is scaled
+        m, w = linsys.top_sym_eigenpair(sys.A)
+        notes.append(f"max sym eigenvalue {m:.6g} > 0")
+        horizon = 1.0 / float(np.linalg.norm(sys.A, 2))
+        # T = 1 first; where |W| at T = 1 drowns in the error floor of a tiny
+        # A, T = 1/||A|| gives the W of the rescaled system, wherever it is
+        # finite
+        retry = (horizon,) if 1.0 < horizon < math.inf else ()
+        for T in (min(1.0, horizon),) + retry:
+            yield (signals.MollifierTrajectory(v=w, Av=sys.A @ w, T=T),
+                   f"witness: quadratic-form bump trajectory, T={T:.6g}")
+        return
+
+    try:
+        gw = witness_two_pulse_generic(sys, cfg, generic)
+    except (NotInGenericSet, NoUnstableEigenvalue, ScanExhausted,
+            NotDiagonalizable, ZeroEigenvalue) as exc:
+        notes.append(f"two-pulse search: {type(exc).__name__}: {exc}")
+    else:
+        yield (WitnessRecord(signal=gw.signal, T=gw.T, W=gw.W,
+                             quadrature_error_estimate=gw.err_estimate),
+               f"witness: generic two-pulse scan (a={gw.a:+.0f}, T={gw.T:.4g})")
+
+    if cert is not None:
+        # a band certificate: before accepting it, drive the bump
+        # rho'(2t - 1) w along the top eigenvector w of sym(PAP); an oblique
+        # P can be large enough for PAP to overflow
+        PAP = sys.P @ sys.A @ sys.P
+        if np.isfinite(PAP).all():
+            m, w = linsys.top_sym_eigenpair(PAP)
+            yield (signals.MollifierReal(lam=0.0, v=w, T=1.0),
+                   f"witness: bump along the top eigenvector of sym(PAP) "
+                   f"(eigenvalue {m:.6g}), T=1")
 
 
 def classify_activity(sys: linsys.LinearPortSystem,
@@ -485,23 +520,16 @@ def classify_activity(sys: linsys.LinearPortSystem,
     """Decide Active / Passive / Inconclusive and attach evidence.
 
     For P = I the decision is exact: active iff the symmetric part of A has a
-    positive eigenvalue m; the witness is constructed from an unstable
-    eigenpair when one exists, otherwise it is the input that moves the state
-    along ``x = rho(2t/T - 1) w``, w the top eigenvector of the symmetric
-    part and ``T = min(1, 1/||A||_2)``, whose energy is ``-m (T/2) int rho^2``
-    exactly; when that fails to verify for ``||A||_2 < 1``, it is retried at
-    ``T = 1/||A||_2``.  For P != I the semidefinite certificates are
-    sufficient for passivity only, and the witness routes are sufficient for
-    activity only; when neither fires the honest verdict is Inconclusive.
-    Where the ``sym(PA)`` certificate is absent (P oblique, or ``sym(PA)``
-    indefinite), ``sym(A) <= 0`` certifies any P, since ``W = |x(T)|^2 / 2 -
-    int x^T sym(A) x dt``.  A certificate whose max eigenvalue is positive
-    beyond rounding (``8 n eps ||P|| ||A||``, without ``||P||`` for
-    ``sym(A)``) but within ``cert_tol`` is returned only when no witness route
-    verifies; for P != I the last route is the bump ``rho'(2t - 1) w`` on
-    T = 1, w the top eigenvector of ``sym(PAP)``.  ``generic`` is
-    ``genericity.in_generic_M(sys)`` when the caller has it already; the
-    two-pulse route then reuses it.
+    positive eigenvalue.  For P != I the semidefinite certificates are
+    sufficient for passivity only, and the witness routes of ``_candidates``
+    are sufficient for activity only; when neither fires the honest verdict
+    is Inconclusive.  Where the ``sym(PA)`` certificate is absent (P oblique,
+    or ``sym(PA)`` indefinite), ``sym(A) <= 0`` certifies any P, since ``W =
+    |x(T)|^2 / 2 - int x^T sym(A) x dt``.  A certificate whose max eigenvalue
+    is positive beyond rounding (``8 n eps ||P|| ||A||``, without ``||P||``
+    for ``sym(A)``) but within ``cert_tol`` is returned only when no witness
+    route verifies.  ``generic`` is ``genericity.in_generic_M(sys)`` when the
+    caller has it already; the two-pulse route then reuses it.
     """
     cfg = cfg or WitnessSearchConfig()
     notes = []
@@ -527,53 +555,12 @@ def classify_activity(sys: linsys.LinearPortSystem,
                                    certificate=cert, notes=cert_note)
 
     spec = linsys.spectrum(sys.A)
-    in_imP_tol = cfg.eigvec_in_imP_tol
-    rec = _witness_from_unstable_modes(sys, spec, cfg, in_imP_tol, notes)
-
-    if rec is None and identity:
-        # A + A^T has a positive eigenvalue here (the certificate failed), so
-        # the system is active; with T = 1/||A||, W is unchanged when A is scaled
-        m, w = linsys.top_sym_eigenpair(sys.A)
-        notes.append(f"max sym eigenvalue {m:.6g} > 0")
-        horizon = 1.0 / float(np.linalg.norm(sys.A, 2))
-        # T = 1 first; where |W| at T = 1 drowns in the error floor of a tiny
-        # A, T = 1/||A|| gives the W of the rescaled system, wherever it is
-        # finite
-        retry = (horizon,) if 1.0 < horizon < math.inf else ()
-        for T in (min(1.0, horizon),) + retry:
-            rec = _verified_record(
-                sys, signals.MollifierTrajectory(v=w, Av=sys.A @ w, T=T), cfg)
-            if rec:
-                notes.append(f"witness: quadratic-form bump trajectory, T={T:.6g}")
-                break
-
-    if rec is None and not identity:
-        try:
-            gw = witness_two_pulse_generic(sys, cfg, generic)
-            rec = WitnessRecord(signal=gw.signal, T=gw.T, W=gw.W,
-                                quadrature_error_estimate=gw.err_estimate)
-            notes.append(
-                f"witness: generic two-pulse scan (a={gw.a:+.0f}, T={gw.T:.4g})"
-            )
-        except (NotInGenericSet, NoUnstableEigenvalue, ScanExhausted,
-                NotDiagonalizable, ZeroEigenvalue) as exc:
-            notes.append(f"two-pulse search: {type(exc).__name__}: {exc}")
-
-    if rec is None and cert is not None and not identity:
-        # a band certificate: before accepting it, drive the bump
-        # rho'(2t - 1) w along the top eigenvector w of sym(PAP); an oblique
-        # P can be large enough for PAP to overflow
-        PAP = sys.P @ sys.A @ sys.P
-        if np.isfinite(PAP).all():
-            m, w = linsys.top_sym_eigenpair(PAP)
-            rec = _verified_record(sys, signals.MollifierReal(lam=0.0, v=w, T=1.0), cfg)
-            if rec:
-                notes.append(f"witness: bump along the top eigenvector of sym(PAP) "
-                             f"(eigenvalue {m:.6g}), T=1")
-
-    if rec is not None:
-        return ActivityVerdict(status=ACTIVE, witness=rec, certificate=None,
-                               notes="; ".join(notes))
+    for cand, note in _candidates(sys, spec, cfg, identity, cert, generic, notes):
+        rec = cand if isinstance(cand, WitnessRecord) else _verified_record(sys, cand, cfg)
+        if rec is not None:
+            notes.append(note)
+            return ActivityVerdict(status=ACTIVE, witness=rec, certificate=None,
+                                   notes="; ".join(notes))
     if cert is not None:
         return ActivityVerdict(
             status=PASSIVE, witness=None, certificate=cert,

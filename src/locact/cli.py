@@ -110,13 +110,12 @@ def _write(text, path):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(text, output):
+def _emit(report, output):
+    text = dumps_canonical(report) + "\n"
     if output is not None:
         _write(text, output)
     else:
         _sysmod.stdout.write(text)
-        if not text.endswith("\n"):
-            _sysmod.stdout.write("\n")
 
 
 def cmd_analyze_linear(matrix_path, projection_path, overrides, output=None):
@@ -129,7 +128,7 @@ def cmd_analyze_linear(matrix_path, projection_path, overrides, output=None):
         generic, gen = None, {"error": str(exc)}
     verdict = activity.classify_activity(sys, cfg, generic)
     report = {"activity": activity.verdict_to_json(verdict), "genericity": gen}
-    _emit(dumps_canonical(report) + "\n", output)
+    _emit(report, output)
     return 0
 
 
@@ -141,7 +140,7 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
     if verdict.status != activity.ACTIVE or verdict.witness is None:
         report = {"status": verdict.status, "witness": None,
                   "notes": verdict.notes}
-        _emit(dumps_canonical(report) + "\n", output)
+        _emit(report, output)
         return 3
     wit = verdict.witness
     steps = activity.default_quad_steps(wit.T, cfg)
@@ -164,7 +163,7 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
         "notes": verdict.notes,
         "trajectory_csv": csv_path,
     }
-    _emit(dumps_canonical(report) + "\n", output)
+    _emit(report, output)
     if csv_path is None:
         _sysmod.stdout.write(csv_text)
     return 0
@@ -243,7 +242,7 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                            "hopf": mu_star}
         if sweep_csv is None:
             report["sweep"]["rows"] = [list(r) for r in rows]
-    _emit(dumps_canonical(report) + "\n", output)
+    _emit(report, output)
     return 0
 
 
@@ -258,13 +257,22 @@ def _spec_int(value, key):
 
 
 def _spec_float(value, key):
+    """A finite spec number: a JSON int or float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise InputError(f"'{key}' must be a number, got {value!r}")
     try:
         value = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"'{key}' must be a number: {exc}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"'{key}' is out of range: {exc}") from exc
     if not math.isfinite(value):
         raise InputError(f"'{key}' must be finite, got {value}")
     return value
+
+
+def _spec_floats(values, key):
+    if not isinstance(values, list):
+        raise InputError(f"'{key}' must be a list of numbers, got {values!r}")
+    return [_spec_float(v, key) for v in values]
 
 
 def cmd_rd_cell(spec_path, overrides, output=None):
@@ -273,16 +281,20 @@ def cmd_rd_cell(spec_path, overrides, output=None):
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read model spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise InputError("the model spec must be a JSON object")
     try:
         N = _spec_int(spec.get("N", 1), "N")
         boundary = spec.get("boundary", "dirichlet")
         m = _spec_int(spec["m"], "m")
         n = _spec_int(spec["n"], "n")
-        D = [_spec_float(d, "D") for d in spec["D"]]
+        D = _spec_floats(spec["D"], "D")
         kin = spec["kinetics"]
         kind = kin["type"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model spec: {exc}") from exc
+    if not isinstance(boundary, str):
+        raise InputError(f"'boundary' must be a string, got {boundary!r}")
     if kind not in _RD_KINETICS:
         raise InputError(f"unknown kinetics '{kind}' (choose from {_RD_KINETICS})")
     if not (1 <= m <= n):
@@ -300,14 +312,12 @@ def cmd_rd_cell(spec_path, overrides, output=None):
         f_b = lambda x: np.asarray(base.f(x))[1:]
         default_guess = nonlinear.fhn_equilibrium_guesses(**params)[0]
     else:
-        try:
-            A_kin = np.asarray(kin["A"], dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"linear kinetics needs a matrix 'A': {exc}") from exc
-        if A_kin.shape != (n, n):
+        if not isinstance(kin.get("A"), list):
+            raise InputError("linear kinetics needs a matrix 'A' (a list of rows)")
+        rows = [_spec_floats(row, "A") for row in kin["A"]]
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise InputError(f"kinetics matrix must be {n}x{n}")
-        if not np.isfinite(A_kin).all():
-            raise InputError("kinetics matrix 'A' must be finite")
+        A_kin = np.array(rows)
         f_a = lambda x: A_kin[:m] @ np.asarray(x, dtype=float)
         f_b = lambda x: A_kin[m:] @ np.asarray(x, dtype=float)
         default_guess = np.zeros(n)
@@ -318,7 +328,10 @@ def cmd_rd_cell(spec_path, overrides, output=None):
     except (LocactError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     cfg = _witness_config(overrides)
-    guesses = spec.get("guesses") or [default_guess.tolist()]
+    guesses = spec.get("guesses") or []
+    if not isinstance(guesses, list):
+        raise InputError(f"'guesses' must be a list of points, got {guesses!r}")
+    guesses = [_spec_floats(g, "guesses") for g in guesses] or [default_guess.tolist()]
     reports = []
     for guess in guesses:
         try:
@@ -332,7 +345,7 @@ def cmd_rd_cell(spec_path, overrides, output=None):
         "laplacian": lap.tolist(),
         "reports": reports,
     }
-    _emit(dumps_canonical(out) + "\n", output)
+    _emit(out, output)
     return 0
 
 
@@ -348,7 +361,7 @@ def cmd_genericity(n, samples, seed, overrides, output=None):
         raise InputError(f"bad tolerance value: {exc}") from exc
     report = {"n": n, "samples": samples, "seed": seed,
               "fraction": fraction, "tol": tol}
-    _emit(dumps_canonical(report) + "\n", output)
+    _emit(report, output)
     return 0
 
 
@@ -468,7 +481,6 @@ def _main(argv):
                     raise InputError(f"bad LOCACT_SEED value: {exc}") from exc
             return cmd_genericity(args.n, args.samples, seed, overrides,
                                   output=args.output)
-        raise InputError(f"unknown command {args.command!r}")
     except InputError as exc:
         _sysmod.stdout.write(dumps_canonical({"error": str(exc)}) + "\n")
         return 2

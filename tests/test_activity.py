@@ -235,6 +235,25 @@ class TestWitnessTwoPulseGeneric:
         # and the mollified signal keeps the sign
         assert np.sign(gw.W) == np.sign(gw.closed_form_W) == -1.0
 
+    def test_sign_verified_witness_is_the_fallback(self, monkeypatch):
+        # a doubled quadrature value keeps the sign of W but never comes
+        # within 4 % of the closed form, so every halving of the smoothing
+        # width is tried and the last sign-verified signal is returned
+        sys = linsys.make_system([[0.5, 0.01], [-0.01, 0.5]], np.diag([1.0, 0.0]))
+        widths = []
+
+        def doubled(sys, sig, T, steps=None):
+            widths.append(sig.eps_s)
+            W, err = energy_integral(sys, sig, T, steps)
+            return 2.0 * W, err
+
+        monkeypatch.setattr(activity, "energy_integral", doubled)
+        gw = witness_two_pulse_generic(sys)
+        assert widths == [0.1 / 2**k for k in range(7)]
+        assert gw.signal.eps_s == widths[-1]
+        assert gw.W < -gw.err_estimate
+        assert abs(gw.W - gw.closed_form_W) > 0.04 * (1.0 + abs(gw.closed_form_W))
+
 
 def _scan_oracle(sys, T_scan_step=0.05):
     """The horizon scan as the two-pulse search once wrote it inline: the
@@ -516,6 +535,49 @@ class TestClassifyActivity:
         assert abs(w.W + 1e-10 / 8.0 * RHO_SQUARED_MASS) <= 10.0 * w.quadrature_error_estimate
         assert verdict.notes.endswith(
             "witness: bump along the top eigenvector of sym(PAP) (eigenvalue 1e-10), T=1")
+
+    NEAR_REAL = [[0.5, 0.01], [-0.01, 0.5]]
+    E1 = np.diag([1.0, 0.0])
+
+    @pytest.mark.parametrize("A, P, status, family, notes", [
+        (np.diag([1.0, -1.0]), E1, ACTIVE, MollifierReal,
+         "witness: real eigenpair lam=1"),
+        ([[1.0, 3.0], [-3.0, 1.0]], np.eye(2), ACTIVE, signals.MollifierComplex,
+         "witness: complex pair 1 +/- 3i"),
+        # the near-real pair is skipped, and the trajectory bump verifies
+        (NEAR_REAL, np.eye(2), ACTIVE, MollifierTrajectory,
+         "max sym eigenvalue 0.5 > 0; witness: quadratic-form bump trajectory, T=1"),
+        # W at T = 1 drowns in the error floor; T = 1/||A|| verifies
+        ([[1e-14]], [[1.0]], ACTIVE, MollifierTrajectory,
+         "max sym eigenvalue 1e-14 > 0; witness: quadratic-form bump trajectory, T=1e+14"),
+        (NEAR_REAL, E1, ACTIVE, signals.MollifiedTwoPulse,
+         "witness: generic two-pulse scan (a=-1, T=4.05)"),
+        (np.diag([1e-10, -1.0]), E1, ACTIVE, MollifierReal,
+         "two-pulse search: NotInGenericSet: port-transformed matrix fails the "
+         "generic-set membership test: fails eigenvalue-side membership; "
+         "witness: bump along the top eigenvector of sym(PAP) (eigenvalue 1e-10), T=1"),
+        ([[-1.0, 10.0], [0.0, -2.0]], [[1.0, 1.0], [0.0, 0.0]], INCONCLUSIVE, None,
+         "P is not symmetric: passivity certificate not applicable; "
+         "two-pulse search: NoUnstableEigenvalue: spectral abscissa -1.000e+00 "
+         "is not positive"),
+    ])
+    def test_each_witness_route(self, A, P, status, family, notes):
+        verdict = classify_activity(linsys.make_system(A, P))
+        assert verdict.status == status and verdict.certificate is None
+        assert verdict.notes == notes
+        if family is None:
+            assert verdict.witness is None
+        else:
+            assert type(verdict.witness.signal) is family
+
+    def test_no_route_runs_after_a_verified_one(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("the two-pulse search ran after a verified witness")
+
+        monkeypatch.setattr(activity, "witness_two_pulse_generic", fail)
+        verdict = classify_activity(linsys.make_system(np.diag([1.0, -1.0]), self.E1))
+        assert verdict.status == ACTIVE
+        assert verdict.notes == "witness: real eigenpair lam=1"
 
     def test_rounding_level_certificate_is_accepted_outright(self):
         # Q K Q^T with K skew: sym(A) is pure rounding, here max eig 7e-17 > 0

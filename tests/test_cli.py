@@ -114,7 +114,7 @@ def _cmd_fhn_oracle(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                            "hopf": mu_star}
         if not sweep_csv:
             report["sweep"]["rows"] = [list(r) for r in rows]
-    cli._emit(dumps_canonical(report) + "\n", output)
+    cli._emit(report, output)
     return 0
 
 
@@ -520,6 +520,30 @@ class TestRdCell:
         code, out = self._run_spec(tmp_path, capsys, "{" + ", ".join(fields + [text]) + "}")
         assert code == 2
         assert f"'{key}'" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("key, change", [
+        # these crashed with a traceback
+        ("boundary", {"boundary": 5}),
+        ("guesses", {"guesses": ["x"]}),
+        ("guesses", {"guesses": 5}),
+        # these ran, the bool as 1 and the strings as numbers
+        ("D", {"D": [True]}),
+        ("D", {"D": ["0.1"]}),
+        ("mu", {"kinetics": {"type": "fhn", "mu": "0.05"}}),
+        ("A", {"kinetics": {"type": "linear", "A": [[True, "1"], [0, -1]]}}),
+        ("guesses", {"guesses": [[True, 0.0]]}),
+    ])
+    def test_non_number_value_exits_2(self, tmp_path, capsys, key, change):
+        # a spec number is a JSON int or float, as in a matrix file's rows
+        base = self.FHN if key == "mu" else self.LINEAR
+        code, out = self._run_spec(tmp_path, capsys, json.dumps({**base, **change}))
+        assert code == 2
+        assert f"'{key}'" in json.loads(out)["error"]
+
+    def test_spec_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        code, out = self._run_spec(tmp_path, capsys, json.dumps([self.LINEAR]))
+        assert code == 2
+        assert "JSON object" in json.loads(out)["error"]
 
 
 class TestGenericityCommand:

@@ -15,7 +15,9 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
   ``guesses``, and FitzHugh-Nagumo kinetics on the 1 x 1 and 2 x 2 grids,
   whose toroidal neighbours coincide, for each boundary), of
   ``analyze`` on the first ``identity-ports`` matrices of seed 0 with
-  ``P = I``, ``e1 e1^T`` and an oblique ``P``, and of ``genericity --n 1..4``;
+  ``P = I``, ``e1 e1^T`` and an oblique ``P``, of ``analyze`` on one input
+  per route of the activity decision (each witness route, the certificates
+  and Inconclusive), and of ``genericity --n 1..4``;
 - ``verdict_to_json`` of every request of the ``identity-ports`` and
   ``generic-ports`` streams of seeds 0-5.
 
@@ -63,6 +65,19 @@ RD_KINETICS = [  # (m, n, D, kinetics, guesses)
 BOUNDARIES = ("dirichlet", "neumann", "toroidal")
 SMALL_GRIDS = (1, 2)  # FitzHugh-Nagumo kinetics only
 ANALYZE_MATRICES = 12  # the first identity-ports requests of seed 0
+E1E1 = [[1.0, 0.0], [0.0, 0.0]]
+NEAR_REAL = [[0.5, 0.01], [-0.01, 0.5]]  # its complex pair is skipped
+ROUTE_INPUTS = [  # (name, A, P) for analyze, one per route of classify_activity
+    ("real-eigenpair", [[1.0, 0.0], [0.0, -1.0]], E1E1),
+    ("complex-pair", [[1.0, 3.0], [-3.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    ("trajectory-bump", NEAR_REAL, [[1.0, 0.0], [0.0, 1.0]]),
+    ("trajectory-bump-retry", [[1e-14]], [[1.0]]),
+    ("two-pulse", NEAR_REAL, E1E1),
+    ("sym-PAP-bump", [[1e-10, 0.0], [0.0, -1.0]], E1E1),
+    ("band-certificate", [[0.0, 1e-9], [-1e-9, 0.0]], E1E1),
+    ("sym-A-certificate-oblique", [[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.7], [0.0, 0.0]]),
+    ("inconclusive-oblique", [[-1.0, 10.0], [0.0, -2.0]], [[1.0, 1.0], [0.0, 0.0]]),
+]
 
 
 def digest(*parts):
@@ -140,18 +155,23 @@ def projections(n):
         yield "oblique", np.outer(e1, e1 + np.eye(n)[1])
 
 
+def analyze_run(cli, linsys, workdir, A, P):
+    A_path, P_path = workdir / "A.json", workdir / "P.json"
+    A_path.write_text(linsys.format_matrix_json(A), encoding="utf-8")
+    P_path.write_text(linsys.format_matrix_json(P), encoding="utf-8")
+    return digest(*cli_run(cli, ("analyze", str(A_path), str(P_path)), workdir))
+
+
 def analyze_outputs(cli, linsys, workloads, workdir):
     kind = workloads.WORKLOADS["identity-ports"]
     load = kind(0, workdir, kind.requests(SECONDS))
     load.prepare()
-    A_path, P_path = workdir / "A.json", workdir / "P.json"
     for k in range(ANALYZE_MATRICES):
         A = load.request(k)
-        A_path.write_text(linsys.format_matrix_json(A), encoding="utf-8")
         for name, P in projections(A.shape[0]):
-            P_path.write_text(linsys.format_matrix_json(P), encoding="utf-8")
-            yield f"analyze/{k}/{name}", \
-                digest(*cli_run(cli, ("analyze", str(A_path), str(P_path)), workdir))
+            yield f"analyze/{k}/{name}", analyze_run(cli, linsys, workdir, A, P)
+    for name, A, P in ROUTE_INPUTS:
+        yield f"analyze/route/{name}", analyze_run(cli, linsys, workdir, A, P)
 
 
 def genericity_outputs(cli, workdir):
