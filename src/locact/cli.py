@@ -149,12 +149,8 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
     integrand = np.einsum("ij,ij->i", traj.states, u_vals @ sys.P.T)
     header = ["t"] + [f"x{i + 1}" for i in range(sys.n)] \
         + [f"u{i + 1}" for i in range(sys.n)] + ["integrand"]
-    lines = [",".join(header)]
-    for i in range(traj.times.size):
-        lines.append(format_csv_row(
-            [traj.times[i], *traj.states[i], *u_vals[i], integrand[i]]
-        ))
-    csv_text = "\n".join(lines) + "\n"
+    rows = np.column_stack((traj.times, traj.states, u_vals, integrand)).tolist()
+    csv_text = "\n".join([",".join(header), *map(format_csv_row, rows)]) + "\n"
     if csv_path is not None:
         _write(csv_text, csv_path)
     report = {
@@ -211,12 +207,15 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                 built.append((i, eq))
                 rfs.append(rf)
         abscissas = []
-        for (i, eq), edge in zip(built, complexity.edge_of_chaos_classify(rfs, tols)):
+        # per matrix, a stacked spectrum equals the spectrum of that matrix alone
+        full = np.array([eq.jacobian_full for _, eq in built]).reshape(-1, 2, 2)
+        max_res = np.linalg.eigvals(full).real.max(axis=1).tolist()
+        for (i, eq), edge, max_re in zip(
+                built, complexity.edge_of_chaos_classify(rfs, tols), max_res):
             m = float(mus[i])
             if isinstance(edge, LocactError):
                 rows[i] = (m, "error", str(edge), "", "")
                 continue
-            max_re = float(eq.eigenvalues_full.real.max())
             rows[i] = (m, float(eq.x_star[0]), float(eq.x_star[1]), max_re,
                        edge.edge_of_chaos)
             abscissas.append((m, max_re))
@@ -246,7 +245,17 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
     return 0
 
 
-_RD_KINETICS = ("fhn", "linear")
+_RD_KEYS = ("N", "boundary", "m", "n", "D", "kinetics", "guesses")
+_RD_KINETICS = {"fhn": ("type", "mu", "beta", "gamma", "xi"), "linear": ("type", "A")}
+_RD_MAX_N = 64  # the report embeds the N^2 x N^2 Laplacian: 2^24 entries at most
+
+
+def _spec_keys(obj, known, where):
+    """Reject a key the spec level does not know, so a misspelt key cannot
+    leave its default in force without a word."""
+    for key in obj:
+        if key not in known:
+            raise InputError(f"unknown key '{key}' in {where} (known: {', '.join(known)})")
 
 
 def _spec_int(value, key):
@@ -283,6 +292,7 @@ def cmd_rd_cell(spec_path, overrides, output=None):
         raise InputError(f"cannot read model spec: {exc}") from exc
     if not isinstance(spec, dict):
         raise InputError("the model spec must be a JSON object")
+    _spec_keys(spec, _RD_KEYS, "the model spec")
     try:
         N = _spec_int(spec.get("N", 1), "N")
         boundary = spec.get("boundary", "dirichlet")
@@ -293,10 +303,13 @@ def cmd_rd_cell(spec_path, overrides, output=None):
         kind = kin["type"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model spec: {exc}") from exc
+    if N > _RD_MAX_N:
+        raise InputError(f"'N' must be at most {_RD_MAX_N}, got {N}")
     if not isinstance(boundary, str):
         raise InputError(f"'boundary' must be a string, got {boundary!r}")
-    if kind not in _RD_KINETICS:
-        raise InputError(f"unknown kinetics '{kind}' (choose from {_RD_KINETICS})")
+    if not isinstance(kind, str) or kind not in _RD_KINETICS:
+        raise InputError(f"unknown kinetics '{kind}' (choose from {tuple(_RD_KINETICS)})")
+    _spec_keys(kin, _RD_KINETICS[kind], f"'{kind}' kinetics")
     if not (1 <= m <= n):
         raise InputError(f"need 1 <= m <= n, got m={m}, n={n}")
     if len(D) != m:

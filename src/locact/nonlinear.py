@@ -10,6 +10,8 @@ analyses.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,9 +53,17 @@ class EquilibriumReport:
     residual: float
     jacobian_full: np.ndarray
     jacobian_kinetic: np.ndarray
-    eigenvalues_full: np.ndarray  # of jacobian_full
-    stability: str  # Stable | Unstable | Marginal
     notes: str = ""
+
+    @functools.cached_property
+    def eigenvalues_full(self) -> np.ndarray:
+        """The spectrum of ``jacobian_full``, computed when first read."""
+        return np.linalg.eigvals(self.jacobian_full)
+
+    @functools.cached_property
+    def stability(self) -> str:
+        """Stable | Unstable | Marginal, from ``eigenvalues_full``."""
+        return _stability_label(self.eigenvalues_full)
 
 
 def jacobian_fd(f: Callable, x, h: float = FD_STEP) -> np.ndarray:
@@ -102,6 +112,24 @@ def _stability_label(eigenvalues, stab_tol=STAB_TOL):
     return "Marginal"
 
 
+def _norm(v) -> float:
+    """``np.linalg.norm`` of a real vector, bit for bit: numpy's own formula."""
+    return math.sqrt(v.dot(v))
+
+
+def _ill_conditioned(J) -> bool:
+    """``np.linalg.cond(J) > 1e14``, without the SVD for a 2 x 2 J that is
+    clearly well conditioned: there ``s / |det J| = κ + 1/κ`` for
+    ``s = ‖J‖_F²``, so ``s < 1e13 |det J|`` bounds κ far below 1e14; the
+    range test on s keeps ``det J`` clear of overflow and underflow."""
+    if J.shape == (2, 2):
+        (a, b), (c, d) = J.tolist()
+        s = a * a + b * b + c * c + d * d
+        if 1e-150 < s < 1e150 and s < 1e13 * abs(a * d - b * c):
+            return False
+    return np.linalg.cond(J) > 1e14
+
+
 def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWTON_TOL,
                      max_iter: int = 100) -> EquilibriumReport:
     """Damped Newton for ``f(x) - P D(x) = 0``.
@@ -118,13 +146,13 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
     notes = []
     g = _residual(sys, x)
     J, J_kin = _jacobians(sys, x)
-    res = float(np.linalg.norm(g))
+    res = _norm(g)
     best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
     for _ in range(max_iter):
         if res <= newton_tol:
             break
         try:
-            if np.linalg.cond(J) > 1e14:
+            if _ill_conditioned(J):
                 raise np.linalg.LinAlgError("ill-conditioned")
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
@@ -135,8 +163,7 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
         for _ in range(30):
             x_new = x + alpha * step
             g_new = _residual(sys, x_new)
-            if np.all(np.isfinite(g_new)) and \
-                    np.linalg.norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
+            if np.isfinite(g_new).all() and _norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
                 break
             alpha *= 0.5
         else:
@@ -144,7 +171,7 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
             g_new = _residual(sys, x_new)
         x, g = x_new, g_new
         J, J_kin = _jacobians(sys, x)
-        res = float(np.linalg.norm(g))
+        res = _norm(g)
         if res < best_res:
             best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
     if best_res > newton_tol:
@@ -155,11 +182,9 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
     if not np.isfinite(best_J).all():
         raise NonFiniteEvaluation(
             f"the Jacobian at the equilibrium {best_x.tolist()} is not finite")
-    eigenvalues = np.linalg.eigvals(best_J)
     return EquilibriumReport(
         x_star=best_x, residual=best_res, jacobian_full=best_J,
-        jacobian_kinetic=best_J_kin, eigenvalues_full=eigenvalues,
-        stability=_stability_label(eigenvalues), notes="; ".join(notes),
+        jacobian_kinetic=best_J_kin, notes="; ".join(notes),
     )
 
 
@@ -201,8 +226,11 @@ def fhn_system(mu: float, beta: float = 1.28, gamma: float = 0.12,
         x, _ = z
         return np.array([[1.0 - x * x, -1.0], [xi, -xi * beta]])
 
+    JD = mu * np.eye(2)
+    JD.setflags(write=False)
+
     def jac_D(_):
-        return mu * np.eye(2)
+        return JD
 
     P = np.diag([1.0, 0.0])
     return NonlinearPortSystem(

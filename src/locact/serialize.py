@@ -49,7 +49,9 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 def format_csv_row(values) -> str:
     cells = []
     for v in values:
-        if isinstance(v, (float, np.floating)):
+        if type(v) is float:  # the common cell, ahead of the isinstance ladder
+            cells.append(format(v, ".17g"))
+        elif isinstance(v, (float, np.floating)):
             cells.append(format(float(v), ".17g"))
         elif isinstance(v, (bool, np.bool_)):
             cells.append("1" if v else "0")

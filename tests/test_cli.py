@@ -287,6 +287,19 @@ class TestWitness:
                                    "passivity certificate via dissipativity of A (max eig -1)"}
 
 
+class TestFormatCsvRow:
+    @pytest.mark.parametrize("v", [0.0, -0.0, 1.0, -2.5, 0.1, 1e308, -1e-300,
+                                   5e-324, 2.2250738585072009e-308, math.pi,
+                                   float("nan"), float("inf"), float("-inf")])
+    def test_float_fast_path_prints_the_ladders_bytes(self, v):
+        # a float takes the fast path, a numpy float64 the isinstance ladder
+        assert type(np.float64(v)) is not float
+        assert format_csv_row([v]) == format_csv_row([np.float64(v)]) \
+            == format(np.float64(v), ".17g")
+        assert format_csv_row([v, np.float64(v), "x", True, 3]) == \
+            ",".join([format_csv_row([v])] * 2 + ["x", "1", "3"])
+
+
 class TestFhn:
     def test_defaults_pipeline(self, capsys):
         code, out = run_cli(capsys, "fhn", "--mu", "0.05")
@@ -357,6 +370,10 @@ class TestFhn:
         ("--mu", "0.05", "--sweep", "0:0.1:401"),
         ("--mu", "0.7", "--sweep=-0.5:1.5:81"),
         ("--mu", "-0.1", "--beta", "0.7", "--sweep=-2:3:201"),
+        # a singular Jacobian at every iterate: pseudo-inverse steps throughout
+        ("--xi", "0", "--sweep", "0:0.1:41"),
+        # no point converges: the spectra are taken of a (0, 2, 2) stack
+        ("--beta", "1e308", "--xi", "10", "--sweep", "0:0.1:3"),
     ])
     def test_sweep_bytes_match_per_point_loop(self, tmp_path, capsys, monkeypatch, argv):
         csv_path = tmp_path / "sweep.csv"
@@ -365,6 +382,9 @@ class TestFhn:
             stacked = _fhn_bytes(capsys, monkeypatch, full, csv_path, oracle=False)
             assert stacked[0] == 0
             assert stacked == _fhn_bytes(capsys, monkeypatch, full, csv_path, oracle=True)
+
+    def test_spectra_of_an_empty_stack(self):
+        assert np.linalg.eigvals(np.zeros((0, 2, 2))).real.max(axis=1).shape == (0,)
 
     def test_failed_rows_match_per_point_loop(self, tmp_path, capsys, monkeypatch):
         # a Newton failure at the 4th point and a classification failure at
@@ -539,6 +559,32 @@ class TestRdCell:
         code, out = self._run_spec(tmp_path, capsys, json.dumps({**base, **change}))
         assert code == 2
         assert f"'{key}'" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("key, change", [
+        ("boundry", {"boundry": "neumann"}),
+        ("Mu", {"kinetics": {"type": "fhn", "Mu": 0.3}}),
+        ("mu", {"kinetics": {"type": "linear", "A": [[0.5, -1.0], [1.0, -0.8]], "mu": 0.3}}),
+        ("A", {"kinetics": {"type": "fhn", "A": [[0.5, -1.0], [1.0, -0.8]]}}),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, key, change):
+        # each of these printed the plain spec's report, its key ignored
+        code, out = self._run_spec(tmp_path, capsys, json.dumps({**self.FHN, **change}))
+        assert code == 2
+        assert f"unknown key '{key}'" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("kind", [["fhn"], {"fhn": 1}, 5, None])
+    def test_kinetics_type_that_is_not_a_name_exits_2(self, tmp_path, capsys, kind):
+        spec = {**self.FHN, "kinetics": {"type": kind}}
+        code, out = self._run_spec(tmp_path, capsys, json.dumps(spec))
+        assert code == 2
+        assert "unknown kinetics" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("N", [65, 100000])
+    def test_grid_beyond_64_exits_2(self, tmp_path, capsys, N):
+        # N = 100000 exited 1 with a 74.5 GiB allocation failure
+        code, out = self._run_spec(tmp_path, capsys, json.dumps({**self.FHN, "N": N}))
+        assert code == 2
+        assert json.loads(out)["error"] == f"'N' must be at most 64, got {N}"
 
     def test_spec_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         code, out = self._run_spec(tmp_path, capsys, json.dumps([self.LINEAR]))

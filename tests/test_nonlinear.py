@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import numpy.testing as npt
@@ -89,6 +90,14 @@ class TestFindEquilibrium:
             find_equilibrium(sys, [0.5], max_iter=60)
         assert info.value.best_residual > 0.0
 
+    def test_dissipation_jacobian_is_one_read_only_array(self):
+        sys = fhn_system(0.05, BETA, GAMMA, XI)
+        JD = sys.jacobian_D(np.zeros(2))
+        assert sys.jacobian_D(np.ones(2)) is JD
+        npt.assert_array_equal(JD, 0.05 * np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            JD[0, 0] = 1.0
+
     def test_full_jacobian_includes_dissipation(self):
         sys = fhn_system(0.05, BETA, GAMMA, XI)
         report = find_equilibrium(sys, [-1.0, -0.6])
@@ -107,7 +116,8 @@ class TestFindEquilibrium:
     @pytest.mark.parametrize("analytic", [True, False])
     def test_one_jacobian_and_one_spectrum_per_equilibrium(self, monkeypatch, analytic):
         # the report keeps the Jacobians of its best iterate, equal to those
-        # evaluated afresh there, and the one spectrum of the full Jacobian
+        # evaluated afresh there, and computes the one spectrum of the full
+        # Jacobian when it is first read
         base = fhn_system(0.05, BETA, GAMMA, XI)
         sys = base if analytic else nonlinear.NonlinearPortSystem(
             f=base.f, D=base.D, P=base.P, n=2)
@@ -116,12 +126,56 @@ class TestFindEquilibrium:
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda J: spectra.append(J) or eigvals(J))
         report = find_equilibrium(sys, [-1.0, -0.6])
+        assert len(spectra) == 0
+        for _ in range(2):
+            assert report.stability == "Unstable"
+            npt.assert_array_equal(report.eigenvalues_full, eigvals(report.jacobian_full))
         assert len(spectra) == 1
         J_full, J_kin = nonlinear._jacobians(sys, report.x_star)
         npt.assert_array_equal(report.jacobian_full, J_full)
         npt.assert_array_equal(report.jacobian_kinetic, J_kin)
         npt.assert_array_equal(report.eigenvalues_full, eigvals(J_full))
-        assert report.stability == "Unstable"
+
+
+def _outcome(decide, J):
+    try:
+        return bool(decide(J))
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+class TestIllConditioned:
+    def test_equals_the_condition_number_test(self):
+        # 2 x 2 matrices at every edge of the shortcut (scaled by 10^±160, rows
+        # near-dependent at depths 1e-8 to 1e-18, rank one with subnormal
+        # products, entries 0, ±inf, nan and 5e-324, small integers) and 3 x 3
+        # matrices, which take the SVD
+        rng = np.random.default_rng(33)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])
+        cases = []
+        for _ in range(400):
+            J = rng.standard_normal((2, 2))
+            K = J.copy()
+            K[1] = rng.standard_normal() * K[0] + 10.0 ** -rng.uniform(8, 18) * K[1]
+            L = J.copy()
+            L.flat[rng.choice(4, rng.integers(1, 4), replace=False)] = rng.choice(special)
+            cases += [J * 10.0 ** rng.integers(-160, 161),
+                      K * 10.0 ** rng.integers(-160, 161), K, L,
+                      np.outer(*rng.standard_normal((2, 2))) * 10.0 ** rng.integers(-165, -150),
+                      rng.integers(-3, 4, (2, 2)).astype(float),
+                      rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-5, 6)]
+        # κ ≈ 2.2e14, but a d and b c round to adjacent subnormals, so the
+        # computed det J is 50 times too large: only the range test on s
+        # sends this one to the SVD
+        cases.append(2.0 ** -517 * np.array([[1.0, 1.0], [1.0 + 2007 * 2.0 ** -52,
+                                                          1.0 + 2089 * 2.0 ** -52]]))
+        decided = []
+        with np.errstate(all="ignore"):
+            for J in cases:
+                want = _outcome(lambda J: np.linalg.cond(J) > 1e14, J)
+                assert _outcome(nonlinear._ill_conditioned, J) == want, J
+                decided.append(want)
+        assert min(decided.count(True), decided.count(False)) >= 300
 
 
 def _find_equilibrium_oracle(sys, x_guess, newton_tol=nonlinear.NEWTON_TOL,
@@ -175,7 +229,7 @@ def _find_equilibrium_oracle(sys, x_guess, newton_tol=nonlinear.NEWTON_TOL,
         raise NonFiniteEvaluation(
             f"the Jacobian at the equilibrium {best_x.tolist()} is not finite")
     eigenvalues = np.linalg.eigvals(best_J)
-    return nonlinear.EquilibriumReport(
+    return types.SimpleNamespace(
         x_star=best_x, residual=best_res, jacobian_full=best_J,
         jacobian_kinetic=best_J_kin, eigenvalues_full=eigenvalues,
         stability=nonlinear._stability_label(eigenvalues), notes="; ".join(notes),
