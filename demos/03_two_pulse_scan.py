@@ -40,7 +40,7 @@ print("\nport transform orthogonality defect:",
 gw = witness_two_pulse_generic(sys)
 print(f"\nscan selected sign a = {gw.a:+.0f}, horizon T = {gw.T}")
 print("closed-form energy      :", gw.closed_form_W)
-print("mollified, by quadrature:", gw.W, "+/-", gw.err_estimate)
+print("mollified, by quadrature:", gw.W, "+/-", gw.quadrature_error_estimate)
 
 # the exact discontinuous two-pulse agrees with the closed form
 W_exact, err = energy_integral(sys, gw.signal.base, gw.T)

@@ -29,11 +29,7 @@ print("\nsingle cell, Dirichlet:", discrete_laplacian(1, "dirichlet"))
 # diffusion -4 D1 x identical to the dissipation -mu x of the plain model.
 mu = 0.05
 full = fhn_system(mu)
-cell = rd_single_cell(
-    f_a=lambda z: np.asarray(full.f(z))[:1],
-    f_b=lambda z: np.asarray(full.f(z))[1:],
-    D_coeffs=[mu / 4.0], m=1, n=2,
-)
+cell = rd_single_cell(f=full.f, D_coeffs=[mu / 4.0], m=1, n=2)
 z = np.array([-0.9, -0.6])
 print("\ncell rhs equals plain-model rhs:",
       np.allclose(cell.f(z) - cell.P @ cell.D(z),

@@ -41,7 +41,6 @@ from .complexity import (
 from .genericity import (
     GenericityReport,
     in_generic_M,
-    in_generic_N,
     port_transform,
     sample_density_M,
 )

@@ -68,23 +68,17 @@ def _extract_tol_flags(argv):
     return overrides, rest
 
 
-def _witness_config(overrides):
-    kwargs = {key: overrides[key] for key in _WITNESS_KEYS if key in overrides}
+def _config(cls, overrides):
+    """The tolerance dataclass ``cls`` with the ``--tol.*`` overrides of its
+    fields."""
+    kwargs = {f.name: overrides[f.name] for f in fields(cls) if f.name in overrides}
     if "quad_steps_per_unit_time" in kwargs:
         steps = kwargs["quad_steps_per_unit_time"]
         if not steps.is_integer():
             raise InputError(f"quad_steps_per_unit_time must be an integer, got {steps}")
         kwargs["quad_steps_per_unit_time"] = int(steps)
     try:
-        return activity.WitnessSearchConfig(**kwargs)
-    except ValueError as exc:
-        raise InputError(f"bad tolerance value: {exc}") from exc
-
-
-def _classifier_tols(overrides):
-    try:
-        return complexity.ClassifierTolerances(
-            **{key: overrides[key] for key in _CLASSIFIER_KEYS if key in overrides})
+        return cls(**kwargs)
     except ValueError as exc:
         raise InputError(f"bad tolerance value: {exc}") from exc
 
@@ -120,7 +114,7 @@ def _emit(report, output):
 
 def cmd_analyze_linear(matrix_path, projection_path, overrides, output=None):
     sys = _load_system(matrix_path, projection_path, overrides)
-    cfg = _witness_config(overrides)
+    cfg = _config(activity.WitnessSearchConfig, overrides)
     try:
         generic = genericity.in_generic_M(sys)
         gen = genericity.report_to_json(generic)
@@ -135,7 +129,7 @@ def cmd_analyze_linear(matrix_path, projection_path, overrides, output=None):
 def cmd_witness(matrix_path, projection_path, overrides, output=None,
                 csv_path=None):
     sys = _load_system(matrix_path, projection_path, overrides)
-    cfg = _witness_config(overrides)
+    cfg = _config(activity.WitnessSearchConfig, overrides)
     verdict = activity.classify_activity(sys, cfg)
     if verdict.status != activity.ACTIVE or verdict.witness is None:
         report = {"status": verdict.status, "witness": None,
@@ -170,8 +164,8 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
     for name, value in (("mu", mu), ("beta", beta), ("gamma", gamma), ("xi", xi)):
         if not np.isfinite(value):
             raise InputError(f"--{name} must be finite, got {value}")
-    cfg = _witness_config(overrides)
-    tols = _classifier_tols(overrides)
+    cfg = _config(activity.WitnessSearchConfig, overrides)
+    tols = _config(complexity.ClassifierTolerances, overrides)
     report = {"params": {"mu": mu, "beta": beta, "gamma": gamma, "xi": xi}}
     try:
         report["pipeline"] = nonlinear.analyze_equilibrium_pipeline(
@@ -246,7 +240,7 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
 
 
 _RD_KEYS = ("N", "boundary", "m", "n", "D", "kinetics", "guesses")
-_RD_KINETICS = {"fhn": ("type", "mu", "beta", "gamma", "xi"), "linear": ("type", "A")}
+_RD_KINETICS = {"fhn": ("type", *nonlinear.FHN_DEFAULTS), "linear": ("type", "A")}
 _RD_MAX_N = 64  # the report embeds the N^2 x N^2 Laplacian: 2^24 entries at most
 
 
@@ -319,10 +313,8 @@ def cmd_rd_cell(spec_path, overrides, output=None):
         if (m, n) != (1, 2):
             raise InputError("fhn kinetics requires m=1, n=2")
         params = {k: _spec_float(kin.get(k, d), k) for k, d in
-                  (("mu", 0.05), ("beta", 1.28), ("gamma", 0.12), ("xi", 0.1))}
-        base = nonlinear.fhn_system(**params)
-        f_a = lambda x: np.asarray(base.f(x))[:1]
-        f_b = lambda x: np.asarray(base.f(x))[1:]
+                  nonlinear.FHN_DEFAULTS.items()}
+        f = nonlinear.fhn_system(**params).f
         default_guess = nonlinear.fhn_equilibrium_guesses(**params)[0]
     else:
         if not isinstance(kin.get("A"), list):
@@ -331,16 +323,16 @@ def cmd_rd_cell(spec_path, overrides, output=None):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InputError(f"kinetics matrix must be {n}x{n}")
         A_kin = np.array(rows)
-        f_a = lambda x: A_kin[:m] @ np.asarray(x, dtype=float)
-        f_b = lambda x: A_kin[m:] @ np.asarray(x, dtype=float)
+        # one product per row block: A_kin @ x rounds differently
+        f = lambda x: np.concatenate((A_kin[:m] @ x, A_kin[m:] @ x))
         default_guess = np.zeros(n)
 
     try:
-        cell = nonlinear.rd_single_cell(f_a, f_b, D, m, n)
+        cell = nonlinear.rd_single_cell(f, D, m, n)
         lap = nonlinear.discrete_laplacian(N, boundary)
     except (LocactError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    cfg = _witness_config(overrides)
+    cfg = _config(activity.WitnessSearchConfig, overrides)
     guesses = spec.get("guesses") or []
     if not isinstance(guesses, list):
         raise InputError(f"'guesses' must be a list of points, got {guesses!r}")
@@ -378,6 +370,11 @@ def cmd_genericity(n, samples, seed, overrides, output=None):
     return 0
 
 
+# 100,000 sweep points take about 8 s and 0.3 GB (2-core x86); a count far
+# beyond that fails on its first allocation
+_SWEEP_MAX_STEPS = 100_000
+
+
 def _parse_sweep(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -390,6 +387,8 @@ def _parse_sweep(text):
         raise InputError("--sweep needs finite lo, hi and hi - lo")
     if count < 2 or not lo < hi:
         raise InputError("--sweep needs lo < hi and steps >= 2")
+    if count > _SWEEP_MAX_STEPS:
+        raise InputError(f"--sweep takes at most {_SWEEP_MAX_STEPS} steps, got {count}")
     return lo, hi, count
 
 
@@ -419,10 +418,8 @@ def build_parser():
                    help="write the sampled trajectory CSV here")
 
     p = sub.add_parser("fhn", help="FitzHugh-Nagumo pipeline / parameter sweep")
-    p.add_argument("--mu", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=1.28)
-    p.add_argument("--gamma", type=float, default=0.12)
-    p.add_argument("--xi", type=float, default=0.1)
+    for name, default in nonlinear.FHN_DEFAULTS.items():
+        p.add_argument(f"--{name}", type=float, default=default)
     p.add_argument("--sweep", type=str, default=None, metavar="LO:HI:STEPS")
     p.add_argument("--sweep-csv", type=str, default=None)
 

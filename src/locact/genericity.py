@@ -14,38 +14,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linsys
 from .errors import ZeroProjection
-from .linsys import _as_square_matrix, _row_norms
+from .linsys import _row_norms
 
 
 @dataclass(frozen=True)
 class GenericityReport:
     """Evidence record for the membership tests.
 
-    ``in_M`` is None when only the eigenvalue-side test ran.  ``g11h11`` is
-    the raw port product for the dominant eigenvalue; ``port_product_margin``
-    is the same quantity normalized by the norms of the dominant right
-    eigenvector and left eigenvector row, which makes the threshold
-    insensitive to eigenvector scaling.  The full test keeps the decomposition
-    of ``Q A Q^T`` in ``spectrum`` for reuse; it is not serialized.
+    ``g11h11`` is the raw port product for the dominant eigenvalue;
+    ``port_product_margin`` is the same quantity normalized by the norms of
+    the dominant right eigenvector and left eigenvector row, which makes the
+    threshold insensitive to eigenvector scaling.  ``spectrum`` keeps the
+    decomposition of ``Q A Q^T`` for reuse; it is not serialized.
     """
 
     in_N: bool
-    in_M: Optional[bool]
+    in_M: bool
     min_eig_gap: float
     min_abs_eig: float
     dominance_gap: float
-    g11h11: Optional[complex]
-    port_product_margin: Optional[float]
-    Q: Optional[np.ndarray]
+    g11h11: complex
+    port_product_margin: float
+    Q: np.ndarray
     tol: float
-    notes: str = ""
-    spectrum: Optional[linsys.Spectrum] = None
+    notes: str
+    spectrum: linsys.Spectrum
 
 
 # Matrix entries per block of sample_density_M: the blocks' working memory
@@ -139,50 +138,33 @@ def _membership(B, tol):
     return out
 
 
-def _report(B, tol, Q=None):
-    """The report of the membership tests on one matrix: the stack of one.
-    Without the port reflector ``Q`` only the eigenvalue side is reported."""
-    (m,) = _membership(B[None], tol)
+def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityReport:
+    """Full membership: the port-transformed matrix passes the eigenvalue-side
+    test (nonzero spectrum, distinct eigenvalues, strictly dominating real
+    part) and the dominant port product g11 * h11 is nonzero at margin
+    ``tol`` (after scale normalization); the test on a stack of one."""
+    _check_tol(tol)
+    Q = _port_reflector(sys.P)
+    (m,) = _membership((Q @ sys.A @ Q.T)[None], tol)
     S = m.spectra.at(0)
     in_N = bool(m.in_N[0])
     dominance = float(m.dominance[0])
-    ports = Q is not None
+    margin = float(m.margin[0])
     notes = []
-    if ports:
-        margin = float(m.margin[0])
-        if not in_N:
-            notes.append("fails eigenvalue-side membership")
-        if not S.diagonalizable:
-            notes.append("not numerically diagonalizable")
-        if margin <= tol:
-            notes.append(f"port product margin {margin:.3e} <= tol")
+    if not in_N:
+        notes.append("fails eigenvalue-side membership")
+    if not S.diagonalizable:
+        notes.append("not numerically diagonalizable")
+    if margin <= tol:
+        notes.append(f"port product margin {margin:.3e} <= tol")
     if not math.isfinite(dominance):
         notes.append("dominance over empty remainder (max of empty set = -inf)")
     return GenericityReport(
-        in_N=in_N, in_M=bool(m.in_M[0]) if ports else None,
-        min_eig_gap=S.min_gap, min_abs_eig=float(m.min_abs[0]),
-        dominance_gap=dominance,
-        g11h11=complex(m.g11h11[0]) if ports else None,
-        port_product_margin=margin if ports else None, Q=Q, tol=tol,
-        notes="; ".join(notes), spectrum=S if ports else None,
+        in_N=in_N, in_M=bool(m.in_M[0]), min_eig_gap=S.min_gap,
+        min_abs_eig=float(m.min_abs[0]), dominance_gap=dominance,
+        g11h11=complex(m.g11h11[0]), port_product_margin=margin, Q=Q, tol=tol,
+        notes="; ".join(notes), spectrum=S,
     )
-
-
-def in_generic_N(A, tol: float = 1e-8) -> GenericityReport:
-    """Eigenvalue-side membership: nonzero spectrum, distinct eigenvalues,
-    strictly dominating real part; every strict inequality uses margin
-    ``tol``."""
-    _check_tol(tol)
-    return _report(_as_square_matrix(A, "A"), tol)
-
-
-def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityReport:
-    """Full membership: the port-transformed matrix passes the eigenvalue-side
-    test and the dominant port product g11 * h11 is nonzero at margin ``tol``
-    (after scale normalization)."""
-    _check_tol(tol)
-    Q = _port_reflector(sys.P)
-    return _report(Q @ sys.A @ Q.T, tol, Q)
 
 
 def sample_density_M(n: int, samples: int, seed: int, tol: float = 1e-8) -> float:
@@ -192,7 +174,8 @@ def sample_density_M(n: int, samples: int, seed: int, tol: float = 1e-8) -> floa
     The matrices are drawn in blocks of ``_CHUNK_ENTRIES // n**2`` (at least
     one), and each block is tested in one stacked pass, so memory does not
     grow with ``samples``.  The draws and every decision are those of
-    ``in_generic_M`` on one matrix at a time.
+    ``in_generic_M`` on one matrix at a time: the reflector of the first
+    coordinate is exactly ``I``, so the port transform is left out.
     """
     _check_tol(tol)
     if n < 1:
@@ -200,26 +183,22 @@ def sample_density_M(n: int, samples: int, seed: int, tol: float = 1e-8) -> floa
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    P = np.zeros((n, n))
-    P[0, 0] = 1.0
-    Q = _port_reflector(P)
     block = max(1, _CHUNK_ENTRIES // (n * n))
     hits = 0
     for first in range(0, samples, block):
         A = rng.standard_normal((min(block, samples - first), n, n))
-        hits += sum(int(m.in_M.sum()) for m in _membership(Q @ A @ Q.T, tol))
+        hits += sum(int(m.in_M.sum()) for m in _membership(A, tol))
     return hits / samples
 
 
 def report_to_json(report: GenericityReport) -> dict:
-    g = report.g11h11
     return {
         "in_N": report.in_N,
         "in_M": report.in_M,
         "min_eig_gap": report.min_eig_gap,
         "min_abs_eig": report.min_abs_eig,
         "dominance_gap": report.dominance_gap,
-        "g11h11": None if g is None else {"re": g.real, "im": g.imag},
+        "g11h11": {"re": report.g11h11.real, "im": report.g11h11.imag},
         "port_product_margin": report.port_product_margin,
         "tol": report.tol,
         "notes": report.notes,

@@ -236,8 +236,9 @@ def _decompose(index, A, lam, G, spec_tol):
         D = np.zeros(Gd.shape, Gd.dtype)
         D.reshape(-1, n * n)[:, ::n + 1] = lam[d]
         Ad = A[d].reshape(-1, n * n)
-        recon = _row_norms((Gd @ D @ Hd).reshape(-1, n * n) - Ad)
-        scale = np.maximum(1.0, _row_norms(Ad))
+        with np.errstate(over="ignore"):  # an infinite norm is the value meant
+            recon = _row_norms((Gd @ D @ Hd).reshape(-1, n * n) - Ad)
+            scale = np.maximum(1.0, _row_norms(Ad))
         diagonalizable[d] = recon <= spec_tol * scale
         count = np.count_nonzero(diagonalizable)
     if count < k:

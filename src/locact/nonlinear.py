@@ -203,8 +203,13 @@ def linearize_at(sys: NonlinearPortSystem, x_star,
 # -- model builders -------------------------------------------------------------
 
 
-def fhn_system(mu: float, beta: float = 1.28, gamma: float = 0.12,
-               xi: float = 0.1) -> NonlinearPortSystem:
+# the FitzHugh-Nagumo parameters of the front ends when none is given
+FHN_DEFAULTS = {"mu": 0.05, "beta": 1.28, "gamma": 0.12, "xi": 0.1}
+
+
+def fhn_system(mu: float, beta: float = FHN_DEFAULTS["beta"],
+               gamma: float = FHN_DEFAULTS["gamma"],
+               xi: float = FHN_DEFAULTS["xi"]) -> NonlinearPortSystem:
     """FitzHugh-Nagumo with a dissipation term on the first (port) variable:
 
     ``x' = -y - (x^3/3 - x) - mu x``, ``y' = xi (x - beta y + gamma)``.
@@ -244,11 +249,12 @@ def fhn_equilibrium_guesses(mu: float, beta: float, gamma: float, xi: float):
 
     For xi != 0 the equilibrium condition reduces to the cubic
     ``x^3 - 3 (1 - mu - 1/beta) x + 3 gamma / beta = 0`` with y = (x+gamma)/beta;
-    its real roots give exact-to-roundoff guesses.
+    its real roots give exact-to-roundoff guesses.  Where a coefficient of
+    the cubic overflows, the fixed fallback guesses are returned.
     """
     if xi != 0.0 and beta != 0.0:
-        roots = np.roots([1.0, 0.0, -3.0 * (1.0 - mu - 1.0 / beta),
-                          3.0 * gamma / beta])
+        coeffs = [1.0, 0.0, -3.0 * (1.0 - mu - 1.0 / beta), 3.0 * gamma / beta]
+        roots = np.roots(coeffs) if all(map(math.isfinite, coeffs)) else []
         guesses = []
         for r in roots:
             if abs(r.imag) < 1e-9:
@@ -380,12 +386,11 @@ def discrete_laplacian(N: int, boundary: str = "dirichlet") -> np.ndarray:
     return M
 
 
-def rd_single_cell(f_a: Callable, f_b: Callable, D_coeffs, m: int,
-                   n: int) -> NonlinearPortSystem:
-    """Single reaction cell under Dirichlet closure: the diffusion of the m
-    port variables reduces to ``-4 D_i x_i``, expressed as the dissipation map
-    ``D(x) = (4 D_1 x_1, ..., 4 D_m x_m, 0, ...)`` with P projecting onto the
-    first m coordinates."""
+def rd_single_cell(f: Callable, D_coeffs, m: int, n: int) -> NonlinearPortSystem:
+    """Single reaction cell with kinetics f under Dirichlet closure: the
+    diffusion of the m port variables reduces to ``-4 D_i x_i``, expressed as
+    the dissipation map ``D(x) = (4 D_1 x_1, ..., 4 D_m x_m, 0, ...)`` with P
+    projecting onto the first m coordinates."""
     if not (1 <= m <= n):
         raise DimensionMismatch(f"need 1 <= m <= n, got m={m}, n={n}")
     D_coeffs = np.asarray(D_coeffs, dtype=float).ravel()
@@ -394,16 +399,11 @@ def rd_single_cell(f_a: Callable, f_b: Callable, D_coeffs, m: int,
     if np.any(D_coeffs <= 0):
         raise ValueError("diffusion coefficients must be positive")
 
-    def f(x):
-        x = np.asarray(x, dtype=float).ravel()
-        fa = np.asarray(f_a(x), dtype=float).ravel()
-        fb = np.asarray(f_b(x), dtype=float).ravel() if n > m else np.zeros(0)
-        if fa.size != m or fb.size != n - m:
-            raise DimensionMismatch(
-                f"kinetics returned sizes ({fa.size}, {fb.size}), "
-                f"expected ({m}, {n - m})"
-            )
-        return np.concatenate([fa, fb])
+    def kinetics(x):
+        out = np.asarray(f(np.asarray(x, dtype=float).ravel()), dtype=float).ravel()
+        if out.size != n:
+            raise DimensionMismatch(f"kinetics returned {out.size} values, expected {n}")
+        return out
 
     def D(x):
         x = np.asarray(x, dtype=float).ravel()
@@ -412,7 +412,7 @@ def rd_single_cell(f_a: Callable, f_b: Callable, D_coeffs, m: int,
         return out
 
     P = np.diag([1.0] * m + [0.0] * (n - m))
-    return NonlinearPortSystem(f=f, D=D, P=P, n=n, family="rd_cell",
+    return NonlinearPortSystem(f=kinetics, D=D, P=P, n=n, family="rd_cell",
                                params={"m": m, "n": n, "D": D_coeffs.tolist()})
 
 

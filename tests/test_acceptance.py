@@ -126,7 +126,7 @@ def test_criterion_05_generic_two_pulse_search():
         assert max_re >= 0.1
         gw = witness_two_pulse_generic(sys)  # T_max defaults to 200 / max Re
         assert gw.closed_form_W < 0.0, f"trial {trial}: scan failed"
-        assert gw.W < -gw.err_estimate, f"trial {trial}: mollified W lost sign"
+        assert gw.W < -gw.quadrature_error_estimate, f"trial {trial}: mollified W lost sign"
         assert gw.a in (-1.0, 1.0) and gw.T >= 2.0
     _report(5, "Theorem-7 constructive search, 50/50 verified witnesses")
 

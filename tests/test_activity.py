@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -251,7 +252,7 @@ class TestWitnessTwoPulseGeneric:
         gw = witness_two_pulse_generic(sys)
         assert widths == [0.1 / 2**k for k in range(7)]
         assert gw.signal.eps_s == widths[-1]
-        assert gw.W < -gw.err_estimate
+        assert gw.W < -gw.quadrature_error_estimate
         assert abs(gw.W - gw.closed_form_W) > 0.04 * (1.0 + abs(gw.closed_form_W))
 
 
@@ -661,6 +662,23 @@ STABLE_ACTIVE_INPUTS = {
                             [-1.1626800831281492, -1.5797163610274016, -0.6992459423718485]]),
     "bench_readme_times_1e4": 1e4 * README_MATRIX,
 }
+
+
+class TestNoOverflowWarnings:
+    """Norms that overflow to inf are the intended bounds: no RuntimeWarning
+    leaves the library on entries near 1e300."""
+
+    @pytest.mark.parametrize("A, P", [
+        ([[1e300, 1e300], [0.0, -1e300]], np.eye(2)),
+        ([[1e300, 1e300], [0.0, -1e300]], np.diag([1.0, 0.0])),
+        (np.diag([1e300, 1e300]), np.eye(2)),
+    ], ids=["upper-identity", "upper-port", "diagonal-identity"])
+    def test_huge_entries_warn_nothing(self, A, P):
+        sys = linsys.make_system(A, P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            classify_activity(sys)
+            genericity.in_generic_M(sys)
 
 
 class TestTrajectoryWitness:

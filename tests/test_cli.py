@@ -62,8 +62,8 @@ def _cmd_fhn_oracle(mu, beta, gamma, xi, overrides, output=None, sweep=None,
     for name, value in (("mu", mu), ("beta", beta), ("gamma", gamma), ("xi", xi)):
         if not np.isfinite(value):
             raise cli.InputError(f"--{name} must be finite, got {value}")
-    cfg = cli._witness_config(overrides)
-    tols = cli._classifier_tols(overrides)
+    cfg = cli._config(activity.WitnessSearchConfig, overrides)
+    tols = cli._config(complexity.ClassifierTolerances, overrides)
     report = {"params": {"mu": mu, "beta": beta, "gamma": gamma, "xi": xi}}
     try:
         report["pipeline"] = nonlinear.analyze_equilibrium_pipeline(
@@ -309,6 +309,26 @@ class TestFhn:
         assert eq[0] == pytest.approx(-0.904070, abs=1e-4)
         assert eq[1] == pytest.approx(-0.612555, abs=1e-4)
         assert report["pipeline"]["edge_of_chaos"]["edge_of_chaos"] is True
+
+    def test_defaults_are_those_of_nonlinear(self, capsys):
+        code, out = run_cli(capsys, "fhn")
+        assert code == 0
+        assert json.loads(out)["params"] == nonlinear.FHN_DEFAULTS
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu", "1e308"), ("--beta", "1e-308"), ("--gamma", "1e308")])
+    def test_overflowing_equilibrium_cubic_exits_0(self, capsys, flag, value):
+        # the cubic of the equilibrium guesses overflowed: exit 1, traceback
+        code, out = run_cli(capsys, "fhn", flag, value)
+        assert code == 0
+        assert "pipeline" in json.loads(out)
+
+    def test_sweep_beyond_the_point_bound_exits_2(self, capsys):
+        # 0:1:100000000000 exited 1 with a 745 GiB allocation failure; only
+        # the bound plus one is run here, which is rejected before any array
+        code, out = run_cli(capsys, "fhn", "--sweep", "0:1:100001")
+        assert code == 2
+        assert json.loads(out)["error"] == "--sweep takes at most 100000 steps, got 100001"
 
     def test_sweep_locates_hopf(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
@@ -585,6 +605,13 @@ class TestRdCell:
         code, out = self._run_spec(tmp_path, capsys, json.dumps({**self.FHN, "N": N}))
         assert code == 2
         assert json.loads(out)["error"] == f"'N' must be at most 64, got {N}"
+
+    def test_overflowing_fhn_guess_cubic_still_reports(self, tmp_path, capsys):
+        # the default guess came from a cubic that overflowed: exit 1, traceback
+        spec = {**self.FHN, "kinetics": {"type": "fhn", "mu": 1e308}}
+        code, out = self._run_spec(tmp_path, capsys, json.dumps(spec))
+        assert code == 0
+        assert json.loads(out)["reports"][0]["equilibrium"]["residual"] <= 1e-10
 
     def test_spec_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         code, out = self._run_spec(tmp_path, capsys, json.dumps([self.LINEAR]))

@@ -18,7 +18,6 @@ from locact.errors import ZeroProjection
 from locact.genericity import (
     GenericityReport,
     in_generic_M,
-    in_generic_N,
     port_transform,
     sample_density_M,
 )
@@ -65,18 +64,6 @@ def _eig_side_oracle(A, tol):
     return spect, in_N, min_abs, dominance
 
 
-def _in_generic_N_oracle(A, tol=1e-8):
-    spect, in_N, min_abs, dominance = _eig_side_oracle(A, tol)
-    notes = ""
-    if not np.isfinite(dominance):
-        notes = "dominance over empty remainder (max of empty set = -inf)"
-    return GenericityReport(
-        in_N=in_N, in_M=None, min_eig_gap=spect.min_gap, min_abs_eig=min_abs,
-        dominance_gap=dominance, g11h11=None, port_product_margin=None,
-        Q=None, tol=tol, notes=notes,
-    )
-
-
 def _in_generic_M_oracle(sys, tol=1e-8):
     Q, transformed = _port_transform_oracle(sys)
     spect, in_N, min_abs, dominance = _eig_side_oracle(transformed.A, tol)
@@ -119,17 +106,20 @@ _REPORT_FIELDS = ("in_N", "in_M", "min_eig_gap", "min_abs_eig", "dominance_gap",
 def _assert_same_report(got, want):
     for field in _REPORT_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
-        assert (a is None) == (b is None), field
-        assert a is None or same_bits(a, b), (field, a, b)
-    assert (got.spectrum is None) == (want.spectrum is None)
-    if want.spectrum is not None:
-        assert_same_spectrum(got.spectrum, want.spectrum)
+        assert same_bits(a, b), (field, a, b)
+    assert_same_spectrum(got.spectrum, want.spectrum)
 
 
 def _e1_projection(n):
     P = np.zeros((n, n))
     P[0, 0] = 1.0
     return P
+
+
+def _in_N(A, tol=1e-8):
+    """The eigenvalue-side test of A itself: with the port on the first
+    coordinate the port transform is the identity."""
+    return in_generic_M(linsys.make_system(A, _e1_projection(A.shape[0])), tol)
 
 
 class TestPortTransform:
@@ -176,10 +166,10 @@ class TestPortTransform:
 
 class TestGenericN:
     def test_repeated_eigenvalues_fail(self):
-        assert not in_generic_N(np.eye(2)).in_N
+        assert not _in_N(np.eye(2)).in_N
 
     def test_distinct_positive_diagonal(self):
-        report = in_generic_N(np.diag([2.0, 1.0]))
+        report = _in_N(np.diag([2.0, 1.0]))
         assert report.in_N
         assert report.min_eig_gap == pytest.approx(1.0)
         assert report.min_abs_eig == pytest.approx(1.0)
@@ -188,18 +178,18 @@ class TestGenericN:
     def test_pure_rotation_passes_with_empty_remainder(self):
         # spectrum {+i, -i}: distinct, nonzero, dominance over the empty
         # remainder (max of the empty set is -inf)
-        report = in_generic_N(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        report = _in_N(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert report.in_N
         assert report.dominance_gap == np.inf
 
     def test_singular_matrix_fails(self):
-        assert not in_generic_N(np.diag([0.0, 1.0])).in_N
+        assert not _in_N(np.diag([0.0, 1.0])).in_N
 
     def test_tolerance_monotonicity(self, rng):
         for _ in range(20):
             A = rng.standard_normal((4, 4))
-            if in_generic_N(A, tol=1e-4).in_N:
-                assert in_generic_N(A, tol=1e-8).in_N
+            if _in_N(A, tol=1e-4).in_N:
+                assert _in_N(A, tol=1e-8).in_N
 
 
 class TestGenericM:
@@ -270,11 +260,6 @@ class TestReportSerialization:
         assert obj["in_M"] is True
         assert obj["g11h11"] == {"re": pytest.approx(1.0), "im": pytest.approx(0.0)}
 
-    def test_partial_report_serializes(self):
-        obj = genericity.report_to_json(in_generic_N(np.diag([2.0, 1.0])))
-        assert obj["in_M"] is None
-        assert obj["g11h11"] is None
-
 
 # -- the stacked kernel against the per-matrix oracles
 
@@ -342,14 +327,14 @@ class TestStackedMembership:
                  "last": np.diag(np.eye(n)[-1])}[ports]
         sys = linsys.make_system(A, P)
         _assert_same_report(in_generic_M(sys, tol), _in_generic_M_oracle(sys, tol))
-        _assert_same_report(in_generic_N(A, tol), _in_generic_N_oracle(A, tol))
+        _assert_same_report(_in_N(A, tol), _in_generic_M_oracle(
+            linsys.make_system(A, _e1_projection(n)), tol))
 
     @pytest.mark.parametrize("name", GENERICITY_FIXTURES)
     def test_fixture_reports_equal_the_per_matrix_test(self, name):
         A = GENERICITY_FIXTURES[name]
         sys = linsys.make_system(A, _e1_projection(A.shape[0]))
         _assert_same_report(in_generic_M(sys), _in_generic_M_oracle(sys))
-        _assert_same_report(in_generic_N(A), _in_generic_N_oracle(A))
 
     @pytest.mark.parametrize("name", GENERICITY_FIXTURES)
     @pytest.mark.parametrize("k", [1, 2, 300])
@@ -414,12 +399,12 @@ class TestToleranceValidation:
         with pytest.raises(ValueError):
             in_generic_M(sys, tol=tol)
         with pytest.raises(ValueError):
-            in_generic_N(sys.A, tol=tol)
+            _in_N(sys.A, tol=tol)
         with pytest.raises(ValueError):
             sample_density_M(2, 5, seed=0, tol=tol)
 
     def test_zero_tol_is_the_exact_definition(self):
         sys = linsys.make_system(np.diag([2.0, -1.0]), np.diag([1.0, 0.0]))
         assert in_generic_M(sys, tol=0.0).in_M
-        assert not in_generic_N(np.eye(2), tol=0.0).in_N
+        assert not _in_N(np.eye(2), tol=0.0).in_N
         assert sample_density_M(2, 5, seed=0, tol=0.0) == 1.0

@@ -9,6 +9,7 @@ from locact import activity, genericity, linsys, nonlinear
 from locact.errors import (
     BranchLost,
     DimensionMismatch,
+    EquilibriumNotFound,
     LocactError,
     NoConvergence,
     NonFiniteEvaluation,
@@ -252,8 +253,7 @@ def _equilibrium_bits(find, *args, **kwargs):
 def _rd_fhn_cell(mu):
     """The FitzHugh-Nagumo cell of ``rd-cell``: finite-difference Jacobians."""
     base = fhn_system(mu, BETA, GAMMA, XI)
-    return rd_single_cell(lambda x: np.asarray(base.f(x))[:1],
-                          lambda x: np.asarray(base.f(x))[1:], [0.0125], 1, 2)
+    return rd_single_cell(base.f, [0.0125], 1, 2)
 
 
 class TestFindEquilibriumOracle:
@@ -342,6 +342,17 @@ class TestFhnSystem:
     def test_default_parameters_stored(self):
         sys = fhn_system(0.05)
         assert sys.params == {"mu": 0.05, "beta": 1.28, "gamma": 0.12, "xi": 0.1}
+
+    @pytest.mark.parametrize("mu, beta, gamma", [
+        (1e308, BETA, GAMMA), (0.05, 1e-308, GAMMA), (0.05, BETA, 1e308)])
+    def test_overflowing_cubic_gives_the_fallback_guesses(self, mu, beta, gamma):
+        # np.roots raised numpy's LinAlgError on these coefficients
+        guesses = fhn_equilibrium_guesses(mu, beta, gamma, XI)
+        assert [g.tolist() for g in guesses] == [[-1.0, -0.6], [0.0, 0.0]]
+
+    def test_complexity_function_of_an_overflowing_cubic_raises_locact_error(self):
+        with pytest.raises(EquilibriumNotFound):
+            nonlinear.fhn_complexity_function(1e308, BETA, GAMMA, XI)
 
     def test_cubic_guesses_hit_equilibrium(self):
         guesses = fhn_equilibrium_guesses(0.05, BETA, GAMMA, XI)
@@ -587,17 +598,14 @@ class TestRdSingleCell:
     def test_pure_decay_from_diffusion(self):
         # m = n = 1, no kinetics, D = mu / 4: x' = -mu x
         mu = 0.2
-        cell = rd_single_cell(lambda x: np.zeros(1), lambda x: np.zeros(0),
-                              [mu / 4.0], 1, 1)
+        cell = rd_single_cell(lambda x: np.zeros(1), [mu / 4.0], 1, 1)
         g = cell.f(np.array([2.0])) - cell.P @ cell.D(np.array([2.0]))
         assert g[0] == pytest.approx(-mu * 2.0)
 
     def test_fhn_kinetics_reduction_matches_fhn_system(self):
         mu = 0.05
         full = fhn_system(mu, BETA, GAMMA, XI)
-        cell = rd_single_cell(lambda x: np.asarray(full.f(x))[:1],
-                              lambda x: np.asarray(full.f(x))[1:],
-                              [mu / 4.0], 1, 2)
+        cell = rd_single_cell(full.f, [mu / 4.0], 1, 2)
         z = np.array([-0.9, -0.6])
         lhs = cell.f(z) - cell.P @ cell.D(z)
         rhs = full.f(z) - full.P @ full.D(z)
@@ -605,13 +613,16 @@ class TestRdSingleCell:
 
     def test_wrong_coefficient_count_rejected(self):
         with pytest.raises(DimensionMismatch):
-            rd_single_cell(lambda x: np.zeros(2), lambda x: np.zeros(0),
-                           [0.1], 2, 2)
+            rd_single_cell(lambda x: np.zeros(2), [0.1], 2, 2)
+
+    def test_kinetics_of_the_wrong_size_rejected(self):
+        cell = rd_single_cell(lambda x: np.zeros(1), [0.1], 1, 2)
+        with pytest.raises(DimensionMismatch):
+            cell.f(np.zeros(2))
 
     def test_m_exceeding_n_rejected(self):
         with pytest.raises(DimensionMismatch):
-            rd_single_cell(lambda x: np.zeros(3), lambda x: np.zeros(0),
-                           [0.1, 0.1, 0.1], 3, 2)
+            rd_single_cell(lambda x: np.zeros(3), [0.1, 0.1, 0.1], 3, 2)
 
 
 class TestPipeline:
