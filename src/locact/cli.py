@@ -191,25 +191,30 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
                 points.append((i, eq))
             except LocactError as exc:
                 rows[i] = (float(m), "error", str(exc), "", "")
-        # the rationals of the converged points, built and classified as stacks
-        built, rfs = [], []
-        jacobians = np.array([eq.jacobian_kinetic for _, eq in points]).reshape(-1, 2, 2)
-        for (i, eq), rf in zip(points, complexity.one_port_rational(jacobians)):
-            if isinstance(rf, LocactError):
-                rows[i] = (float(mus[i]), "error", str(rf), "", "")
-            else:
-                built.append((i, eq))
-                rfs.append(rf)
+
+        def classify(J):
+            return complexity.edge_of_chaos_classify(complexity.one_port_rational(J), tols)
+
+        # the converged points classified as one stack, each row bit for bit
+        # the point alone; a stack raises if any point fails, and then each
+        # point is classified alone, so that a failing one gets its error row
+        try:
+            edges = classify(np.array([eq.jacobian_kinetic for _, eq in points])
+                             .reshape(-1, 2, 2))
+        except LocactError:
+            edges = []
+            for i, eq in points:
+                try:
+                    edges.append(classify(eq.jacobian_kinetic))
+                except LocactError as exc:
+                    rows[i] = (float(mus[i]), "error", str(exc), "", "")
+            points = [(i, eq) for i, eq in points if rows[i] is None]
         abscissas = []
         # per matrix, a stacked spectrum equals the spectrum of that matrix alone
-        full = np.array([eq.jacobian_full for _, eq in built]).reshape(-1, 2, 2)
+        full = np.array([eq.jacobian_full for _, eq in points]).reshape(-1, 2, 2)
         max_res = np.linalg.eigvals(full).real.max(axis=1).tolist()
-        for (i, eq), edge, max_re in zip(
-                built, complexity.edge_of_chaos_classify(rfs, tols), max_res):
+        for (i, eq), edge, max_re in zip(points, edges, max_res):
             m = float(mus[i])
-            if isinstance(edge, LocactError):
-                rows[i] = (m, "error", str(edge), "", "")
-                continue
             rows[i] = (m, float(eq.x_star[0]), float(eq.x_star[1]), max_re,
                        edge.edge_of_chaos)
             abscissas.append((m, max_re))
@@ -354,9 +359,15 @@ def cmd_rd_cell(spec_path, overrides, output=None):
     return 0
 
 
+# a draw of n x n Gaussian entries: 2^24 at most, as rd-cell's N bound
+_GENERICITY_MAX_N = 4096
+
+
 def cmd_genericity(n, samples, seed, overrides, output=None):
     if n < 1:
         raise InputError("n must be at least 1")
+    if n > _GENERICITY_MAX_N:
+        raise InputError(f"--n must be at most {_GENERICITY_MAX_N}, got {n}")
     if samples < 1:
         raise InputError("samples must be at least 1")
     tol = overrides.get("genericity_tol", 1e-8)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConvergenceFailure, LocactError, NonFiniteEntry
+from .errors import ConvergenceFailure, NonFiniteEntry
 
 COEFF_TOL = 1e-12
 CLUSTER_TOL = 1e-7
@@ -85,9 +85,8 @@ def _coefficient_rows(polys):
 def _companion_roots(q):
     """Eigenvalues of the companion matrices of the rows of ``q``, the
     finite ratios ``c[:-1] / c[-1]`` of polynomials of one degree, each row
-    sorted as ``npoly.polyroots`` sorts it.  If the stacked ``eigvals``
-    fails, the rows are taken one by one, so that only a row that fails
-    alone fails."""
+    sorted as ``npoly.polyroots`` sorts it.  Raises ``ConvergenceFailure``
+    when the stacked ``eigvals`` fails."""
     k, d = q.shape
     mat = np.zeros((k, d, d))
     mat.reshape(k, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
@@ -95,9 +94,7 @@ def _companion_roots(q):
     try:
         w = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
-        if k == 1:
-            return [ConvergenceFailure(f"companion matrix eigenvalues: {exc}")]
-        return [r for row in q for r in _companion_roots(row[None])]
+        raise ConvergenceFailure(f"companion matrix eigenvalues: {exc}") from exc
     # the stack comes back real only when every row is; a row alone is real
     # when its own roots are
     real = (~w.imag.any(axis=1)).tolist()
@@ -114,9 +111,10 @@ def _roots(c, length=None):
     ``length`` when the caller gives it (a row's entries past its length are
     then ignored).  A row of length 2 gives ``-c0/c1``; the
     companion matrices of a longer group form one ``(k, d, d)`` array with
-    one ``np.linalg.eigvals`` call.  Returns a list with one entry per row:
-    its roots, or the ``LocactError`` for a non-finite companion matrix or
-    no convergence, so that one row's failure does not fail the others.
+    one ``np.linalg.eigvals`` call.  Returns a list with one entry per row.
+    A row whose companion matrix is not finite raises ``NonFiniteEntry``,
+    and a group whose ``eigvals`` fails ``ConvergenceFailure``; the groups
+    are taken in the order of their first rows.
     """
     if length is None:
         length = _lengths(c != 0.0)
@@ -133,25 +131,14 @@ def _roots(c, length=None):
                 found = list((-block[:, 0] / block[:, 1])[:, None])
             else:
                 q = block[:, :n - 1] / block[:, n - 1:n]
-                finite = np.isfinite(q).all(axis=1)
-                found = [None if ok else NonFiniteEntry(
-                    f"polynomial {p[:n].tolist()} has a non-finite companion matrix")
-                    for p, ok in zip(block, finite.tolist())]
-                for j, r in zip(np.flatnonzero(finite), _companion_roots(q[finite])):
-                    found[j] = r
+                bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
+                if bad.size:
+                    raise NonFiniteEntry(f"polynomial {block[bad[0], :n].tolist()} "
+                                         "has a non-finite companion matrix")
+                found = _companion_roots(q)
             for i, r in zip(rows, found):
                 out[i] = r
     return out
-
-
-def _stacked(results, single):
-    """The list of a stacked call's results, or the one result of the stack
-    of one, whose error is raised."""
-    if not single:
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
 
 
 def _lengths(keep):
@@ -200,9 +187,10 @@ def make_rational(num, den, coeff_tol: float = COEFF_TOL,
 
     ``num`` and ``den`` are one coefficient sequence each, which gives a
     :class:`RationalFunction`, or rows of them (2-D arrays, or sequences of
-    sequences), which gives a list with one entry per row: the function, or
-    the error that row raises alone.  The roots of every row come from one
-    :func:`_roots` call, so each row is bit for bit the row alone.
+    sequences), which gives a list with one entry per row, bit for bit the
+    row alone.  A stack raises the error of a failing row: a non-finite
+    row first, then a zero denominator, then a root failure.  Only the rows
+    with a root above and below are rooted, all by one :func:`_roots` call.
     """
     single = np.ndim(num) < 2 if isinstance(num, np.ndarray) else \
         not (len(num) and np.ndim(num[0]))
@@ -213,29 +201,24 @@ def make_rational(num, den, coeff_tol: float = COEFF_TOL,
     a = np.abs(c)
     scale = a.max(axis=1, keepdims=True)  # not finite where the row is not
     finite = np.isfinite(scale[:, 0])
-    errors = {} if finite.all() else {
-        i: NonFiniteEntry(f"coefficients must be finite, got num={c[i].tolist()}, "
-                          f"den={c[k + i].tolist()}")
-        for i in np.flatnonzero(~(finite[:k] & finite[k:])).tolist()}
+    if not finite.all():
+        i = np.flatnonzero(~(finite[:k] & finite[k:]))[0]
+        w = max(np.size(num[i]), np.size(den[i]))  # padded as the row alone
+        raise NonFiniteEntry(f"coefficients must be finite, got num={c[i, :w].tolist()}, "
+                             f"den={c[k + i, :w].tolist()}")
     length = _lengths(~(a <= coeff_tol * scale))
-    roots = _roots(c, length)
-    rows, length = c.tolist(), length.tolist()
-    out = []
-    for i in range(k):
-        n, d = rows[i][:length[i]], rows[k + i][:length[k + i]]
-        if i in errors:
-            out.append(errors[i])
-        elif d == [0.0]:
-            out.append(ValueError("denominator is identically zero"))
-        elif n == [0.0]:
-            out.append(RationalFunction(num=(0.0,), den=tuple(d)))
-        elif len(n) == 1 or len(d) == 1:  # no common root
-            out.append(RationalFunction(num=tuple(n), den=tuple(d)))
-        else:
-            failed = [r for r in (roots[i], roots[k + i]) if isinstance(r, LocactError)]
-            out.append(failed[0] if failed else _reduced(
-                n, d, roots[i].tolist(), roots[k + i].tolist(), cluster_tol))
-    return _stacked(out, single)
+    rows = [r[:n] for r, n in zip(c.tolist(), length.tolist())]
+    if [0.0] in rows[k:]:
+        raise ValueError("denominator is identically zero")
+    both = [i for i in range(k) if len(rows[i]) > 1 and len(rows[k + i]) > 1]
+    pick = both + [k + i for i in both]
+    roots = [[] for _ in rows]
+    for i, r in zip(pick, _roots(c[pick], length[pick])):
+        roots[i] = r.tolist()
+    # a zero numerator is +0, whatever its sign
+    out = [_reduced([0.0] if n == [0.0] else n, d, roots[i], roots[k + i], cluster_tol)
+           for i, (n, d) in enumerate(zip(rows[:k], rows[k:]))]
+    return out[0] if single else out
 
 
 def poles(rf, cluster_tol: float = CLUSTER_TOL):
@@ -244,17 +227,14 @@ def poles(rf, cluster_tol: float = CLUSTER_TOL):
 
     ``rf`` is one :class:`RationalFunction`, which gives its
     :class:`PoleSet`, or a sequence of them, which gives a list with one
-    entry per row: the pole set, or the ``LocactError`` of its root
-    finding.  The denominators of all rows are rooted by one :func:`_roots`
-    call, each row bit for bit the row alone.
+    entry per row.  The denominators of all rows are rooted by one
+    :func:`_roots` call, each row bit for bit the row alone; a stack raises
+    the root-finding error of a failing row.
     """
     single = isinstance(rf, RationalFunction)
     rfs = [rf] if single else list(rf)
     out = []
     for roots in _roots(_coefficient_rows([r.den for r in rfs])):
-        if isinstance(roots, LocactError):
-            out.append(roots)
-            continue
         clusters = []  # list of [sum, count]
         for r in np.sort_complex(roots):
             for c in clusters:
@@ -265,7 +245,7 @@ def poles(rf, cluster_tol: float = CLUSTER_TOL):
             else:
                 clusters.append([r, 1])
         out.append(PoleSet(poles=tuple((complex(s / m), int(m)) for s, m in clusters)))
-    return _stacked(out, single)
+    return out[0] if single else out
 
 
 def _residue(rf, p):
@@ -369,8 +349,7 @@ def _axis_polys(num, den, size):
 def _positive_real_roots(c):
     """The roots with positive real part of each row of ``c``, counting a
     root as real when its imaginary part is below 1e-6 of its modulus, as
-    flat arrays ``(row, x)`` sorted by row and then by the real part ``x``,
-    and a dict of the rows whose root finding failed.
+    flat arrays ``(row, x)`` sorted by row and then by the real part ``x``.
 
     A row first drops leading coefficients while its ratios to the lead are
     not all finite: the roots of a zero or tiny lead lie past the float
@@ -381,14 +360,12 @@ def _positive_real_roots(c):
     with np.errstate(all="ignore"):
         length = _lengths(np.isfinite(np.maximum.accumulate(a, axis=1) / a))
     found = _roots(c, length)
-    failed = {i: r for i, r in enumerate(found) if isinstance(r, LocactError)}
-    found = [np.empty(0) if i in failed else r for i, r in enumerate(found)]
     row = np.repeat(np.arange(len(c)), [r.size for r in found])
     r = np.concatenate(found + [np.empty(0, dtype=complex)])
     keep = (r.real > 0.0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))
     row, x = row[keep], r.real[keep]
     order = np.lexsort((x, row))
-    return row[order], x[order], failed
+    return row[order], x[order]
 
 
 def _axis_candidates(windows, num, den, size):
@@ -406,9 +383,8 @@ def _axis_candidates(windows, num, den, size):
     rooted by one :func:`_roots` call.
 
     Returns the flat arrays ``(row, w)``, which keep the candidates of each
-    row in that order, the limit of each row in the units of the scaled
-    rows, and a dict of the rows whose root finding failed (they keep only 0
-    and their window edges).
+    row in that order, and the limit of each row in the units of the scaled
+    rows.
     """
     k = len(num)
     with np.errstate(all="ignore"):
@@ -425,8 +401,7 @@ def _axis_candidates(windows, num, den, size):
     polys = np.zeros((2 * k, products.shape[1]))
     polys[:k, :ef.shape[1]] = ef[:k]
     polys[k:] = products[:k] - products[k:]
-    row, x, failed = _positive_real_roots(polys)
-    failed = {i % k: err for i, err in failed.items()}
+    row, x = _positive_real_roots(polys)
     w = np.sqrt(x)
     of_e = row < k
     row_e, w_e = row[of_e], w[of_e]
@@ -440,7 +415,7 @@ def _axis_candidates(windows, num, den, size):
     w = np.concatenate([np.zeros(k), w_e, (w_e[:-1] + w_e[1:])[inner] / 2.0,
                         2.0 * w_e[last], w[~of_e], np.array([x for _, x in edges])])
     keep = np.isfinite(w) & (w >= 0.0) & _outside_windows(row, w, windows)
-    return row[keep], w[keep], limit, failed
+    return row[keep], w[keep], limit
 
 
 def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER_TOL,
@@ -460,14 +435,13 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
     (:func:`_normalized`), and ``v*`` is scaled back.
 
     ``rf`` is one :class:`RationalFunction`, which gives ``(w*, v*)``, or a
-    sequence of them, which gives a list with one entry per row: the pair,
-    or the ``LocactError`` of the row's root finding.  The scalar call is
-    the stack of one.  The candidates of all rows are polished in one flat
-    array through :func:`_re_and_step`, whose values are numpy's complex
-    evaluation element by element, so each row's result is bit for bit
-    that of the row alone, wherever it sits in the stack.  ``pole_sets``
-    (the poles of each row at ``cluster_tol``) spares a caller that has them
-    a second root finding.
+    sequence of them, which gives a list with one pair per row; a stack
+    raises the root-finding error of a failing row.  The candidates of all
+    rows are polished in one flat array through :func:`_re_and_step`, whose
+    values are numpy's complex evaluation element by element, so each row's
+    result is bit for bit that of the row alone, wherever it sits in the
+    stack.  ``pole_sets`` (the poles of each row at ``cluster_tol``) spares
+    a caller that has them a second root finding.
     """
     single = isinstance(rf, RationalFunction)
     rfs = [rf] if single else list(rf)
@@ -475,13 +449,12 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
         return []
     if pole_sets is None:
         pole_sets = poles(rfs, cluster_tol=cluster_tol)
-    exclusions = [() if isinstance(ps, LocactError) else _axis_exclusions(ps, on_axis_tol)
-                  for ps in pole_sets]
+    exclusions = [_axis_exclusions(ps, on_axis_tol) for ps in pole_sets]
     num, n_exp = _normalized(_coefficient_rows([r.num for r in rfs]))
     den, d_exp = _normalized(_coefficient_rows([r.den for r in rfs]))
     d_len = np.array([len(r.den) for r in rfs])
     size = np.concatenate([np.array([len(r.num) for r in rfs]) + d_len, 2 * d_len])
-    row, w, limits, failed = _axis_candidates(exclusions, num, den, size)
+    row, w, limits = _axis_candidates(exclusions, num, den, size)
     num, den = num[row], den[row]
     v, step = _re_and_step(num, den, w)
     with np.errstate(all="ignore"):
@@ -502,10 +475,7 @@ def min_real_on_axis(rf, on_axis_tol: float = 1e-7, cluster_tol: float = CLUSTER
         w_best = np.where(below, np.inf, w[best])
         v_best = np.ldexp(np.where(below, limits, v[best]), n_exp - d_exp)
     pairs = list(zip(w_best.tolist(), v_best.tolist()))
-    for i, ps in enumerate(pole_sets):
-        if isinstance(ps, LocactError) or i in failed:
-            pairs[i] = failed.get(i, ps)
-    return _stacked(pairs, single)
+    return pairs[0] if single else pairs
 
 
 def _pole_conditions(rf, ps, tols):
@@ -542,48 +512,37 @@ def edge_of_chaos_classify(rf, tols: Optional[ClassifierTolerances] = None):
 
     ``rf`` is one :class:`RationalFunction`, which gives its
     :class:`EdgeClassification`, or a sequence of them, classified as one
-    stack: one :func:`poles` and one :func:`min_real_on_axis` call.  A stack
-    gives a list with one entry per row: the classification, or the
-    ``LocactError`` that row raised, so one row's failure does not fail the
-    others.  The stack of one raises its row's error.
+    stack: one :func:`poles` and one :func:`min_real_on_axis` call, which
+    gives a list with one entry per row, each bit for bit the row alone.  A
+    stack raises the error of a failing row: conditions (i)-(iii) are taken
+    for every row before the axis scan.
     """
     tols = tols or ClassifierTolerances()
     single = isinstance(rf, RationalFunction)
     rfs = [rf] if single else list(rf)
     pole_sets = poles(rfs, cluster_tol=tols.cluster_tol)
+    conditions = [_pole_conditions(r, ps, tols) for r, ps in zip(rfs, pole_sets)]
+    minima = min_real_on_axis(rfs, on_axis_tol=tols.on_axis_tol,
+                              cluster_tol=tols.cluster_tol, pole_sets=pole_sets)
     results = []
-    for r, ps in zip(rfs, pole_sets):
-        try:
-            results.append(ps if isinstance(ps, LocactError) else _pole_conditions(r, ps, tols))
-        except LocactError as exc:
-            results.append(exc)
-    rows = [i for i, res in enumerate(results) if not isinstance(res, LocactError)]
-    minima = min_real_on_axis([rfs[i] for i in rows], on_axis_tol=tols.on_axis_tol,
-                              cluster_tol=tols.cluster_tol,
-                              pole_sets=[pole_sets[i] for i in rows])
-    for i, minimum in zip(rows, minima):
-        if isinstance(minimum, LocactError):
-            results[i] = minimum
-            continue
-        w_star, v_star = minimum
-        cond_i, cond_ii, cond_iii, evidence = results[i]
+    for (cond_i, cond_ii, cond_iii, evidence), (w_star, v_star) in zip(conditions, minima):
         cond_iv = v_star < -tols.axis_val_tol
         evidence["iv"] = {"omega": w_star, "re_Y": v_star}
-        results[i] = EdgeClassification(
+        results.append(EdgeClassification(
             cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii, cond_iv=cond_iv,
             locally_active=cond_i or cond_ii or cond_iii or cond_iv,
             edge_of_chaos=cond_iv and not (cond_i or cond_ii or cond_iii),
             evidence=evidence,
-        )
-    return _stacked(results, single)
+        ))
+    return results[0] if single else results
 
 
 def one_port_rational(J):
     """Complexity function ``Y(s) = det(sI - J) / det(sI - J_22) = (s^2 -
     tr J s + det J) / (s - J_22)`` of the 2x2 matrix ``J`` whose port is the
     first state: one :class:`RationalFunction`, or for a ``(k, 2, 2)`` stack
-    the stack of :func:`make_rational`, one entry per matrix (the function,
-    or the ``NonFiniteEntry`` of a matrix whose coefficients overflow)."""
+    the stack of :func:`make_rational`, one entry per matrix.  A matrix
+    whose coefficients overflow raises ``NonFiniteEntry``."""
     J = np.asarray(J, dtype=float)
     num, den = np.ones(J.shape[:-2] + (3,)), np.ones(J.shape[:-2] + (2,))
     # p = -J_11 written 0 - J_11, so that a zero entry gives +0, the sign of

@@ -144,36 +144,39 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
     if x.size != sys.n:
         raise DimensionMismatch(f"guess has dimension {x.size}, system has {sys.n}")
     notes = []
-    g = _residual(sys, x)
-    J, J_kin = _jacobians(sys, x)
-    res = _norm(g)
-    best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
-    for _ in range(max_iter):
-        if res <= newton_tol:
-            break
-        try:
-            if _ill_conditioned(J):
-                raise np.linalg.LinAlgError("ill-conditioned")
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError:
-            step = -np.linalg.pinv(J) @ g
-            if "pseudo-inverse step" not in notes:
-                notes.append("pseudo-inverse step")
-        alpha = 1.0
-        for _ in range(30):
-            x_new = x + alpha * step
-            g_new = _residual(sys, x_new)
-            if np.isfinite(g_new).all() and _norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
-                break
-            alpha *= 0.5
-        else:
-            x_new = x + alpha * step
-            g_new = _residual(sys, x_new)
-        x, g = x_new, g_new
+    # an overflowing residual or Jacobian is no warning: the line search
+    # rejects a non-finite residual, and the checks below raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _residual(sys, x)
         J, J_kin = _jacobians(sys, x)
         res = _norm(g)
-        if res < best_res:
-            best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
+        best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
+        for _ in range(max_iter):
+            if res <= newton_tol:
+                break
+            try:
+                if _ill_conditioned(J):
+                    raise np.linalg.LinAlgError("ill-conditioned")
+                step = np.linalg.solve(J, -g)
+            except np.linalg.LinAlgError:
+                step = -np.linalg.pinv(J) @ g
+                if "pseudo-inverse step" not in notes:
+                    notes.append("pseudo-inverse step")
+            alpha = 1.0
+            for _ in range(30):
+                x_new = x + alpha * step
+                g_new = _residual(sys, x_new)
+                if np.isfinite(g_new).all() and _norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
+                    break
+                alpha *= 0.5
+            else:
+                x_new = x + alpha * step
+                g_new = _residual(sys, x_new)
+            x, g = x_new, g_new
+            J, J_kin = _jacobians(sys, x)
+            res = _norm(g)
+            if res < best_res:
+                best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
     if best_res > newton_tol:
         raise NoConvergence(
             f"Newton stalled at residual {best_res:.3e} (tol {newton_tol:.1e})",

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,18 @@ class TestFhn:
         assert code == 0
         assert "pipeline" in json.loads(out)
 
+    @pytest.mark.parametrize("argv", [
+        ("--mu", "1e308"), ("--gamma", "1e308"),
+        ("--beta", "2", "--xi", "1e308", "--sweep=-8:-3:11")])
+    def test_overflowing_newton_solve_warns_nothing(self, capsys, argv):
+        # the residual norm ("overflow encountered in dot"), the kinetics
+        # and the pseudo-inverse step of find_equilibrium warned; as errors,
+        # the warnings changed the reports
+        plain = run_cli(capsys, "fhn", *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, "fhn", *argv) == plain
+
     def test_sweep_beyond_the_point_bound_exits_2(self, capsys):
         # 0:1:100000000000 exited 1 with a 745 GiB allocation failure; only
         # the bound plus one is run here, which is rejected before any array
@@ -407,10 +421,11 @@ class TestFhn:
         assert np.linalg.eigvals(np.zeros((0, 2, 2))).real.max(axis=1).shape == (0,)
 
     def test_failed_rows_match_per_point_loop(self, tmp_path, capsys, monkeypatch):
-        # a Newton failure at the 4th point and a classification failure at
-        # the 10th (mu = 0.045, next to the Hopf crossing) keep their error
-        # rows; the other rows are unaffected, and the Hopf bracket skips the
-        # failed point
+        # a Newton failure at the 4th point, a classification failure at the
+        # 10th (mu = 0.045, next to the Hopf crossing) and a rational that
+        # overflows at the last keep their error rows: the stacked
+        # classification raises, and each point is classified alone.  The
+        # other rows are unaffected, and the Hopf bracket skips the failed point
         mus = np.linspace(0.0, 0.1, 21)
         find_equilibrium = nonlinear.find_equilibrium
         pole_conditions = complexity._pole_conditions
@@ -422,6 +437,12 @@ class TestFhn:
             eq = find_equilibrium(sys, guess, **kwargs)
             if sys.params["mu"] == float(mus[9]):
                 poisoned.add(complexity.one_port_rational(eq.jacobian_kinetic).num)
+            if sys.params["mu"] == float(mus[20]):
+                # x_d = 1e200: the kinetic Jacobian and the closed form in
+                # x_d both give an infinite numerator
+                x = np.array([1e200, eq.x_star[1]])
+                with np.errstate(over="ignore"):
+                    eq = dataclasses.replace(eq, x_star=x, jacobian_kinetic=sys.jacobian_f(x))
             return eq
 
         def failing_conditions(rf, *args):
@@ -447,7 +468,9 @@ class TestFhn:
         rows = stacked[2].decode().splitlines()
         assert rows[4].endswith(",error,injected Newton failure,,")
         assert rows[10].endswith(",error,injected classification failure,,")
-        assert sum(",error," in row for row in rows) == 2
+        assert rows[21].endswith(",error,coefficients must be finite, got "
+                                 "num=[inf, inf, 1.0], den=[0.128, 1.0, 0.0],,")
+        assert sum(",error," in row for row in rows) == 3
         assert json.loads(stacked[1])["sweep"]["hopf"]["is_hopf"] is True
 
     def test_overflowing_jacobian_gives_error_rows(self, capsys):
@@ -649,6 +672,13 @@ class TestGenericityCommand:
     def test_zero_n_exits_2(self, capsys):
         code, out = run_cli(capsys, "genericity", "--n", "0")
         assert code == 2
+
+    def test_n_beyond_the_bound_exits_2(self, capsys):
+        # --n 100000 asked for an 80 GB draw in one call; only the bound
+        # plus one is run here, which is rejected before any array
+        code, out = run_cli(capsys, "genericity", "--n", "4097")
+        assert code == 2
+        assert json.loads(out)["error"] == "--n must be at most 4096, got 4097"
 
 
 _CLASSIFIER = ["on_axis_tol", "resid_tol", "axis_val_tol", "cluster_tol"]

@@ -97,20 +97,17 @@ class TestOnePortRational:
            beta=st.one_of(st.sampled_from((0.0, -0.0, BETA, 1e308)), _finite),
            xi=st.one_of(st.sampled_from((0.0, -0.0, XI, 1e-9, 10.0)), _finite))
     def test_fhn_jacobian_gives_the_closed_form(self, xs, beta, xi):
-        wants = []
-        for x in xs:
+        # each matrix alone gives the closed form or raises its error; a
+        # stack raises the error of a failing matrix, else is the matrices alone
+        singles = _assert_stack_raises_a_failing_row(
+            lambda Js: one_port_rational(np.array(Js).reshape(-1, 2, 2)), one_port_rational,
+            [self._jacobian(x, beta, xi) for x in xs], _rational_bits)
+        for x, rf in zip(xs, singles):
             try:
-                wants.append(_rational_bits(_fhn_rational_oracle(x, beta, xi)))
+                want = _fhn_rational_oracle(x, beta, xi)
             except NonFiniteEntry as exc:
-                wants.append(_rational_bits(exc))
-        stack = one_port_rational(np.array([self._jacobian(x, beta, xi) for x in xs]))
-        assert [_rational_bits(rf) for rf in stack] == wants
-        for x, want in zip(xs, wants):
-            try:
-                rf = one_port_rational(self._jacobian(x, beta, xi))
-            except NonFiniteEntry as exc:
-                rf = exc
-            assert _rational_bits(rf) == want, (x, beta, xi)
+                want = exc
+            assert _rational_bits(rf) == _rational_bits(want), (x, beta, xi)
 
     def test_signed_zeros(self):
         # x = +-1 makes the entry 1 - x^2 exactly +0, as x^2 - 1 is
@@ -512,7 +509,7 @@ def _use_per_row_oracles(monkeypatch):
                  in zip(num, den, size[:len(num)] - d_len, d_len, windows)]
         row = np.repeat(np.arange(len(num)), [w.size for w, _ in found])
         return row, np.concatenate([w for w, _ in found]), \
-            np.array([limit for _, limit in found]), {}
+            np.array([limit for _, limit in found])
 
     monkeypatch.setattr(complexity, "poles", per_row_poles)
     monkeypatch.setattr(complexity, "_axis_candidates", per_row_candidates)
@@ -855,7 +852,9 @@ class TestStackedClassifier:
         assert min_real_on_axis([]) == []
 
     def test_failing_row_does_not_fail_the_others(self, monkeypatch):
-        # two simple axis poles reach the residue test; one row's fails
+        # two simple axis poles reach the residue test; one row's fails.  A
+        # stack holding it raises its error; the others, stacked without
+        # it, classify as they do alone
         good = make_rational([1.0, 1.0], [1.0, 0.0, 1.0])
         bad = make_rational([2.0, 1.0], [4.0, 0.0, 1.0])
         low_pass = make_rational([1.0], [1.0, 1.0])
@@ -867,15 +866,23 @@ class TestStackedClassifier:
             return residue(rf, p)
 
         monkeypatch.setattr(complexity, "_residue", failing)
-        rows = edge_of_chaos_classify([good, bad, low_pass])
-        assert isinstance(rows[1], LocactError)
-        assert str(rows[1]) == "injected residue failure"
-        assert rows[0].cond_iii and not rows[2].locally_active
-        with pytest.raises(LocactError, match="injected"):
-            edge_of_chaos_classify(bad)
-        _assert_rows_match_alone([[bad, good, bad, low_pass]])
-        assert all(isinstance(row, LocactError)
-                   for row in edge_of_chaos_classify([bad, bad]))
+        for rfs in ([good, bad, low_pass], [bad, good, bad, low_pass], [bad, bad]):
+            _assert_stack_raises_a_failing_row(
+                edge_of_chaos_classify, edge_of_chaos_classify, rfs, _row_bytes)
+        rows = edge_of_chaos_classify([good, low_pass])
+        assert rows[0].cond_iii and not rows[1].locally_active
+        _assert_rows_match_alone([[low_pass, good, low_pass]])
+
+        # conditions (i)-(iii) come before the axis scan, alone and stacked
+        def failing_scan(rfs, *args, **kwargs):
+            if rfs:
+                raise LocactError("injected scan failure")
+            return []
+
+        monkeypatch.setattr(complexity, "min_real_on_axis", failing_scan)
+        for rf in (bad, [good, bad]):
+            with pytest.raises(LocactError, match="^injected residue failure$"):
+                edge_of_chaos_classify(rf)
 
 
 class TestReduction:
@@ -970,6 +977,30 @@ def _pole_bits(ps):
     return [(_bits([loc], complex), m) for loc, m in ps.poles]
 
 
+def _assert_stack_raises_a_failing_row(stacked, alone, rows, bits):
+    """Each row alone gives its result or raises; a stack holding a
+    failing row raises the error of such a row, with the type and message
+    that row raises alone, and the other rows, stacked without the failing
+    ones, are bit for bit (by ``bits``) their single calls.  Returns the
+    single calls' results and errors, one per row."""
+    singles = []
+    for row in rows:
+        try:
+            singles.append(alone(row))
+        except (LocactError, ValueError) as exc:
+            singles.append(exc)
+    failing = [(type(r), str(r)) for r in singles if isinstance(r, Exception)]
+    if failing:
+        with pytest.raises((LocactError, ValueError)) as info:
+            stacked(rows)
+        assert (type(info.value), str(info.value)) in failing
+    passing = [(row, r) for row, r in zip(rows, singles) if not isinstance(r, Exception)]
+    if passing:
+        got = stacked([row for row, _ in passing])
+        assert [bits(r) for r in got] == [bits(r) for _, r in passing]
+    return singles
+
+
 def _fhn_grid():
     """Seeded FitzHugh-Nagumo points: x_d in [-2, 2], beta in [-1, 2], xi in
     [-0.5, 0.5], with the degenerate x_d = +-1, 0 and xi = 0, beta = 0."""
@@ -1006,8 +1037,7 @@ class TestByteOracles:
             complexity._coefficient_rows([rf.den for rf in rationals]))
         d_len = np.array([len(rf.den) for rf in rationals])
         size = np.concatenate([np.array([len(rf.num) for rf in rationals]) + d_len, 2 * d_len])
-        row, w, limits, failed = complexity._axis_candidates(windows, num, den, size)
-        assert failed == {}
+        row, w, limits = complexity._axis_candidates(windows, num, den, size)
         # in the units of the rows as built: the scaling moves no bit here
         limits = np.ldexp(limits, n_exp - d_exp)
         for i, (rf, wins) in enumerate(zip(rationals, windows)):
@@ -1050,9 +1080,12 @@ class TestByteOracles:
                 num, den = npoly.polymul(num, common).tolist(), npoly.polymul(den, common).tolist()
             nums.append(num)
             dens.append(den)
-        stacked = make_rational(nums, dens)
+        # some zero denominators: the whole stack raises their ValueError
+        singles = _assert_stack_raises_a_failing_row(
+            lambda rows: make_rational(*zip(*rows)), lambda row: make_rational(*row),
+            list(zip(nums, dens)), _rational_bits)
         alone = []
-        for num, den, rf in zip(nums, dens, stacked):
+        for num, den, rf in zip(nums, dens, singles):
             try:
                 want = _make_rational_oracle(num, den)
             except ValueError as exc:
@@ -1060,7 +1093,7 @@ class TestByteOracles:
             assert _rational_bits(rf) == _rational_bits(want)
             if not isinstance(rf, Exception):
                 alone.append(rf)
-                assert _rational_bits(make_rational(num, den)) == _rational_bits(rf)
+        assert len(alone) < len(singles)
         assert sum(bool(rf.cancelled) for rf in alone) >= 50
         for rf, ps in zip(alone, poles(alone)):
             assert _pole_bits(ps) == _pole_bits(_poles_oracle(rf))
@@ -1078,9 +1111,15 @@ class TestRoots:
 
     @staticmethod
     def _assert_rows(rows):
-        found = complexity._roots(complexity._coefficient_rows(rows))
-        assert len(found) == len(rows)
-        for row, got in zip(rows, found):
+        """Each row alone is numpy's polyroots of it, or raises where numpy
+        raises; a stack raises the error of a failing row, and otherwise
+        (or without the failing rows) is the rows alone."""
+        def roots(rows):
+            return complexity._roots(complexity._coefficient_rows(rows))
+
+        singles = _assert_stack_raises_a_failing_row(
+            roots, lambda row: roots([row])[0], rows, lambda r: (r.dtype.str, r.tobytes()))
+        for row, got in zip(rows, singles):
             try:
                 with np.errstate(over="ignore"):  # an empty row is the zero polynomial
                     want = npoly.polyroots(row or [0.0])
@@ -1095,22 +1134,26 @@ class TestRoots:
                                    st.integers(0, 2)), min_size=1, max_size=8))
     def test_mixed_length_stack(self, rows):
         # trailing zeros, and one group of length 4 that holds an all-real
-        # row (roots 1, 2, 3) and a complex one (roots 2, +-i)
+        # row (roots 1, 2, 3) and a complex one (roots 2, +-i); these two and
+        # every row that does not fail alone are compared as a stack
         rows = [coeffs + [0.0] * zeros for coeffs, zeros in rows]
         rows += [[-6.0, 11.0, -6.0, 1.0], [-2.0, 1.0, -2.0, 1.0, 0.0]]
         self._assert_rows(rows)
         self._assert_rows(rows[::-1])
 
     def test_a_failing_row_fails_alone(self):
-        # a subnormal lead overflows the companion matrix
+        # a subnormal lead overflows the companion matrix: the row raises
+        # alone, and so does a stack holding it
         rows = [[1.0, 2.0, 5e-324], [2.0, -3.0, 1.0], [-1.0, 0.0, 1.0]]
-        found = complexity._roots(complexity._coefficient_rows(rows))
-        assert isinstance(found[0], NonFiniteEntry)
+        message = r"^polynomial \[1.0, 2.0, 5e-324\] has a non-finite companion matrix$"
+        for stack in (rows[:1], rows, rows[::-1]):
+            with pytest.raises(NonFiniteEntry, match=message):
+                complexity._roots(complexity._coefficient_rows(stack))
         with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
             npoly.polyroots(rows[0])
-        self._assert_rows(rows[1:])
-        assert [r.tolist() for r in found[1:]] == [[1.0, 2.0], [-1.0, 1.0]]
-
+        self._assert_rows(rows)
+        found = complexity._roots(complexity._coefficient_rows(rows[1:]))
+        assert [r.tolist() for r in found] == [[1.0, 2.0], [-1.0, 1.0]]
 
     def test_no_convergence_fails_only_that_row(self, monkeypatch):
         # eigvals fails on any stack holding the companion row of x^2 - 7x + 1
@@ -1123,9 +1166,13 @@ class TestRoots:
 
         rows = [[2.0, -3.0, 1.0], [1.0, -7.0, 1.0], [-1.0, 0.0, 1.0]]
         monkeypatch.setattr(np.linalg, "eigvals", failing)
-        found = complexity._roots(complexity._coefficient_rows(rows))
-        assert isinstance(found[1], ConvergenceFailure)
-        assert [r.tolist() for r in found[::2]] == [[1.0, 2.0], [-1.0, 1.0]]
+        message = "^companion matrix eigenvalues: Eigenvalues did not converge$"
+        for stack in (rows[1:2], rows):
+            with pytest.raises(ConvergenceFailure, match=message):
+                complexity._roots(complexity._coefficient_rows(stack))
+        self._assert_rows(rows)  # numpy's polyroots fails on the same row
+        found = complexity._roots(complexity._coefficient_rows(rows[::2]))
+        assert [r.tolist() for r in found] == [[1.0, 2.0], [-1.0, 1.0]]
 
 
 class TestNonFiniteCoefficients:
@@ -1147,33 +1194,50 @@ class TestNonFiniteCoefficients:
 
     def test_finite_matrix_whose_determinant_overflows(self):
         J = np.array([[1e200, -1.0], [0.1, -1e200]])
-        with pytest.raises(NonFiniteEntry, match="must be finite"):
-            one_port_rational(J)
-        rows = one_port_rational(np.stack([J, [[0.0, -1.0], [1.0, -1.0]]]))
-        assert isinstance(rows[0], NonFiniteEntry)
-        assert (rows[1].num, rows[1].den) == ((1.0, 1.0, 1.0), (1.0, 1.0))
+        message = r"^coefficients must be finite, got num=\[-inf, 0.0, 1.0\], " \
+            r"den=\[1e\+200, 1.0, 0.0\]$"
+        other = [[0.0, -1.0], [1.0, -1.0]]
+        for stack in (J, [J, other], [other, J]):
+            with pytest.raises(NonFiniteEntry, match=message):
+                one_port_rational(stack)
+        (rf,) = one_port_rational(np.stack([other]))
+        assert (rf.num, rf.den) == ((1.0, 1.0, 1.0), (1.0, 1.0))
 
     def test_only_that_row_fails_in_a_stack(self):
-        x_d = np.array([0.3, math.nan, 1e200, -1.5])
-        rows = _fhn_rational(x_d, BETA, XI)
-        assert [type(r).__name__ for r in rows] == \
+        # a stack raises the error of a failing row, the row's own message;
+        # the other rows, stacked without it, are the rows alone
+        x_d = [0.3, math.nan, 1e200, -1.5]
+        singles = _assert_stack_raises_a_failing_row(
+            lambda xs: _fhn_rational(np.array(xs), BETA, XI),
+            lambda x: _fhn_rational(x, BETA, XI), x_d, _rational_bits)
+        assert [type(r).__name__ for r in singles] == \
             ["RationalFunction", "NonFiniteEntry", "NonFiniteEntry", "RationalFunction"]
-        for x, rf in zip(x_d[[0, 3]].tolist(), rows[::3]):
-            assert _rational_bits(rf) == _rational_bits(_fhn_rational(x, BETA, XI))
-        stacked = make_rational([[1.0, math.inf], [0.0, 1.0]], [[1.0, 1.0], [0.0]])
-        assert isinstance(stacked[0], NonFiniteEntry) and isinstance(stacked[1], ValueError)
+        with pytest.raises(NonFiniteEntry, match=r"num=\[nan, nan, 1.0\]"):
+            _fhn_rational(np.array(x_d), BETA, XI)
+        # the error of a zero denominator, and of a row narrower than its
+        # stack, which names the coefficients padded only as far as alone
+        for nums, dens in (([[1.0, math.inf], [0.0, 1.0]], [[1.0, 1.0], [0.0]]),
+                           ([[0.0, 1.0], [1.0, 2.0, 3.0]], [[0.0], [1.0, 1.0]]),
+                           ([[1.0, math.inf], [1.0, 2.0, 3.0]], [[1.0], [1.0, 1.0]])):
+            _assert_stack_raises_a_failing_row(
+                lambda rows: make_rational(*zip(*rows)), lambda row: make_rational(*row),
+                list(zip(nums, dens)), _rational_bits)
+        with pytest.raises(NonFiniteEntry, match=r"num=\[1.0, inf\], den=\[1.0, 0.0\]$"):
+            make_rational([[1.0, math.inf], [1.0, 2.0, 3.0]], [[1.0], [1.0, 1.0]])
 
     def test_a_row_whose_roots_fail_is_an_error_row(self):
         # built directly, bypassing make_rational: its denominator has no
-        # finite companion matrix
+        # finite companion matrix, so its poles, its axis scan and its
+        # classification raise, alone and in a stack
         bad = RationalFunction(num=(1.0,), den=(1.0, math.inf, 1.0))
         good = make_rational([1.0], [1.0, 1.0])
-        rows = edge_of_chaos_classify([good, bad, good])
-        assert isinstance(rows[1], NonFiniteEntry)
-        assert _row_bytes(rows[0]) == _row_bytes(rows[2]) == _row_bytes(edge_of_chaos_classify(good))
-        assert isinstance(min_real_on_axis([good, bad])[1], NonFiniteEntry)
-        with pytest.raises(NonFiniteEntry):
-            poles(bad)
+        message = r"^polynomial \[1.0, inf, 1.0\] has a non-finite companion matrix$"
+        for call in (poles, min_real_on_axis, edge_of_chaos_classify):
+            for rf in (bad, [good, bad, good]):
+                with pytest.raises(NonFiniteEntry, match=message):
+                    call(rf)
+        _assert_stack_raises_a_failing_row(
+            edge_of_chaos_classify, edge_of_chaos_classify, [good, bad, good], _row_bytes)
 
 
 def _normal(x):

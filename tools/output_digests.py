@@ -52,6 +52,8 @@ SWEEPS = [
     ("--beta", "1e308", "--xi", "10", "--sweep", "0:0.1:401"),
     ("--xi", "0", "--sweep", "0:0.1:401"),
     ("--tol.cluster_tol=1e-3", "--sweep", "0:0.1:401"),
+    # the rational of the first point overflows: the points are classified alone
+    ("--beta", "1e308", "--xi", "1", "--sweep", "0:0.1:21"),
 ]
 INLINE_SWEEP = ("--mu", "0.03", "--sweep", "0:0.1:41")  # rows in stdout, no CSV
 RD_KINETICS = [  # (m, n, D, kinetics, guesses)
