@@ -12,17 +12,18 @@ energy grows.
 import numpy as np
 
 from locact import (
+    complex_eigen_signal,
     energy_integral,
     make_system,
+    real_eigen_signal,
     solve_forced,
     spectrum,
-    witness_complex_eigen,
-    witness_real_eigen,
 )
 
 # -- real eigenpair ------------------------------------------------------
 sys = make_system(np.diag([2.0, -1.0]), np.diag([1.0, 0.0]))
-sig, W = witness_real_eigen(sys, lam=2.0, v=[1.0, 0.0], T=1.0)
+sig = real_eigen_signal(sys, lam=2.0, v=[1.0, 0.0], T=1.0)
+W, _ = energy_integral(sys, sig, 1.0)
 print("real-eigenpair witness: W =", W)
 
 traj = solve_forced(sys, sig, 1.0, 2000)
@@ -34,12 +35,10 @@ A = np.array([[0.1, -1.0],
 sysc = make_system(A, np.eye(2))
 spec = spectrum(A)
 lam = spec.eigenvalues[0]
-sig, T, W = witness_complex_eigen(sysc, lam.real, lam.imag,
-                                  spec.G[:, 0].real, spec.G[:, 0].imag)
+sig = complex_eigen_signal(sysc, lam.real, lam.imag,
+                           spec.G[:, 0].real, spec.G[:, 0].imag)
+W, err = energy_integral(sysc, sig, sig.T)
 print(f"\ncomplex-pair witness: window center t0 = {sig.t0:.4f}, "
-      f"half-width eps = {sig.eps:.4f}, horizon T = {T:.4f}")
+      f"half-width eps = {sig.eps:.4f}, horizon T = {sig.T:.4f}")
 print("energy W =", W)
-
-# double the quadrature resolution: the sign is stable
-W2, err2 = energy_integral(sysc, sig, T)
-print("re-verified:", W2, "+/-", err2, "->", "negative" if W2 < -err2 else "?")
+print("re-verified:", W, "+/-", err, "->", "negative" if W < -err else "?")

@@ -19,12 +19,12 @@ from .activity import (
     WitnessRecord,
     WitnessSearchConfig,
     classify_activity,
+    complex_eigen_signal,
     energy_integral,
     passivity_certificate,
+    real_eigen_signal,
     two_pulse_energy_closed_form,
     verdict_to_json,
-    witness_complex_eigen,
-    witness_real_eigen,
     witness_two_pulse_generic,
 )
 from .complexity import (
@@ -66,7 +66,6 @@ from .nonlinear import (
     find_equilibrium,
     hopf_locate,
     jacobian_fd,
-    linearize_at,
     rd_single_cell,
 )
 from .signals import (

@@ -108,7 +108,6 @@ def _resolved_steps(sig, cfg) -> int:
     only needs to taper on very long horizons where the input is dead most
     of the time.
     """
-    cfg = cfg or WitnessSearchConfig()
     T = sig.T
     steps = default_quad_steps(T, cfg)
     if isinstance(sig, signals.MollifierComplex):
@@ -147,8 +146,7 @@ def _two_pulse_sums(lam, gh, sq, k, Ts):
 
 
 def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
-                                 a: float, b: float, k: float, T: float,
-                                 imag_tol: float = IMAG_TOL) -> float:
+                                 a: float, b: float, k: float, T: float) -> float:
     """Exact two-pulse energy from the eigenvalue sum
 
     ``W = sum_l g_1l h_l1 [ (a^2+b^2)/l^2 (e^{l/k}-1)
@@ -156,7 +154,7 @@ def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
 
     valid for diagonalizable systems with no zero eigenvalue and
     non-overlapping pulses (k >= 2/T).  The imaginary residue of the sum must
-    vanish up to ``imag_tol`` (conjugate symmetry); its real part is returned.
+    vanish up to ``IMAG_TOL`` (conjugate symmetry); its real part is returned.
     """
     if not spec.diagonalizable:
         raise NotDiagonalizable("closed form requires a diagonalizable system")
@@ -171,7 +169,7 @@ def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
         raise ValueError("port entries must have one value per eigenvalue")
     const, osc = _two_pulse_sums(lam, g * h, a * a + b * b, k, [T])
     W = complex(const + a * b * osc[0])
-    if abs(W.imag) > imag_tol * (1.0 + abs(W.real)):
+    if abs(W.imag) > IMAG_TOL * (1.0 + abs(W.real)):
         raise ConjugateAsymmetry(
             f"imaginary residue {W.imag:.3e} exceeds tolerance; "
             "eigendata is not conjugate-symmetric"
@@ -188,9 +186,11 @@ def _check_eigvec_in_imP(P, vecs, tol):
             )
 
 
-def _real_eigen_signal(sys, lam, v, T, spec_tol, eigvec_in_imP_tol):
-    """Checked witness signal ``rho'(2t/T - 1) e^(lam t) v`` of a positive
-    real eigenpair with eigenvector in im P."""
+def real_eigen_signal(sys: linsys.LinearPortSystem, lam: float, v, T: float,
+                      eigvec_in_imP_tol: float = 1e-8) -> signals.MollifierReal:
+    """Witness signal ``u(t) = rho'(2t/T - 1) e^(lam t) v`` of a positive real
+    eigenpair with eigenvector in im P; its energy is negative for every
+    horizon T.  Raises ``OverflowRisk`` when ``lam * T > 300``."""
     if lam <= 0:
         raise NonPositiveEigenvalue(f"need lam > 0, got {lam}")
     if T <= 0:
@@ -202,25 +202,10 @@ def _real_eigen_signal(sys, lam, v, T, spec_tol, eigvec_in_imP_tol):
     defect = np.linalg.norm(sys.A @ v - lam * v)
     with np.errstate(over="ignore"):  # an infinite norm of A is the bound meant
         norm_A = np.linalg.norm(sys.A)
-    if defect > spec_tol * (1.0 + norm_A) * nv:
+    if defect > linsys.SPEC_TOL * (1.0 + norm_A) * nv:
         raise EigpairMismatch(f"||A v - lam v|| = {defect:.3e} too large")
     _check_eigvec_in_imP(sys.P, [v], eigvec_in_imP_tol)
     return signals.MollifierReal(lam=float(lam), v=v / nv, T=float(T))
-
-
-def witness_real_eigen(sys: linsys.LinearPortSystem, lam: float, v, T: float,
-                       spec_tol: float = linsys.SPEC_TOL,
-                       eigvec_in_imP_tol: float = 1e-8,
-                       steps: Optional[int] = None):
-    """Witness from a positive real eigenpair with eigenvector in im P:
-    ``u(t) = rho'(2t/T - 1) e^(lam t) v``.
-
-    The energy is negative for every horizon; the returned W is the
-    quadrature value.  Raises ``OverflowRisk`` when ``lam * T > 300``.
-    """
-    sig = _real_eigen_signal(sys, lam, v, T, spec_tol, eigvec_in_imP_tol)
-    W, _ = energy_integral(sys, sig, T, steps)
-    return sig, W
 
 
 def _rotation_slope_factor(v1, v2, alpha, beta, t):
@@ -247,16 +232,21 @@ def _longest_run(mask):
     return int(starts[j]), int(stops[j]) - 1
 
 
-def _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
-                          eigvec_in_imP_tol):
-    """Checked windowed witness signal of an unstable complex pair with both
-    eigenvector parts in im P; its horizon is at least ``T_hint``."""
+def complex_eigen_signal(sys: linsys.LinearPortSystem, alpha: float, beta: float,
+                         v1, v2, eigvec_in_imP_tol: float = 1e-8,
+                         ) -> signals.MollifierComplex:
+    """Windowed witness signal of an unstable complex pair ``alpha + i beta``
+    with both eigenvector parts in im P; its horizon is at least 1.
+
+    Locates a time t0 where ``g(t) = e^(2 alpha t)|sin(beta t) v1 +
+    cos(beta t) v2|^2`` has positive slope, picks a window half-width eps with
+    g' > 0 throughout, and drives ``u(t) = h'(t) e^(alpha t)(sin(beta t) v1 +
+    cos(beta t) v2)`` with ``h = rho((t - t0)/eps)``.
+    """
     if alpha <= 0:
         raise NonPositiveEigenvalue(f"need alpha > 0, got {alpha}")
     if beta == 0:
-        raise ValueError("beta must be nonzero (use witness_real_eigen)")
-    if T_hint <= 0:
-        raise ValueError("T_hint must be positive")
+        raise ValueError("beta must be nonzero (use real_eigen_signal)")
     v1 = np.asarray(v1, dtype=float).ravel()
     v2 = np.asarray(v2, dtype=float).ravel()
     scale = math.sqrt(float(v1 @ v1 + v2 @ v2))
@@ -268,7 +258,7 @@ def _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
     defect = np.linalg.norm(sys.A @ vc - (alpha + 1j * beta) * vc)
     with np.errstate(over="ignore"):  # an infinite norm of A is the bound meant
         norm_A = np.linalg.norm(sys.A)
-    if defect > spec_tol * (1.0 + norm_A):
+    if defect > linsys.SPEC_TOL * (1.0 + norm_A):
         raise EigpairMismatch(f"||A v - lambda v|| = {defect:.3e} too large")
     _check_eigvec_in_imP(sys.P, [v1, v2], eigvec_in_imP_tol)
 
@@ -303,37 +293,15 @@ def _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
     else:
         raise NoPositiveSlopeFound("could not isolate a positive-slope window")
 
-    T = max(float(T_hint), t0 + 2.0 * eps)
+    T = max(1.0, t0 + 2.0 * eps)
     if alpha * T > 300.0:
         T = t0 + 1.05 * eps  # minimum viable horizon before e^(alpha t) overflows
     return signals.MollifierComplex(alpha=float(alpha), beta=float(beta),
                                     v1=v1, v2=v2, t0=t0, eps=float(eps), T=T)
 
 
-def witness_complex_eigen(sys: linsys.LinearPortSystem, alpha: float, beta: float,
-                          v1, v2, T_hint: float = 1.0,
-                          spec_tol: float = linsys.SPEC_TOL,
-                          eigvec_in_imP_tol: float = 1e-8,
-                          steps: Optional[int] = None):
-    """Witness from an unstable complex pair ``alpha + i beta`` with both
-    eigenvector parts in im P.
-
-    Locates a time t0 where ``g(t) = e^(2 alpha t)|sin(beta t) v1 +
-    cos(beta t) v2|^2`` has positive slope, picks a window half-width eps with
-    g' > 0 throughout, and drives ``u(t) = h'(t) e^(alpha t)(sin(beta t) v1 +
-    cos(beta t) v2)`` with ``h = rho((t - t0)/eps)``.
-    """
-    sig = _complex_eigen_signal(sys, alpha, beta, v1, v2, T_hint, spec_tol,
-                                eigvec_in_imP_tol)
-    if steps is None:
-        steps = _resolved_steps(sig, None)
-    W, _ = energy_integral(sys, sig, sig.T, steps)
-    return sig, sig.T, W
-
-
 def passivity_certificate(sys: linsys.LinearPortSystem,
-                          cert_tol: float = 1e-9,
-                          sym_tol: float = linsys.SYM_TOL) -> Optional[Certificate]:
+                          cert_tol: float = 1e-9) -> Optional[Certificate]:
     """Certificate that the system is locally passive: symmetric part of
     ``P A`` negative semidefinite (for P = I this is dissipativity of A).
 
@@ -341,7 +309,7 @@ def passivity_certificate(sys: linsys.LinearPortSystem,
     semidefiniteness test fails.
     """
     P = sys.P
-    if np.linalg.norm(P - P.T) > sym_tol * max(1.0, np.linalg.norm(P)):
+    if np.linalg.norm(P - P.T) > linsys.SYM_TOL * max(1.0, np.linalg.norm(P)):
         raise NonOrthogonalProjection(
             "certificate requires an orthogonal projection (P symmetric)"
         )
@@ -458,16 +426,15 @@ def _candidates(sys, spec, cfg, identity, cert, generic, notes):
             if abs(l.imag) <= 1e-10:
                 vr = v.real if np.linalg.norm(v.real) > np.linalg.norm(v.imag) else v.imag
                 # keep lam * T at most 100, far below the overflow guard
-                sig = _real_eigen_signal(sys, float(l.real), vr,
-                                         min(1.0, 100.0 / float(l.real)),
-                                         linsys.SPEC_TOL, cfg.eigvec_in_imP_tol)
+                sig = real_eigen_signal(sys, float(l.real), vr,
+                                        min(1.0, 100.0 / float(l.real)),
+                                        cfg.eigvec_in_imP_tol)
                 note = f"witness: real eigenpair lam={l.real:.6g}"
             elif l.imag > 0 and 2.0 * math.pi / l.imag <= 120.0:
                 # a near-real pair is skipped: its rotation period makes the
                 # windowed witness unaffordable; later routes cover it
-                sig = _complex_eigen_signal(sys, float(l.real), float(l.imag),
-                                            v.real, v.imag, 1.0, linsys.SPEC_TOL,
-                                            cfg.eigvec_in_imP_tol)
+                sig = complex_eigen_signal(sys, float(l.real), float(l.imag),
+                                           v.real, v.imag, cfg.eigvec_in_imP_tol)
                 note = f"witness: complex pair {l.real:.6g} +/- {l.imag:.6g}i"
             else:
                 continue

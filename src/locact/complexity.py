@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConvergenceFailure, NonFiniteEntry
+from .errors import ConvergenceFailure, NonFiniteEntry, NonFiniteEvaluation
 
 COEFF_TOL = 1e-12
 CLUSTER_TOL = 1e-7
@@ -249,11 +249,22 @@ def poles(rf, cluster_tol: float = CLUSTER_TOL):
 
 
 def _residue(rf, p):
-    """``num(p) / den'(p)``, the residue of ``rf`` at a simple pole p."""
-    num = np.asarray(rf.num, dtype=float)
-    den = np.asarray(rf.den, dtype=float)
+    """``num(p) / den'(p)``, the residue of ``rf`` at a simple pole p.
+
+    It is taken on the rows scaled by ``_normalized`` and scaled back, which
+    is the unscaled quotient bit for bit wherever that neither overflows nor
+    underflows.  An infinite residue keeps its sign; a NaN one raises
+    ``NonFiniteEvaluation``.
+    """
+    (num,), (n_exp,) = _normalized(np.asarray(rf.num, dtype=float)[None])
+    (den,), (d_exp,) = _normalized(np.asarray(rf.den, dtype=float)[None])
     dden = np.arange(1, den.size) * den[1:]
-    return complex(npoly.polyval(p, num) / npoly.polyval(p, dden))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN raises below
+        q = npoly.polyval(p, num) / npoly.polyval(p, dden)
+        res = complex(*np.ldexp([q.real, q.imag], n_exp - d_exp))
+    if math.isnan(res.real) or math.isnan(res.imag):
+        raise NonFiniteEvaluation(f"the residue at the pole {p} is not a number")
+    return res
 
 
 def _axis_exclusions(ps: PoleSet, on_axis_tol):

@@ -115,10 +115,6 @@ class NoConvergence(LocactError):
         self.best_residual = best_residual
 
 
-class NotAnEquilibrium(LocactError):
-    pass
-
-
 class NoSignChange(LocactError):
     pass
 

@@ -25,7 +25,6 @@ from .errors import (
     NoConvergence,
     NonFiniteEvaluation,
     NoSignChange,
-    NotAnEquilibrium,
     StageError,
     ZeroProjection,
 )
@@ -103,11 +102,11 @@ def _kinetic_jacobian(sys: NonlinearPortSystem, x):
     return jacobian_fd(sys.f, x)
 
 
-def _stability_label(eigenvalues, stab_tol=STAB_TOL):
+def _stability_label(eigenvalues):
     m = float(eigenvalues.real.max())
-    if m > stab_tol:
+    if m > STAB_TOL:
         return "Unstable"
-    if m < -stab_tol:
+    if m < -STAB_TOL:
         return "Stable"
     return "Marginal"
 
@@ -130,14 +129,14 @@ def _ill_conditioned(J) -> bool:
     return np.linalg.cond(J) > 1e14
 
 
-def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWTON_TOL,
+def find_equilibrium(sys: NonlinearPortSystem, x_guess,
                      max_iter: int = 100) -> EquilibriumReport:
     """Damped Newton for ``f(x) - P D(x) = 0``.
 
     Armijo backtracking with halving (up to 30 halvings per step); a singular
     Jacobian switches to a pseudo-inverse step and is flagged in the report
     notes.  Raises ``NoConvergence`` (carrying the best iterate) when the
-    residual never reaches ``newton_tol``, and ``NonFiniteEvaluation`` when
+    residual never reaches ``NEWTON_TOL``, and ``NonFiniteEvaluation`` when
     the Jacobian at the returned point is not finite.
     """
     x = np.asarray(x_guess, dtype=float).ravel().copy()
@@ -152,7 +151,7 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
         res = _norm(g)
         best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
         for _ in range(max_iter):
-            if res <= newton_tol:
+            if res <= NEWTON_TOL:
                 break
             try:
                 if _ill_conditioned(J):
@@ -177,9 +176,9 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
             res = _norm(g)
             if res < best_res:
                 best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
-    if best_res > newton_tol:
+    if best_res > NEWTON_TOL:
         raise NoConvergence(
-            f"Newton stalled at residual {best_res:.3e} (tol {newton_tol:.1e})",
+            f"Newton stalled at residual {best_res:.3e} (tol {NEWTON_TOL:.1e})",
             best_x=best_x, best_residual=best_res,
         )
     if not np.isfinite(best_J).all():
@@ -189,18 +188,6 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess, newton_tol: float = NEWT
         x_star=best_x, residual=best_res, jacobian_full=best_J,
         jacobian_kinetic=best_J_kin, notes="; ".join(notes),
     )
-
-
-def linearize_at(sys: NonlinearPortSystem, x_star,
-                 newton_tol: float = NEWTON_TOL) -> linsys.LinearPortSystem:
-    """Linear port system at an equilibrium: A is the Jacobian of the kinetic
-    part f only (the dissipation channel is replaced by the input), P is kept."""
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    res = float(np.linalg.norm(_residual(sys, x_star)))
-    if res > 10.0 * newton_tol:
-        raise NotAnEquilibrium(f"residual {res:.3e} exceeds 10 * newton_tol")
-    A = _kinetic_jacobian(sys, x_star)
-    return linsys.make_system(A, sys.P)
 
 
 # -- model builders -------------------------------------------------------------
@@ -268,15 +255,13 @@ def fhn_equilibrium_guesses(mu: float, beta: float, gamma: float, xi: float):
     return [np.array([-1.0, -0.6]), np.zeros(2)]
 
 
-def fhn_complexity_function(mu: float, beta: float, gamma: float, xi: float,
-                            x_guess=None) -> complexity.RationalFunction:
+def fhn_complexity_function(mu: float, beta: float, gamma: float,
+                            xi: float) -> complexity.RationalFunction:
     """FitzHugh-Nagumo complexity function: :func:`complexity.one_port_rational`
     of the kinetic Jacobian at the equilibrium for the given parameters,
-    found from ``x_guess`` or else from the first guess that converges."""
+    found from the first of ``fhn_equilibrium_guesses`` that converges."""
     sys = fhn_system(mu, beta, gamma, xi)
-    guesses = [np.asarray(x_guess, dtype=float)] if x_guess is not None \
-        else fhn_equilibrium_guesses(mu, beta, gamma, xi)
-    for guess in guesses:
+    for guess in fhn_equilibrium_guesses(mu, beta, gamma, xi):
         try:
             report = find_equilibrium(sys, guess)
         except NoConvergence:
@@ -288,7 +273,7 @@ def fhn_complexity_function(mu: float, beta: float, gamma: float, xi: float,
 
 
 def hopf_locate(builder: Callable, mu_lo: float, mu_hi: float, tol: float = 1e-6,
-                x_guess=None, newton_tol: float = NEWTON_TOL):
+                x_guess=None):
     """Bisection in the parameter of the real spectral abscissa of the full
     equilibrium Jacobian, following the equilibrium branch by continuation.
 
@@ -307,7 +292,7 @@ def hopf_locate(builder: Callable, mu_lo: float, mu_hi: float, tol: float = 1e-6
         if guess is None:
             guess = fhn_equilibrium_guesses(**sys.params)[0] if sys.family == "fhn" \
                 else np.zeros(sys.n)
-        return find_equilibrium(sys, guess, newton_tol=newton_tol)
+        return find_equilibrium(sys, guess)
 
     def continued(mu):
         """The equilibrium at mu and its spectral abscissa, reached from the
@@ -435,7 +420,8 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
             raise StageError(stage, exc) from exc
 
     eq = run("find_equilibrium", find_equilibrium, sys, x_guess)
-    # the kinetic Jacobian at the equilibrium, as linearize_at would form it
+    # the kinetic part linearized at the equilibrium, with P kept; error
+    # reports name this stage "linearize_at"
     lin = run("linearize_at", linsys.make_system, eq.jacobian_kinetic, sys.P)
     try:
         gen = genericity.in_generic_M(lin)

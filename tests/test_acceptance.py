@@ -17,10 +17,10 @@ from locact.activity import (
     ACTIVE,
     PASSIVE,
     classify_activity,
+    complex_eigen_signal,
     energy_integral,
+    real_eigen_signal,
     two_pulse_energy_closed_form,
-    witness_complex_eigen,
-    witness_real_eigen,
     witness_two_pulse_generic,
 )
 
@@ -76,7 +76,8 @@ def test_criterion_02_closed_form_vs_quadrature():
 def test_criterion_03_real_eigen_witness():
     # scalar case: W = -(T^2/4) int_0^1 e^{2t} rho(2t-1)^2 dt
     sys1 = linsys.make_system([[1.0]], [[1.0]])
-    sig, W = witness_real_eigen(sys1, 1.0, [1.0], T=1.0)
+    sig = real_eigen_signal(sys1, 1.0, [1.0], T=1.0)
+    W, _ = energy_integral(sys1, sig, 1.0)
     t = np.linspace(0.0, 1.0, 1_000_001)
     q = signals.mollifier(2.0 * t - 1.0) ** 2
     oracle = -0.25 * np.trapezoid(np.exp(2.0 * t) * q, t)
@@ -85,7 +86,8 @@ def test_criterion_03_real_eigen_witness():
 
     # n = 2 with the eigenvector inside im P
     sys2 = linsys.make_system(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]))
-    sig2, W2 = witness_real_eigen(sys2, 1.0, [1.0, 0.0], T=1.0)
+    sig2 = real_eigen_signal(sys2, 1.0, [1.0, 0.0], T=1.0)
+    W2, _ = energy_integral(sys2, sig2, 1.0)
     assert W2 < 0.0
     assert W2 == pytest.approx(oracle, rel=1e-6)  # decoupled scalar dynamics
     _report(3, f"Example-3 witness, W={W:.6e} vs oracle {oracle:.6e}")
@@ -97,10 +99,10 @@ def test_criterion_04_complex_pair_witness():
     spec = linsys.spectrum(A)
     lam = spec.eigenvalues[0]
     assert lam == pytest.approx(0.1 + 1.0j, abs=1e-12)
-    sig, T, W = witness_complex_eigen(sys, lam.real, lam.imag,
-                                      spec.G[:, 0].real, spec.G[:, 0].imag)
-    W2, err2 = energy_integral(sys, sig, T)
-    assert W < 0.0 and W2 < -err2
+    sig = complex_eigen_signal(sys, lam.real, lam.imag,
+                               spec.G[:, 0].real, spec.G[:, 0].imag)
+    W, err = energy_integral(sys, sig, sig.T)
+    assert W < 0.0 and W < -err
 
     # finite differences of g confirm positive slope across the window
     v1, v2 = sig.v1, sig.v2
@@ -113,7 +115,7 @@ def test_criterion_04_complex_pair_witness():
     h = 1e-7
     slopes = (g(ts + h) - g(ts - h)) / (2.0 * h)
     assert np.all(slopes > 0.0)
-    assert sig.t0 - sig.eps >= 0.0 and sig.t0 + sig.eps <= T
+    assert sig.t0 - sig.eps >= 0.0 and sig.t0 + sig.eps <= sig.T
     _report(4, f"Example-4 witness, t0={sig.t0:.4f}, eps={sig.eps:.4f}, W={W:.4e}")
 
 

@@ -15,11 +15,11 @@ from locact.activity import (
     PASSIVE,
     WitnessSearchConfig,
     classify_activity,
+    complex_eigen_signal,
     energy_integral,
     passivity_certificate,
+    real_eigen_signal,
     two_pulse_energy_closed_form,
-    witness_complex_eigen,
-    witness_real_eigen,
     witness_two_pulse_generic,
 )
 from locact.errors import (
@@ -117,7 +117,8 @@ class TestClosedForm:
 class TestWitnessRealEigen:
     def test_scalar_case_negative_energy(self):
         sys = scalar_system(1.0)
-        sig, W = witness_real_eigen(sys, 1.0, [1.0], T=1.0)
+        sig = real_eigen_signal(sys, 1.0, [1.0], T=1.0)
+        W, _ = energy_integral(sys, sig, 1.0)
         assert W < 0.0
         t = np.linspace(0.0, 1.0, 1_000_001)
         q = signals.mollifier(2.0 * t - 1.0) ** 2
@@ -126,28 +127,29 @@ class TestWitnessRealEigen:
 
     def test_decoupled_two_dimensional_case(self):
         sys = linsys.make_system(np.diag([2.0, -1.0]), np.eye(2))
-        sig, W = witness_real_eigen(sys, 2.0, [1.0, 0.0], T=1.0)
+        sig = real_eigen_signal(sys, 2.0, [1.0, 0.0], T=1.0)
+        W, _ = energy_integral(sys, sig, 1.0)
         assert W < 0.0
 
     def test_eigvec_outside_image_rejected(self):
         sys = linsys.make_system(np.diag([2.0, -1.0]), np.diag([0.0, 1.0]))
         with pytest.raises(EigvecNotInImP):
-            witness_real_eigen(sys, 2.0, [1.0, 0.0], T=1.0)
+            real_eigen_signal(sys, 2.0, [1.0, 0.0], T=1.0)
 
     def test_nonpositive_eigenvalue_rejected(self):
         with pytest.raises(NonPositiveEigenvalue):
-            witness_real_eigen(scalar_system(-1.0), -1.0, [1.0], T=1.0)
+            real_eigen_signal(scalar_system(-1.0), -1.0, [1.0], T=1.0)
 
     def test_overflowing_horizon_rejected(self):
         with pytest.raises(OverflowRisk):
-            witness_real_eigen(scalar_system(400.0), 400.0, [1.0], T=1.0)
+            real_eigen_signal(scalar_system(400.0), 400.0, [1.0], T=1.0)
 
     def test_energy_decreasing_in_lambda(self):
         # -(lam T^2 / 4) int e^{2 lam t} q dt is strictly decreasing in lam
         energies = []
         for lam in (0.5, 1.0, 2.0):
             sys = scalar_system(lam)
-            _, W = witness_real_eigen(sys, lam, [1.0], T=1.0)
+            W, _ = energy_integral(sys, real_eigen_signal(sys, lam, [1.0], T=1.0), 1.0)
             energies.append(W)
         assert energies[0] > energies[1] > energies[2]
 
@@ -158,10 +160,11 @@ class TestWitnessComplexEigen:
         sys = linsys.make_system(A, np.eye(2))
         spec = linsys.spectrum(A)
         lam = spec.eigenvalues[0]
-        sig, T, W = witness_complex_eigen(sys, lam.real, lam.imag,
-                                          spec.G[:, 0].real, spec.G[:, 0].imag)
+        sig = complex_eigen_signal(sys, lam.real, lam.imag,
+                                   spec.G[:, 0].real, spec.G[:, 0].imag)
+        W, _ = energy_integral(sys, sig, sig.T)
         assert W < 0.0
-        assert sig.t0 - sig.eps >= 0.0 and sig.t0 + sig.eps <= T
+        assert sig.t0 - sig.eps >= 0.0 and sig.t0 + sig.eps <= sig.T
 
     def test_fast_rotation_t0_within_period(self):
         beta = 2.0 * math.pi
@@ -169,8 +172,9 @@ class TestWitnessComplexEigen:
         sys = linsys.make_system(A, np.eye(2))
         spec = linsys.spectrum(A)
         lam = spec.eigenvalues[0]
-        sig, T, W = witness_complex_eigen(sys, lam.real, lam.imag,
-                                          spec.G[:, 0].real, spec.G[:, 0].imag)
+        sig = complex_eigen_signal(sys, lam.real, lam.imag,
+                                   spec.G[:, 0].real, spec.G[:, 0].imag)
+        W, _ = energy_integral(sys, sig, sig.T)
         assert W < 0.0
         assert sig.t0 <= 2.0 * math.pi / beta + 1e-12
 
@@ -180,7 +184,7 @@ class TestWitnessComplexEigen:
         spec = linsys.spectrum(A)
         lam = spec.eigenvalues[0]
         v1, v2 = spec.G[:, 0].real, spec.G[:, 0].imag
-        sig, T, W = witness_complex_eigen(sys, lam.real, lam.imag, v1, v2)
+        sig = complex_eigen_signal(sys, lam.real, lam.imag, v1, v2)
         nv1, nv2 = sig.v1, sig.v2
 
         def g(t):
@@ -195,13 +199,13 @@ class TestWitnessComplexEigen:
     def test_beta_zero_rejected(self):
         sys = linsys.make_system(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            witness_complex_eigen(sys, 1.0, 0.0, [1.0, 0.0], [0.0, 1.0])
+            complex_eigen_signal(sys, 1.0, 0.0, [1.0, 0.0], [0.0, 1.0])
 
     def test_alpha_nonpositive_rejected(self):
         A = np.array([[-0.1, -1.0], [1.0, -0.1]])
         sys = linsys.make_system(A, np.eye(2))
         with pytest.raises(NonPositiveEigenvalue):
-            witness_complex_eigen(sys, -0.1, 1.0, [1.0, 0.0], [0.0, -1.0])
+            complex_eigen_signal(sys, -0.1, 1.0, [1.0, 0.0], [0.0, -1.0])
 
 
 class TestWitnessTwoPulseGeneric:
@@ -400,14 +404,13 @@ class TestLongestRun:
             sys = linsys.make_system(A, np.eye(2))
             spec = linsys.spectrum(A)
             lam, v = spec.eigenvalues[0], spec.G[:, 0]
-            args = (sys, float(lam.real), float(lam.imag), v.real, v.imag, 1.0,
-                    linsys.SPEC_TOL, 1e-8)
+            args = (sys, float(lam.real), float(lam.imag), v.real, v.imag)
             with monkeypatch.context() as m:
                 m.setattr(activity, "_longest_run",
                           lambda mask: runs.append(mask.copy())
                           or _longest_run_oracle(mask))
-                slow = activity._complex_eigen_signal(*args)
-            fast = activity._complex_eigen_signal(*args)
+                slow = activity.complex_eigen_signal(*args)
+            fast = activity.complex_eigen_signal(*args)
             assert (fast.t0, fast.eps, fast.T) == (slow.t0, slow.eps, slow.T)
         starts = [int(np.count_nonzero(np.diff(r.astype(int)) == 1)) for r in runs]
         assert max(starts) >= 1

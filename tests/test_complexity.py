@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +20,12 @@ from locact.complexity import (
     one_port_rational,
     poles,
 )
-from locact.errors import ConvergenceFailure, LocactError, NonFiniteEntry
+from locact.errors import (
+    ConvergenceFailure,
+    LocactError,
+    NonFiniteEntry,
+    NonFiniteEvaluation,
+)
 from locact.nonlinear import fhn_complexity_function, fhn_system
 from locact.serialize import dumps_canonical
 
@@ -221,6 +227,29 @@ class TestResidues:
             samples = [(p + 1e-6 * a - p) * rf(p + 1e-6 * a) for a in angles]
             numeric = np.mean(samples)
             assert abs(res - numeric) <= 1e-4 * max(1.0, abs(res))
+
+    @pytest.mark.parametrize("num, den, residue", [
+        ([5e-324], [0.5283176292541396, 1e308, 1.0, -1e308], 0.0),
+        ([-1e308, -1.0612408977110352],
+         [0.0, -0.13628479100503227, 1.259288122334379, 0.8101177912610477], math.inf),
+    ])
+    def test_extreme_coefficients(self, num, den, residue):
+        # den' of the first overflowed, and its residue at the axis pole 0
+        # was nan+nanj, which condition (iii) read as passive; the second
+        # overflowed to inf with a warning.  The scaled rows give 0 and +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rf = make_rational(num, den)
+            assert complexity._residue(rf, 0j).real == residue
+            assert not edge_of_chaos_classify(rf).cond_iii
+
+    def test_nan_residue_raises(self):
+        # num(p) and den'(p) both overflow at p = 1e200, with no warning
+        rf = make_rational([1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+        with warnings.catch_warnings(), \
+                pytest.raises(NonFiniteEvaluation, match="is not a number"):
+            warnings.simplefilter("error")
+            complexity._residue(rf, 1e200 + 0j)
 
 
 class TestMinRealOnAxis:

@@ -1,5 +1,6 @@
 """The import layering of the package: every import sits at module level,
-and the rational-function module imports no model and no front end."""
+and the rational-function module imports no model and no front end.  And
+its public surface: every public definition has a caller."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,47 @@ def test_no_import_inside_a_function(path):
 def test_complexity_imports_no_model_and_no_front_end():
     tree = ast.parse((PACKAGE / "complexity.py").read_text(encoding="utf-8"))
     assert not _package_imports(tree) & {"nonlinear", "cli"}
+
+
+ROOT = PACKAGE.parents[1]
+CALLER_DIRS = [PACKAGE, ROOT / "demos", ROOT / "tools", ROOT / "bench"]
+UNCALLED = {  # public names that no caller names, with the reason each stays
+    "two_pulse_energy_closed_form": "the closed form the tests compare against",
+    "matrix_exponential": "named only as a string target in bench/tracing.py",
+}
+
+
+def _public_definitions():
+    """``(path, name, first line, last line)`` of every public module-level
+    def and class of the package, ``__init__`` aside."""
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                yield path, node.name, node.lineno, node.end_lineno
+
+
+def _references():
+    """``(file, line)`` of every ``ast.Name`` and ``ast.Attribute`` in the
+    package and its demos, tools and benchmark, by the name it reads."""
+    refs = {}
+    for directory in CALLER_DIRS:
+        for path in sorted(directory.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = node.id if isinstance(node, ast.Name) \
+                    else node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None:
+                    refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    # a caller names the definition somewhere outside its own body; an
+    # import in __init__ is no caller
+    refs = _references()
+    uncalled = {name for path, name, first, last in _public_definitions()
+                if all(ref == path and first <= line <= last
+                       for ref, line in refs.get(name, []))}
+    assert uncalled == set(UNCALLED)

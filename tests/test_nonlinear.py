@@ -14,7 +14,6 @@ from locact.errors import (
     NoConvergence,
     NonFiniteEvaluation,
     NoSignChange,
-    NotAnEquilibrium,
     StageError,
 )
 from locact.nonlinear import (
@@ -25,7 +24,6 @@ from locact.nonlinear import (
     find_equilibrium,
     hopf_locate,
     jacobian_fd,
-    linearize_at,
     rd_single_cell,
 )
 from locact.serialize import dumps_canonical
@@ -82,6 +80,22 @@ class TestFindEquilibrium:
             f=lambda x: A @ x, D=lambda x: np.zeros(3), P=np.zeros((3, 3)), n=3)
         report = find_equilibrium(sys, rng.standard_normal(3))
         npt.assert_allclose(report.x_star, np.zeros(3), atol=1e-8)
+
+    def test_fhn_kinetic_linearization(self):
+        sys = fhn_system(0.05, BETA, GAMMA, XI)
+        report = find_equilibrium(sys, [-1.0, -0.6])
+        xd = report.x_star[0]
+        npt.assert_allclose(report.jacobian_kinetic,
+                            [[1.0 - xd * xd, -1.0], [XI, -XI * BETA]], atol=1e-9)
+        npt.assert_allclose(sys.P, np.diag([1.0, 0.0]))
+
+    def test_linear_field_returned_exactly(self, rng):
+        A = rng.standard_normal((2, 2))
+        sys = nonlinear.NonlinearPortSystem(
+            f=lambda x: A @ x, D=lambda x: np.zeros(2), P=np.eye(2), n=2,
+            jacobian_f=lambda x: A)
+        report = find_equilibrium(sys, np.zeros(2))
+        npt.assert_array_equal(report.jacobian_kinetic, A)
 
     def test_no_real_root_raises(self):
         sys = nonlinear.NonlinearPortSystem(
@@ -304,30 +318,6 @@ class TestFindEquilibriumOracle:
         assert got == _equilibrium_bits(_find_equilibrium_oracle, sys, guess)
 
 
-class TestLinearizeAt:
-    def test_fhn_kinetic_linearization(self):
-        sys = fhn_system(0.05, BETA, GAMMA, XI)
-        report = find_equilibrium(sys, [-1.0, -0.6])
-        lin = linearize_at(sys, report.x_star)
-        xd = report.x_star[0]
-        npt.assert_allclose(lin.A, [[1.0 - xd * xd, -1.0], [XI, -XI * BETA]],
-                            atol=1e-9)
-        npt.assert_allclose(lin.P, np.diag([1.0, 0.0]))
-
-    def test_linear_field_returned_exactly(self, rng):
-        A = rng.standard_normal((2, 2))
-        sys = nonlinear.NonlinearPortSystem(
-            f=lambda x: A @ x, D=lambda x: np.zeros(2), P=np.eye(2), n=2,
-            jacobian_f=lambda x: A)
-        lin = linearize_at(sys, np.zeros(2))
-        npt.assert_array_equal(lin.A, A)
-
-    def test_non_equilibrium_rejected(self):
-        sys = fhn_system(0.05, BETA, GAMMA, XI)
-        with pytest.raises(NotAnEquilibrium):
-            linearize_at(sys, [5.0, 5.0])
-
-
 class TestFhnSystem:
     def test_rhs_at_origin(self):
         sys = fhn_system(0.05, BETA, GAMMA, XI)
@@ -382,8 +372,7 @@ class TestHopf:
             hopf_locate(lambda m: fhn_system(m), 0.05, 0.05)
 
 
-def _hopf_locate_oracle(builder, mu_lo, mu_hi, tol=1e-6, x_guess=None,
-                       newton_tol=nonlinear.NEWTON_TOL):
+def _hopf_locate_oracle(builder, mu_lo, mu_hi, tol=1e-6, x_guess=None):
     """hopf_locate as it was written before its continuation became one loop:
     a direct solve, then a fallback of 2, 4, 8 and 16 steps whose last step
     is at mu itself.  Returns the fields of its HopfResult."""
@@ -399,7 +388,7 @@ def _hopf_locate_oracle(builder, mu_lo, mu_hi, tol=1e-6, x_guess=None,
                 guess = fhn_equilibrium_guesses(**sys.params)[0]
             else:
                 guess = np.zeros(sys.n)
-        report = nonlinear.find_equilibrium(sys, guess, newton_tol=newton_tol)
+        report = nonlinear.find_equilibrium(sys, guess)
         eigs = report.eigenvalues_full
         return report, float(eigs.real.max()), eigs
 
