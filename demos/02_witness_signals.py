@@ -41,4 +41,5 @@ W, err = energy_integral(sysc, sig, sig.T)
 print(f"\ncomplex-pair witness: window center t0 = {sig.t0:.4f}, "
       f"half-width eps = {sig.eps:.4f}, horizon T = {sig.T:.4f}")
 print("energy W =", W)
-print("re-verified:", W, "+/-", err, "->", "negative" if W < -err else "?")
+print("W against its quadrature error:", W, "+/-", err, "->",
+      "negative" if W < -err else "?")

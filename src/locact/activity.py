@@ -357,17 +357,27 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
         raise ScanExhausted(
             f"no mollifiable horizon T >= 2.04 up to T_max = {T_max}"
         )
-    const, osc = _two_pulse_sums(lam, spec.G[0, :] * spec.H[:, 0], 2.0, 1.0, Ts)
-    eta, osc = const.real, osc.real
-    cands = np.stack([eta - osc, eta + osc])  # rows: a = -1, +1
-    hits = (cands < -1e-13 * (1.0 + abs(eta))).any(axis=0) & mollifiable
-    if not hits.any():
+    gh = spec.G[0, :] * spec.H[:, 0]
+
+    def energies(ts):  # rows: a = -1, +1; no energy depends on another horizon
+        const, osc = _two_pulse_sums(lam, gh, 2.0, 1.0, ts)
+        return const.real, np.stack([const.real - osc.real, const.real + osc.real])
+
+    # blocks of 256 horizons, each next 4 times the last, up to the first hit
+    lo, size = 0, 256
+    while lo < Ts.size:
+        eta, cands = energies(Ts[lo:lo + size])
+        hits = (cands < -1e-13 * (1.0 + abs(eta))).any(axis=0) & mollifiable[lo:lo + size]
+        if hits.any():
+            break
+        lo, size = lo + size, 4 * size
+    else:
         raise ScanExhausted(f"no negative closed-form energy up to T_max = {T_max}")
     # the first hit can be barely negative (the start of a negativity well);
     # a short lookahead picks the bottom of that well, which keeps the sign
     # robust under mollification
-    hit = int(np.argmax(hits))
-    window = cands[:, hit:hit + int(math.ceil(2.0 / cfg.T_scan_step)) + 1]
+    hit = lo + int(np.argmax(hits))
+    _, window = energies(Ts[hit:hit + int(math.ceil(2.0 / cfg.T_scan_step)) + 1])
     row, col = divmod(int(np.argmin(window)), window.shape[1])
     a = (-1.0, 1.0)[row]
     T = float(Ts[hit + col])

@@ -28,6 +28,7 @@ from .errors import (
     StageError,
     ZeroProjection,
 )
+from .signals import _frozen
 
 NEWTON_TOL = 1e-10
 STAB_TOL = 1e-9
@@ -44,6 +45,9 @@ class NonlinearPortSystem:
     jacobian_D: Optional[Callable] = None
     family: Optional[str] = None
     params: dict = field(default_factory=dict)
+    # ``f - P D`` and ``(J_f - P J_D, J_f)`` of a family that evaluates them
+    residual: Optional[Callable] = None
+    jacobians: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -85,21 +89,20 @@ def jacobian_fd(f: Callable, x, h: float = FD_STEP) -> np.ndarray:
 
 def _residual(sys: NonlinearPortSystem, x):
     """The right-hand side ``f(x) - P D(x)``, zero at an equilibrium."""
+    if sys.residual is not None:
+        return sys.residual(x)
     return np.asarray(sys.f(x), dtype=float).ravel() \
         - sys.P @ np.asarray(sys.D(x), dtype=float).ravel()
 
 
 def _jacobians(sys: NonlinearPortSystem, x):
     """Full Jacobian and kinetic Jacobian at x."""
-    Jf = _kinetic_jacobian(sys, x)
+    if sys.jacobians is not None:
+        return sys.jacobians(x)
+    Jf = np.asarray(sys.jacobian_f(x), dtype=float) if sys.jacobian_f is not None \
+        else jacobian_fd(sys.f, x)
     JD = sys.jacobian_D(x) if sys.jacobian_D is not None else jacobian_fd(sys.D, x)
     return Jf - sys.P @ np.asarray(JD, dtype=float), Jf
-
-
-def _kinetic_jacobian(sys: NonlinearPortSystem, x):
-    if sys.jacobian_f is not None:
-        return np.asarray(sys.jacobian_f(x), dtype=float)
-    return jacobian_fd(sys.f, x)
 
 
 def _stability_label(eigenvalues):
@@ -143,13 +146,14 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess,
     if x.size != sys.n:
         raise DimensionMismatch(f"guess has dimension {x.size}, system has {sys.n}")
     notes = []
+    residual, jacobians = _residual, _jacobians
     # an overflowing residual or Jacobian is no warning: the line search
     # rejects a non-finite residual, and the checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _residual(sys, x)
-        J, J_kin = _jacobians(sys, x)
+        g = residual(sys, x)
+        J, J_kin = jacobians(sys, x)
         res = _norm(g)
-        best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
+        best_x, best_res, best_J, best_J_kin = x, res, J, J_kin
         for _ in range(max_iter):
             if res <= NEWTON_TOL:
                 break
@@ -161,21 +165,20 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess,
                 step = -np.linalg.pinv(J) @ g
                 if "pseudo-inverse step" not in notes:
                     notes.append("pseudo-inverse step")
+            # up to 30 halvings; the point after the last is taken as it is
             alpha = 1.0
-            for _ in range(30):
-                x_new = x + alpha * step
-                g_new = _residual(sys, x_new)
-                if np.isfinite(g_new).all() and _norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
+            for halvings in range(31):
+                x_new = x + step if alpha == 1.0 else x + alpha * step
+                g_new = residual(sys, x_new)
+                res_new = _norm(g_new)
+                if halvings == 30 or np.isfinite(g_new).all() and \
+                        res_new <= (1.0 - 1e-4 * alpha) * res:
                     break
                 alpha *= 0.5
-            else:
-                x_new = x + alpha * step
-                g_new = _residual(sys, x_new)
-            x, g = x_new, g_new
-            J, J_kin = _jacobians(sys, x)
-            res = _norm(g)
+            x, g, res = x_new, g_new, res_new
+            J, J_kin = jacobians(sys, x)
             if res < best_res:
-                best_x, best_res, best_J, best_J_kin = x.copy(), res, J, J_kin
+                best_x, best_res, best_J, best_J_kin = x, res, J, J_kin
     if best_res > NEWTON_TOL:
         raise NoConvergence(
             f"Newton stalled at residual {best_res:.3e} (tol {NEWTON_TOL:.1e})",
@@ -197,6 +200,13 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess,
 FHN_DEFAULTS = {"mu": 0.05, "beta": 1.28, "gamma": 0.12, "xi": 0.1}
 
 
+_FHN_P = _frozen(np.diag([1.0, 0.0]))
+
+
+def _fhn_pd(u, v):  # P (u, v) on floats, summed from +0 as numpy's product sums it
+    return 0.0 + u + 0.0 * v, 0.0 + 0.0 * u + 0.0 * v
+
+
 def fhn_system(mu: float, beta: float = FHN_DEFAULTS["beta"],
                gamma: float = FHN_DEFAULTS["gamma"],
                xi: float = FHN_DEFAULTS["xi"]) -> NonlinearPortSystem:
@@ -206,31 +216,51 @@ def fhn_system(mu: float, beta: float = FHN_DEFAULTS["beta"],
 
     Kinetics f(x, y) = (-y - (x^3/3 - x), xi (x - beta y + gamma)), dissipation
     D(x, y) = mu (x, y), projection P = diag(1, 0), so -P D contributes
-    exactly -mu x to the first equation.
+    exactly -mu x to the first equation.  Its residual and Jacobians, on
+    Python floats, equal ``f - P D`` and ``J_f - P J_D`` composed in numpy bit
+    for bit, but for the sign and payload of a NaN, which neither fixes.
     """
     mu, beta, gamma, xi = float(mu), float(beta), float(gamma), float(xi)
 
+    def kinetics(x, y):
+        try:
+            cube = x ** 3
+        except OverflowError:  # a Python float raises where numpy's cube is ±inf
+            cube = np.float64(x) ** 3
+        return -y - (cube / 3.0 - x), xi * (x - beta * y + gamma)
+
+    def kinetic_jacobian(x):
+        return [[1.0 - x * x, -1.0], [xi, -xi * beta]]
+
     def f(z):
         x, y = z
-        return np.array([-y - (x**3 / 3.0 - x), xi * (x - beta * y + gamma)])
+        return np.array(kinetics(x, y))
 
     def D(z):
         return mu * np.asarray(z, dtype=float)
 
     def jac_f(z):
         x, _ = z
-        return np.array([[1.0 - x * x, -1.0], [xi, -xi * beta]])
+        return np.array(kinetic_jacobian(x))
 
-    JD = mu * np.eye(2)
-    JD.setflags(write=False)
+    JD = functools.cache(lambda: _frozen(mu * np.eye(2)))  # built on first use
 
-    def jac_D(_):
-        return JD
+    def residual(z):
+        x, y = z.tolist()
+        (f0, f1), (pd0, pd1) = kinetics(x, y), _fhn_pd(mu * x, mu * y)
+        return np.array([f0 - pd0, f1 - pd1])
 
-    P = np.diag([1.0, 0.0])
+    # P J_D, column by column, with J_D = mu I as numpy forms it
+    (p00, p10), (p01, p11) = _fhn_pd(mu, mu * 0.0), _fhn_pd(mu * 0.0, mu)
+
+    def jacobians(z):
+        (a, b), (c, d) = J_kin = kinetic_jacobian(z.item(0))
+        return np.array([[a - p00, b - p01], [c - p10, d - p11]]), np.array(J_kin)
+
     return NonlinearPortSystem(
-        f=f, D=D, P=P, n=2, jacobian_f=jac_f, jacobian_D=jac_D,
+        f=f, D=D, P=_FHN_P, n=2, jacobian_f=jac_f, jacobian_D=lambda _: JD(),
         family="fhn", params={"mu": mu, "beta": beta, "gamma": gamma, "xi": xi},
+        residual=residual, jacobians=jacobians,
     )
 
 

@@ -47,6 +47,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 
 def format_csv_row(values) -> str:
+    if all(type(v) is float for v in values):  # the common row, in one format
+        return ",".join(["%.17g"] * len(values)) % tuple(values)
     cells = []
     for v in values:
         if type(v) is float:  # the common cell, ahead of the isinstance ladder

@@ -113,6 +113,9 @@ def mollifier_cdf(y):
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     out = (y >= 1.0).astype(float)
+    # a batch wholly at or beyond one end is exact already; a NaN fails both
+    if y.max(initial=-1.0) <= -1.0 or y.min(initial=1.0) >= 1.0:
+        return float(out[0]) if scalar else out
     out[np.isnan(y)] = np.nan
     inside = np.abs(y) < 1.0
     if inside.any():

@@ -30,6 +30,7 @@ from locact.errors import (
     NoUnstableEigenvalue,
     OverflowRisk,
     PulseOverlap,
+    ScanExhausted,
     ZeroEigenvalue,
 )
 from locact.signals import MollifierReal, MollifierTrajectory, TwoPulse
@@ -240,6 +241,27 @@ class TestWitnessTwoPulseGeneric:
         # and the mollified signal keeps the sign
         assert np.sign(gw.W) == np.sign(gw.closed_form_W) == -1.0
 
+    @pytest.mark.parametrize("T_max, sizes", [(None, [256, 41]), (3.0, [256, 745])])
+    def test_scan_evaluates_blocks_up_to_the_first_hit(self, monkeypatch, T_max, sizes):
+        # of 39,961 horizons, the first hit is at T = 3.5: the first block of
+        # 256 and the lookahead of 2 / 0.05 + 1 from that hit are evaluated;
+        # with T_max = 3 on the step 0.001 the 1,001 horizons hold no hit, and
+        # both blocks are walked
+        sys = linsys.make_system([[0.1, 1.0], [-1.0, 0.1]], np.diag([1.0, 0.0]))
+        cfg = WitnessSearchConfig(T_max=T_max, T_scan_step=0.05 if T_max is None else 0.001)
+        got = []
+        sums = activity._two_pulse_sums
+        monkeypatch.setattr(activity, "_two_pulse_sums", lambda lam, gh, sq, k, Ts:
+                            got.append(len(Ts)) or sums(lam, gh, sq, k, Ts))
+        want = _search_oracle(sys, cfg)
+        try:
+            gw = witness_two_pulse_generic(sys, cfg)
+        except ScanExhausted as exc:
+            assert str(exc) == want == "no negative closed-form energy up to T_max = 3.0"
+        else:
+            assert (gw.a, gw.T, gw.closed_form_W, gw.W) == want
+        assert got == sizes
+
     def test_sign_verified_witness_is_the_fallback(self, monkeypatch):
         # a doubled quadrature value keeps the sign of W but never comes
         # within 4 % of the closed form, so every halving of the smoothing
@@ -260,16 +282,18 @@ class TestWitnessTwoPulseGeneric:
         assert abs(gw.W - gw.closed_form_W) > 0.04 * (1.0 + abs(gw.closed_form_W))
 
 
-def _scan_oracle(sys, T_scan_step=0.05):
+def _scan_oracle(sys, cfg=WitnessSearchConfig()):
     """The horizon scan as the two-pulse search once wrote it inline: the
-    energies ``W(a = -1, T)`` and ``W(a = +1, T)`` on the default grid and the
-    first-hit choice ``(a, T, W)``."""
+    energies ``W(a = -1, T)`` and ``W(a = +1, T)`` on the whole grid of
+    ``cfg`` and the first-hit choice ``(a, T, W)``, or the message of the
+    ``ScanExhausted`` raised when no horizon hits."""
     Q = genericity.in_generic_M(sys).Q
     spec = linsys.spectrum(Q @ sys.A @ Q.T)
     lam = spec.eigenvalues
     max_re = float(lam.real.max())
-    T_max = min(200.0 / max(max_re, 0.1), 500.0 / max_re)
-    Ts = np.arange(2.0, T_max + 0.5 * T_scan_step, T_scan_step)
+    T_max = min(200.0 / max(max_re, 0.1) if cfg.T_max is None else cfg.T_max,
+                500.0 / max_re)
+    Ts = np.arange(2.0, T_max + 0.5 * cfg.T_scan_step, cfg.T_scan_step)
     mollifiable = Ts >= 2.0 + 0.04
     gh = spec.G[0, :] * spec.H[:, 0]
     ramp = np.exp(lam) - 1.0
@@ -288,7 +312,10 @@ def _scan_oracle(sys, T_scan_step=0.05):
                 break
         if hit is not None:
             break
-    window = slice(hit, min(hit + int(math.ceil(2.0 / T_scan_step)) + 1,
+    if hit is None:
+        return (Ts, eta - osc, eta + osc,
+                f"no negative closed-form energy up to T_max = {T_max}")
+    window = slice(hit, min(hit + int(math.ceil(2.0 / cfg.T_scan_step)) + 1,
                             Ts.size))
     cands = np.stack([eta - osc[window], eta + osc[window]])
     flat = int(np.argmin(cands))
@@ -296,6 +323,28 @@ def _scan_oracle(sys, T_scan_step=0.05):
     idx = hit + flat % cands.shape[1]
     W_closed = float(cands[flat // cands.shape[1], flat % cands.shape[1]])
     return Ts, eta - osc, eta + osc, (a, float(Ts[idx]), W_closed)
+
+
+def _search_oracle(sys, cfg):
+    """``(a, T, closed_form_W, W)`` of the two-pulse search on the whole-grid
+    scan of ``_scan_oracle`` and its mollification loop, or the message of
+    the ``ScanExhausted`` it raises."""
+    choice = _scan_oracle(sys, cfg)[-1]
+    if isinstance(choice, str):
+        return choice
+    a, T, W_closed = choice
+    base = TwoPulse(a=a, b=1.0, k=1.0, T=T,
+                    direction=genericity.in_generic_M(sys).Q.T[:, 0])
+    eps_s, fallback = min(0.1, (T - 2.0) / 4.0), None
+    for _ in range(7):
+        smooth = signals.MollifiedTwoPulse(base=base, eps_s=eps_s)
+        W, err = energy_integral(sys, smooth, T, activity._resolved_steps(smooth, cfg))
+        if W < -err:
+            if abs(W - W_closed) <= 0.04 * (1.0 + abs(W_closed)):
+                return a, T, W_closed, W
+            fallback = a, T, W_closed, W
+        eps_s *= 0.5
+    return fallback or f"mollified signal lost the sign of W at T = {T}"
 
 
 def _real_spectrum_member(rng, n):
@@ -334,6 +383,26 @@ class TestSingleTwoPulseFormula:
         with np.errstate(over="raise"):
             gw = witness_two_pulse_generic(sys)
         assert (gw.a, gw.T, gw.closed_form_W) == choice
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), real=st.booleans(),
+           T_max=st.one_of(st.none(), st.floats(2.1, 8.0), st.floats(2.1, 2000.0)),
+           T_scan_step=st.sampled_from([0.001, 0.01, 0.05, 0.25]))
+    def test_lazy_scan_finds_the_whole_grids_witness(self, seed, n, real, T_max,
+                                                     T_scan_step):
+        # the scan stops at the block of its first hit; the whole grid
+        # gives the same witness, or the same ScanExhausted
+        rng = np.random.default_rng(seed)
+        sys = _real_spectrum_member(rng, n) if real \
+            else random_member_of_M(rng, n, min_abscissa=0.1)
+        cfg = WitnessSearchConfig(T_max=T_max, T_scan_step=T_scan_step)
+        want = _search_oracle(sys, cfg)
+        try:
+            gw = witness_two_pulse_generic(sys, cfg)
+        except ScanExhausted as exc:
+            assert str(exc) == want
+        else:
+            assert (gw.a, gw.T, gw.closed_form_W, gw.W) == want
 
     def test_real_spectra_are_covered(self):
         kinds = [genericity.in_generic_M(s).spectrum.eigenvalues.dtype.kind

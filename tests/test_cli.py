@@ -302,6 +302,12 @@ class TestFormatCsvRow:
             ",".join([format_csv_row([v])] * 2 + ["x", "1", "3"])
 
 
+    @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf,
+                                                    -math.inf, 5e-324]), max_size=9))
+    def test_float_row_prints_each_cells_bytes(self, row):
+        assert format_csv_row(row) == ",".join(format(v, ".17g") for v in row)
+
+
 class TestFhn:
     def test_defaults_pipeline(self, capsys):
         code, out = run_cli(capsys, "fhn", "--mu", "0.05")
@@ -388,6 +394,19 @@ class TestFhn:
                           "--sweep-csv", str(tmp_path / "sweep.csv"))
         assert code == 0
         assert len(calls) == 1229
+
+    def test_point_scans_horizons_only_to_its_first_hit(self, capsys, monkeypatch):
+        # the two-pulse scan of the mu = 0.05 point evaluated all 39,961
+        # horizons up to T_max = 2000; the first block of 256 holds its first
+        # hit, and the lookahead adds 41
+        horizons = []
+        sums = activity._two_pulse_sums
+        monkeypatch.setattr(activity, "_two_pulse_sums", lambda lam, gh, sq, k, Ts:
+                            horizons.append(len(Ts)) or sums(lam, gh, sq, k, Ts))
+        code, out = run_cli(capsys, "fhn", "--mu", "0.05")
+        assert code == 0
+        assert "generic two-pulse" in json.loads(out)["pipeline"]["activity"]["notes"]
+        assert 0 < sum(horizons) <= 297
 
     def test_bad_sweep_spec_exits_2(self, capsys):
         code, out = run_cli(capsys, "fhn", "--sweep", "0:0.1")

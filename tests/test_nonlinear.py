@@ -4,6 +4,8 @@ import types
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locact import activity, genericity, linsys, nonlinear
 from locact.errors import (
@@ -197,10 +199,16 @@ def _find_equilibrium_oracle(sys, x_guess, newton_tol=nonlinear.NEWTON_TOL,
                              max_iter=100):
     """find_equilibrium as it was written before each iterate took its
     residual from the line search: the residual is evaluated again, with the
-    Jacobians, at every iterate."""
+    Jacobians, at every iterate; both are composed from f, D and P, as they
+    were before a family could evaluate its own."""
+    def residual(x):
+        return np.asarray(sys.f(x), dtype=float).ravel() \
+            - sys.P @ np.asarray(sys.D(x), dtype=float).ravel()
+
     def g_and_jacobian(x):
-        g = nonlinear._residual(sys, x)
-        Jf = nonlinear._kinetic_jacobian(sys, x)
+        g = residual(x)
+        Jf = np.asarray(sys.jacobian_f(x), dtype=float) if sys.jacobian_f is not None \
+            else jacobian_fd(sys.f, x)
         JD = sys.jacobian_D(x) if sys.jacobian_D is not None else jacobian_fd(sys.D, x)
         return g, Jf - sys.P @ np.asarray(JD, dtype=float), Jf
 
@@ -223,7 +231,7 @@ def _find_equilibrium_oracle(sys, x_guess, newton_tol=nonlinear.NEWTON_TOL,
         alpha = 1.0
         for _ in range(30):
             x_new = x + alpha * step
-            g_new = nonlinear._residual(sys, x_new)
+            g_new = residual(x_new)
             if np.all(np.isfinite(g_new)) and \
                     np.linalg.norm(g_new) <= (1.0 - 1e-4 * alpha) * res:
                 break
@@ -318,6 +326,32 @@ class TestFindEquilibriumOracle:
         assert got == _equilibrium_bits(_find_equilibrium_oracle, sys, guess)
 
 
+# states and parameters at every edge of the float range, with NaN payloads
+# and signs as Hypothesis draws them
+_FHN_STATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e103,
+                     math.inf, -math.inf, math.nan]),
+    st.floats())
+_FHN_PARAM = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e300, -1e300]),
+                       st.floats(-10.0, 10.0))
+
+
+def _composed_fhn_terms(sys, z):
+    """``f - P D``, ``J_f - P J_D`` and ``J_f`` composed in numpy, as the
+    systems without their own residual and Jacobians have them."""
+    bare = nonlinear.NonlinearPortSystem(f=sys.f, D=sys.D, P=sys.P, n=2,
+                                         jacobian_f=sys.jacobian_f,
+                                         jacobian_D=sys.jacobian_D)
+    return nonlinear._residual(bare, z), *nonlinear._jacobians(bare, z)
+
+
+def _nan_blind_bytes(a):
+    """The bytes of ``a`` with every NaN read as one value: which of two NaN
+    operands a sum or product returns is not fixed, not even between two runs
+    of the same line (CPython's specialized float ops, numpy's SIMD loops)."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
 class TestFhnSystem:
     def test_rhs_at_origin(self):
         sys = fhn_system(0.05, BETA, GAMMA, XI)
@@ -328,6 +362,50 @@ class TestFhnSystem:
         sys = fhn_system(0.0, BETA, GAMMA, XI)
         z = np.array([0.7, -0.3])
         npt.assert_allclose(sys.P @ sys.D(z), np.zeros(2))
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=_FHN_STATE, y=_FHN_STATE, mu=_FHN_PARAM, beta=_FHN_PARAM,
+           gamma=_FHN_PARAM, xi=_FHN_PARAM)
+    def test_own_terms_equal_the_composed_ones_bit_for_bit(self, x, y, mu, beta,
+                                                           gamma, xi):
+        sys = fhn_system(mu, beta, gamma, xi)
+        z = np.array([x, y])
+        with np.errstate(all="ignore"):
+            want = _composed_fhn_terms(sys, z)
+            got = (nonlinear._residual(sys, z), *nonlinear._jacobians(sys, z))
+        assert [a.dtype for a in got] == [np.float64] * 3
+        assert [a.shape for a in got] == [(2,), (2, 2), (2, 2)]
+        assert [_nan_blind_bytes(a) for a in got] == [_nan_blind_bytes(a) for a in want]
+
+    def test_own_terms_take_an_overflowing_cube(self):
+        # x^3 of a Python float raises OverflowError where numpy's is ±inf
+        sys = fhn_system(0.05, BETA, GAMMA, XI)
+        for x in (1e103, -1e103, 1e200):
+            z = np.array([x, 0.5])
+            with np.errstate(all="ignore"):
+                assert sys.residual(z).tobytes() == _composed_fhn_terms(sys, z)[0].tobytes()
+                assert not np.isfinite(sys.residual(z)[0])
+
+    def test_kinetics_take_any_two_sequence(self):
+        sys = fhn_system(0.05, BETA, GAMMA, XI)
+        for z in ([0.5, -0.25], (0.5, -0.25), np.array([0.5, -0.25])):
+            npt.assert_array_equal(sys.f(z), sys.f(np.array([0.5, -0.25])))
+            npt.assert_array_equal(sys.jacobian_f(z), [[0.75, -1.0], [XI, -XI * BETA]])
+
+    def test_building_allocates_no_array(self):
+        # the sweep builds one system per point: P is shared and J_D waits
+        # for its first use
+        eye = np.eye
+        built = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "eye", lambda *a, **k: built.append(a) or eye(*a, **k))
+            systems = [fhn_system(mu) for mu in (0.0, 0.05)]
+            assert built == []
+            systems[1].jacobian_D(None)
+            assert len(built) == 1
+        assert systems[0].P is systems[1].P
+        assert not systems[0].P.flags.writeable
+        npt.assert_array_equal(systems[0].P, np.diag([1.0, 0.0]))
 
     def test_default_parameters_stored(self):
         sys = fhn_system(0.05)

@@ -154,6 +154,16 @@ class TestCdfOracle:
         assert np.array_equal(mollifier_cdf(y), _cdf_all_points_oracle(y))
         assert np.array_equal(mollifier_cdf(y), [0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("y", [[-1.0, -3.0, -np.inf], [1.0, 2.5, np.inf],
+                                   [-2.0, np.nan], [np.nan, 3.0], [np.nan], []])
+    def test_one_sided_batches(self, y):
+        # a batch wholly at or beyond one end returns at once; a NaN fails
+        # both tests and takes the full path
+        y = np.array(y)
+        got = mollifier_cdf(y)
+        assert got.dtype == np.float64 and got.shape == y.shape
+        assert np.array_equal(got, _cdf_all_points_oracle(y), equal_nan=True)
+
     def test_symmetry(self):
         y = np.random.default_rng(7).uniform(-1.5, 1.5, 10000)
         assert np.max(np.abs(mollifier_cdf(y) + mollifier_cdf(-y) - 1.0)) <= CDF_TOL

@@ -17,7 +17,9 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
   ``analyze`` on the first ``identity-ports`` matrices of seed 0 with
   ``P = I``, ``e1 e1^T`` and an oblique ``P``, of ``analyze`` on one input
   per route of the activity decision (each witness route, the certificates
-  and Inconclusive), and of ``genericity --n 1..4``;
+  and Inconclusive), of ``analyze`` on one input whose two-pulse scan finds
+  no negative energy over several blocks of horizons, and of
+  ``genericity --n 1..4``;
 - ``verdict_to_json`` of every request of the ``identity-ports`` and
   ``generic-ports`` streams of seeds 0-5.
 
@@ -80,6 +82,9 @@ ROUTE_INPUTS = [  # (name, A, P) for analyze, one per route of classify_activity
     ("sym-A-certificate-oblique", [[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.7], [0.0, 0.0]]),
     ("inconclusive-oblique", [[-1.0, 10.0], [0.0, -2.0]], [[1.0, 1.0], [0.0, 0.0]]),
 ]
+# (name, A, P, options): no negative closed-form energy on 1,001 horizons
+SCAN_EXHAUSTED = ("two-pulse-scan-exhausted", [[0.1, 1.0], [-1.0, 0.1]], E1E1,
+                  ("--tol.T_max=3", "--tol.T_scan_step=0.001"))
 
 
 def digest(*parts):
@@ -157,11 +162,12 @@ def projections(n):
         yield "oblique", np.outer(e1, e1 + np.eye(n)[1])
 
 
-def analyze_run(cli, linsys, workdir, A, P):
+def analyze_run(cli, linsys, workdir, A, P, options=()):
     A_path, P_path = workdir / "A.json", workdir / "P.json"
     A_path.write_text(linsys.format_matrix_json(A), encoding="utf-8")
     P_path.write_text(linsys.format_matrix_json(P), encoding="utf-8")
-    return digest(*cli_run(cli, ("analyze", str(A_path), str(P_path)), workdir))
+    argv = ("analyze", str(A_path), str(P_path), *options)
+    return digest(*cli_run(cli, argv, workdir))
 
 
 def analyze_outputs(cli, linsys, workloads, workdir):
@@ -174,6 +180,8 @@ def analyze_outputs(cli, linsys, workloads, workdir):
             yield f"analyze/{k}/{name}", analyze_run(cli, linsys, workdir, A, P)
     for name, A, P in ROUTE_INPUTS:
         yield f"analyze/route/{name}", analyze_run(cli, linsys, workdir, A, P)
+    name, A, P, options = SCAN_EXHAUSTED
+    yield f"analyze/{name}", analyze_run(cli, linsys, workdir, A, P, options)
 
 
 def genericity_outputs(cli, workdir):
