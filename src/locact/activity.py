@@ -10,7 +10,7 @@ semidefiniteness of the symmetric part of ``P A``, or of ``A`` for any P.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     ScanExhausted,
     ZeroEigenvalue,
 )
+from .serialize import Record
 
 ACTIVE = "Active"
 PASSIVE = "Passive"
@@ -62,7 +63,7 @@ class WitnessSearchConfig:
 
 
 @dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(Record):
     signal: object
     T: float
     W: float
@@ -70,13 +71,13 @@ class WitnessRecord:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     kind: str
     max_eig: float
 
 
 @dataclass(frozen=True)
-class ActivityVerdict:
+class ActivityVerdict(Record):
     status: str
     witness: Optional[WitnessRecord]
     certificate: Optional[Certificate]
@@ -87,10 +88,10 @@ class ActivityVerdict:
 class GenericTwoPulseWitness(WitnessRecord):
     """Verified witness of the constructive instability-implies-activity
     search: the pulse sign ``a`` and the closed-form energy of the unsmoothed
-    pulses ride along."""
+    pulses ride along, outside the JSON."""
 
-    a: float
-    closed_form_W: float
+    a: float = field(metadata={"json": False})
+    closed_form_W: float = field(metadata={"json": False})
 
 
 def default_quad_steps(T: float, cfg: Optional[WitnessSearchConfig] = None) -> int:
@@ -177,10 +178,18 @@ def two_pulse_energy_closed_form(spec: linsys.Spectrum, port_row_G, port_col_H,
     return W.real
 
 
-def _check_eigvec_in_imP(P, vecs, tol):
-    for v in vecs:
-        defect = np.linalg.norm(v - P @ v)
-        if defect > tol * np.linalg.norm(v):
+def _check_eigenpair(sys, lam, v, scale, parts, tol):
+    """Raise ``EigpairMismatch`` unless ``||A v - lam v|| <= SPEC_TOL (1 +
+    ||A||) scale``, then ``EigvecNotInImP`` unless each vector of ``parts``
+    lies in im P to within ``tol`` relative to its norm."""
+    with np.errstate(over="ignore"):  # an infinite norm is the bound meant
+        defect = np.linalg.norm(sys.A @ v - lam * v)
+        norm_A = np.linalg.norm(sys.A)
+    if defect > linsys.SPEC_TOL * (1.0 + norm_A) * scale:
+        raise EigpairMismatch(f"||A v - lambda v|| = {defect:.3e} too large")
+    for part in parts:
+        defect = np.linalg.norm(part - sys.P @ part)
+        if defect > tol * np.linalg.norm(part):
             raise EigvecNotInImP(
                 f"||(I-P)v|| = {defect:.3e} exceeds {tol:.1e} * ||v||"
             )
@@ -199,12 +208,7 @@ def real_eigen_signal(sys: linsys.LinearPortSystem, lam: float, v, T: float,
         raise OverflowRisk("lam * T too large: e^(lam t) would overflow; shrink T")
     v = np.asarray(v, dtype=float).ravel()
     nv = np.linalg.norm(v)
-    defect = np.linalg.norm(sys.A @ v - lam * v)
-    with np.errstate(over="ignore"):  # an infinite norm of A is the bound meant
-        norm_A = np.linalg.norm(sys.A)
-    if defect > linsys.SPEC_TOL * (1.0 + norm_A) * nv:
-        raise EigpairMismatch(f"||A v - lam v|| = {defect:.3e} too large")
-    _check_eigvec_in_imP(sys.P, [v], eigvec_in_imP_tol)
+    _check_eigenpair(sys, lam, v, nv, [v], eigvec_in_imP_tol)
     return signals.MollifierReal(lam=float(lam), v=v / nv, T=float(T))
 
 
@@ -254,13 +258,9 @@ def complex_eigen_signal(sys: linsys.LinearPortSystem, alpha: float, beta: float
         raise EigpairMismatch("eigenvector is zero")
     v1 = v1 / scale
     v2 = v2 / scale
-    vc = v1 + 1j * v2
-    defect = np.linalg.norm(sys.A @ vc - (alpha + 1j * beta) * vc)
-    with np.errstate(over="ignore"):  # an infinite norm of A is the bound meant
-        norm_A = np.linalg.norm(sys.A)
-    if defect > linsys.SPEC_TOL * (1.0 + norm_A):
-        raise EigpairMismatch(f"||A v - lambda v|| = {defect:.3e} too large")
-    _check_eigvec_in_imP(sys.P, [v1, v2], eigvec_in_imP_tol)
+    # v1 + i v2 has unit norm
+    _check_eigenpair(sys, alpha + 1j * beta, v1 + 1j * v2, 1.0, [v1, v2],
+                     eigvec_in_imP_tol)
 
     # g(t + period) = e^(2 alpha period) g(t), so every period contains a
     # point of positive slope; the slope sign equals the sign of the
@@ -551,21 +551,5 @@ def classify_activity(sys: linsys.LinearPortSystem,
     )
 
 
-# -- serialization -------------------------------------------------------------
-
-
 def verdict_to_json(verdict: ActivityVerdict) -> dict:
-    witness = None
-    if verdict.witness is not None:
-        witness = {
-            "signal": verdict.witness.signal.to_json(),
-            "T": verdict.witness.T,
-            "W": verdict.witness.W,
-            "quadrature_error_estimate": verdict.witness.quadrature_error_estimate,
-        }
-    certificate = None
-    if verdict.certificate is not None:
-        certificate = {"kind": verdict.certificate.kind,
-                       "max_eig": verdict.certificate.max_eig}
-    return {"status": verdict.status, "witness": witness,
-            "certificate": certificate, "notes": verdict.notes}
+    return verdict.to_json()

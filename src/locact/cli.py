@@ -117,11 +117,11 @@ def cmd_analyze_linear(matrix_path, projection_path, overrides, output=None):
     cfg = _config(activity.WitnessSearchConfig, overrides)
     try:
         generic = genericity.in_generic_M(sys)
-        gen = genericity.report_to_json(generic)
+        gen = generic.to_json()
     except LocactError as exc:
         generic, gen = None, {"error": str(exc)}
     verdict = activity.classify_activity(sys, cfg, generic)
-    report = {"activity": activity.verdict_to_json(verdict), "genericity": gen}
+    report = {"activity": verdict.to_json(), "genericity": gen}
     _emit(report, output)
     return 0
 
@@ -149,7 +149,7 @@ def cmd_witness(matrix_path, projection_path, overrides, output=None,
         _write(csv_text, csv_path)
     report = {
         "status": verdict.status,
-        "witness": activity.verdict_to_json(verdict)["witness"],
+        "witness": wit.to_json(),
         "notes": verdict.notes,
         "trajectory_csv": csv_path,
     }
@@ -370,7 +370,7 @@ def cmd_genericity(n, samples, seed, overrides, output=None):
         raise InputError(f"--n must be at most {_GENERICITY_MAX_N}, got {n}")
     if samples < 1:
         raise InputError("samples must be at least 1")
-    tol = overrides.get("genericity_tol", 1e-8)
+    tol = overrides.get("genericity_tol", genericity.GENERICITY_TOL)
     try:
         fraction = genericity.sample_density_M(n, samples, seed, tol=tol)
     except ValueError as exc:

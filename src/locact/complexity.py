@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceFailure, NonFiniteEntry, NonFiniteEvaluation
+from .serialize import Record
 
 COEFF_TOL = 1e-12
 CLUSTER_TOL = 1e-7
@@ -39,16 +40,17 @@ class ClassifierTolerances:
 
 
 @dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """Real-coefficient rational function, coefficients in ascending degree.
 
     Build through :func:`make_rational`, which trims negligible leading
-    coefficients and cancels common root pairs; cancelled roots are recorded.
+    coefficients and cancels common root pairs; cancelled roots are recorded,
+    outside the JSON.
     """
 
     num: tuple
     den: tuple
-    cancelled: tuple = ()
+    cancelled: tuple = field(default=(), metadata={"json": False})
 
     def __call__(self, s):
         return npoly.polyval(s, np.asarray(self.num)) / \
@@ -61,7 +63,7 @@ class PoleSet:
 
 
 @dataclass(frozen=True)
-class EdgeClassification:
+class EdgeClassification(Record):
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
@@ -564,24 +566,3 @@ def one_port_rational(J):
         num[..., 1] = p + q
     den[..., 0] = q
     return make_rational(num, den)
-
-
-def rational_to_json(rf: RationalFunction) -> dict:
-    return {"num": list(rf.num), "den": list(rf.den)}
-
-
-def classification_to_json(ec: EdgeClassification) -> dict:
-    def _plain(value):
-        if isinstance(value, complex):
-            return {"re": value.real, "im": value.imag}
-        return value
-
-    evidence = {
-        key: {k: _plain(v) for k, v in info.items()}
-        for key, info in ec.evidence.items()
-    }
-    return {
-        "cond_i": ec.cond_i, "cond_ii": ec.cond_ii, "cond_iii": ec.cond_iii,
-        "cond_iv": ec.cond_iv, "locally_active": ec.locally_active,
-        "edge_of_chaos": ec.edge_of_chaos, "evidence": evidence,
-    }

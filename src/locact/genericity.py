@@ -13,7 +13,7 @@ gets a single margin ``tol``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -21,17 +21,21 @@ import numpy as np
 from . import linsys
 from .errors import ZeroProjection
 from .linsys import _row_norms
+from .serialize import Record
+
+# the default margin of every strict membership condition
+GENERICITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(Record):
     """Evidence record for the membership tests.
 
     ``g11h11`` is the raw port product for the dominant eigenvalue;
     ``port_product_margin`` is the same quantity normalized by the norms of
     the dominant right eigenvector and left eigenvector row, which makes the
     threshold insensitive to eigenvector scaling.  ``spectrum`` keeps the
-    decomposition of ``Q A Q^T`` for reuse; it is not serialized.
+    decomposition of ``Q A Q^T`` for reuse; it and ``Q`` are not serialized.
     """
 
     in_N: bool
@@ -41,10 +45,10 @@ class GenericityReport:
     dominance_gap: float
     g11h11: complex
     port_product_margin: float
-    Q: np.ndarray
+    Q: np.ndarray = field(metadata={"json": False})
     tol: float
     notes: str
-    spectrum: linsys.Spectrum
+    spectrum: linsys.Spectrum = field(metadata={"json": False})
 
 
 # Matrix entries per block of sample_density_M: the blocks' working memory
@@ -138,7 +142,8 @@ def _membership(B, tol):
     return out
 
 
-def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityReport:
+def in_generic_M(sys: linsys.LinearPortSystem,
+                 tol: float = GENERICITY_TOL) -> GenericityReport:
     """Full membership: the port-transformed matrix passes the eigenvalue-side
     test (nonzero spectrum, distinct eigenvalues, strictly dominating real
     part) and the dominant port product g11 * h11 is nonzero at margin
@@ -167,7 +172,8 @@ def in_generic_M(sys: linsys.LinearPortSystem, tol: float = 1e-8) -> GenericityR
     )
 
 
-def sample_density_M(n: int, samples: int, seed: int, tol: float = 1e-8) -> float:
+def sample_density_M(n: int, samples: int, seed: int,
+                     tol: float = GENERICITY_TOL) -> float:
     """Fraction of standard-Gaussian matrices (port = first coordinate) that
     pass the full membership test; deterministic in the seed.
 
@@ -189,17 +195,3 @@ def sample_density_M(n: int, samples: int, seed: int, tol: float = 1e-8) -> floa
         A = rng.standard_normal((min(block, samples - first), n, n))
         hits += sum(int(m.in_M.sum()) for m in _membership(A, tol))
     return hits / samples
-
-
-def report_to_json(report: GenericityReport) -> dict:
-    return {
-        "in_N": report.in_N,
-        "in_M": report.in_M,
-        "min_eig_gap": report.min_eig_gap,
-        "min_abs_eig": report.min_abs_eig,
-        "dominance_gap": report.dominance_gap,
-        "g11h11": {"re": report.g11h11.real, "im": report.g11h11.imag},
-        "port_product_margin": report.port_product_margin,
-        "tol": report.tol,
-        "notes": report.notes,
-    }

@@ -458,13 +458,11 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
     except ZeroProjection:
         gen = None
     verdict = run("classify_activity", activity.classify_activity, lin, cfg, gen)
-    gen_json = None if gen is None else genericity.report_to_json(gen)
     edge_json = None
     if sys.family == "fhn":
         rf = complexity.one_port_rational(eq.jacobian_kinetic)
         edge = run("edge_of_chaos_classify", complexity.edge_of_chaos_classify, rf, tols)
-        edge_json = complexity.classification_to_json(edge)
-        edge_json["Y"] = complexity.rational_to_json(rf)
+        edge_json = {**edge.to_json(), "Y": rf.to_json()}
     return {
         "equilibrium": {
             "x_star": eq.x_star.tolist(),
@@ -478,7 +476,7 @@ def analyze_equilibrium_pipeline(sys: NonlinearPortSystem, x_guess,
             "max_re_eig_full": float(eq.eigenvalues_full.real.max()),
             "max_re_eig_kinetic": float(np.linalg.eigvals(eq.jacobian_kinetic).real.max()),
         },
-        "activity": activity.verdict_to_json(verdict),
-        "genericity": gen_json,
+        "activity": verdict.to_json(),
+        "genericity": None if gen is None else gen.to_json(),
         "edge_of_chaos": edge_json,
     }

@@ -1,13 +1,41 @@
 """Deterministic JSON emission: floats carry 17 significant digits (decimal
 round-trip exact for doubles), keys keep insertion order, so identical inputs
-produce byte-identical output."""
+produce byte-identical output.  Report records turn themselves into that JSON
+through one field walk, :class:`Record`."""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
+
+
+def _plain(value):
+    """``value`` with arrays and tuples as lists, complex numbers as ``{"re",
+    "im"}`` and records and dicts as their JSON."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class Record:
+    """Base of the report records, frozen dataclasses whose JSON is their
+    fields in declaration order; a field declared with
+    ``field(metadata={"json": False})`` is left out."""
+
+    def to_json(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+                if f.metadata.get("json", True)}
 
 
 def _format_float(x: float) -> str:
@@ -29,7 +57,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, complex):
-        return dumps_canonical({"re": obj.real, "im": obj.imag}, indent)
+        return dumps_canonical(_plain(obj), indent)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SignalDomainError, SmoothingTooWide
+from .serialize import Record
 
 _DOMAIN_SLACK = 1e-9
 
@@ -151,7 +152,7 @@ def _frozen(a):
     return a
 
 
-class _Family:
+class _Family(Record):
     """Base of the signal families: frozen dataclasses with a horizon ``T``
     that evaluate themselves on [0, T] and name their knots; subclassing
     registers a family for ``signal_from_json``."""
@@ -175,15 +176,7 @@ class _Family:
 
     def to_json(self) -> dict:
         """Tagged-union dict representation, ``{"variant": ..., fields...}``."""
-        out = {"variant": type(self).__name__}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            elif isinstance(value, _Family):
-                value = value.to_json()
-            out[f.name] = value
-        return out
+        return {"variant": type(self).__name__, **super().to_json()}
 
 
 @dataclass(frozen=True)

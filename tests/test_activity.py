@@ -426,7 +426,7 @@ class TestSingleTwoPulseFormula:
         np.testing.assert_array_equal(report.spectrum.eigenvalues, spec.eigenvalues)
         np.testing.assert_array_equal(report.spectrum.G, spec.G)
         np.testing.assert_array_equal(report.spectrum.H, spec.H)
-        assert "spectrum" not in genericity.report_to_json(report)
+        assert "spectrum" not in report.to_json()
 
 
 def _longest_run_oracle(mask):
@@ -751,6 +751,21 @@ class TestNoOverflowWarnings:
             warnings.simplefilter("error", RuntimeWarning)
             classify_activity(sys)
             genericity.in_generic_M(sys)
+
+    @pytest.mark.parametrize("A, P, status, notes", [
+        ([[1e300, 1e299], [1e299, 5e299]], np.diag([1.0, 0.0]), INCONCLUSIVE,
+         "two-pulse search: ScanExhausted: no mollifiable horizon T >= 2.04 "
+         "up to T_max = 1.9622112638501013e-298"),
+        ([[1e300, 1e300], [-1e300, 1e300]], np.eye(2), ACTIVE,
+         "witness: complex pair 1e+300 +/- 1e+300i"),
+    ], ids=["real-eigenpair-port", "complex-pair-identity"])
+    def test_eigenpair_defect_warns_nothing(self, A, P, status, notes):
+        # the norm of the eigenpair defect A v - lam v overflows; the verdict
+        # is the one reached with the warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdict = classify_activity(linsys.make_system(A, P))
+        assert (verdict.status, verdict.notes) == (status, notes)
 
 
 class TestTrajectoryWitness:

@@ -171,7 +171,7 @@ class TestAnalyze:
         sys = linsys.make_system(A, P)
         expected = dumps_canonical({
             "activity": activity.verdict_to_json(activity.classify_activity(sys)),
-            "genericity": genericity.report_to_json(genericity.in_generic_M(sys)),
+            "genericity": genericity.in_generic_M(sys).to_json(),
         }) + "\n"
         in_generic_M = genericity.in_generic_M
         calls = []

@@ -13,7 +13,6 @@ from locact.complexity import (
     ClassifierTolerances,
     PoleSet,
     RationalFunction,
-    classification_to_json,
     edge_of_chaos_classify,
     make_rational,
     min_real_on_axis,
@@ -720,7 +719,7 @@ def _classified_alone(rf, tols):
 def _row_bytes(result):
     if isinstance(result, LocactError):
         return f"{type(result).__name__}: {result}"
-    return dumps_canonical(classification_to_json(result))
+    return dumps_canonical(result.to_json())
 
 
 def _assert_rows_match_alone(orders, tols=None):

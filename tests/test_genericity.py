@@ -256,7 +256,7 @@ class TestDensity:
 class TestReportSerialization:
     def test_json_fields(self):
         sys = linsys.make_system(np.diag([2.0, -1.0]), np.diag([1.0, 0.0]))
-        obj = genericity.report_to_json(in_generic_M(sys))
+        obj = in_generic_M(sys).to_json()
         assert obj["in_M"] is True
         assert obj["g11h11"] == {"re": pytest.approx(1.0), "im": pytest.approx(0.0)}
 

@@ -735,7 +735,7 @@ class TestPipeline:
             jacobian_f=lambda x: A, jacobian_D=lambda x: np.zeros((2, 2)))
         lin = linsys.make_system(A, P)
         expected = (activity.verdict_to_json(activity.classify_activity(lin)),
-                    genericity.report_to_json(genericity.in_generic_M(lin)))
+                    genericity.in_generic_M(lin).to_json())
         in_generic_M = genericity.in_generic_M
         calls = []
         monkeypatch.setattr(genericity, "in_generic_M",

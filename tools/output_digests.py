@@ -7,7 +7,9 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
 ``<digest> <output name>``.  The corpus:
 
 - the stdout of every demo;
-- the exit code, stdout and sweep CSV of fixed ``fhn`` argvs;
+- the exit code, stdout and sweep CSV of fixed ``fhn`` argvs, and the exit
+  code and stdout of an inline sweep and of two single points whose
+  evidence holds a right-half-plane pole and a negative axis residue;
 - every request of the ``cli-reports`` stream of seeds 1-3: exit code,
   stdout and CSV, with the work directory replaced by ``<workdir>``;
 - the exit code and stdout of ``rd-cell`` on fixed specs (FitzHugh-Nagumo
@@ -58,6 +60,10 @@ SWEEPS = [
     ("--beta", "1e308", "--xi", "1", "--sweep", "0:0.1:21"),
 ]
 INLINE_SWEEP = ("--mu", "0.03", "--sweep", "0:0.1:41")  # rows in stdout, no CSV
+# single points whose edge-of-chaos evidence holds a complex number: the
+# right-half-plane pole of condition (i), and the negative axis residue of
+# condition (iii)
+POINTS = [("--beta", "-1"), ("--beta", "0", "--xi", "-0.1")]
 RD_KINETICS = [  # (m, n, D, kinetics, guesses)
     (1, 2, [0.0125], {"type": "fhn"}, [[-1.0, -0.6], [0.0, 0.0], [1.5, 0.5]]),
     (1, 2, [0.05], {"type": "fhn", "mu": 0.0, "beta": 0.7, "xi": 0.08}, [[1.0, 1.0]]),
@@ -118,7 +124,8 @@ def sweep_outputs(cli, workdir):
         csv = csv_path.read_bytes() if csv_path.exists() else b""
         csv_path.unlink(missing_ok=True)
         yield "fhn " + " ".join(argv), digest(code, stdout, csv)
-    yield "fhn " + " ".join(INLINE_SWEEP), digest(*cli_run(cli, ("fhn", *INLINE_SWEEP), workdir))
+    for argv in (INLINE_SWEEP, *POINTS):
+        yield "fhn " + " ".join(argv), digest(*cli_run(cli, ("fhn", *argv), workdir))
 
 
 def cli_report_outputs(cli, workloads, workdir):
