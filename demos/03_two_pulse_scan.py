@@ -38,7 +38,7 @@ print("\nport transform orthogonality defect:",
       np.linalg.norm(Q @ Q.T - np.eye(3)))
 
 gw = witness_two_pulse_generic(sys)
-print(f"\nscan selected sign a = {gw.a:+.0f}, horizon T = {gw.T}")
+print(f"\nscan selected sign a = {gw.signal.base.a:+.0f}, horizon T = {gw.T}")
 print("closed-form energy      :", gw.closed_form_W)
 print("mollified, by quadrature:", gw.W, "+/-", gw.quadrature_error_estimate)
 

@@ -23,8 +23,6 @@ from .activity import (
     energy_integral,
     passivity_certificate,
     real_eigen_signal,
-    two_pulse_energy_closed_form,
-    verdict_to_json,
     witness_two_pulse_generic,
 )
 from .complexity import (

@@ -228,9 +228,7 @@ def cmd_fhn(mu, beta, gamma, xi, overrides, output=None, sweep=None,
             if np.sign(p0) != np.sign(p1) and p0 != 0.0:
                 try:
                     res = nonlinear.hopf_locate(
-                        lambda m: nonlinear.fhn_system(m, beta, gamma, xi),
-                        m0, m1, tol=1e-6,
-                    )
+                        lambda m: nonlinear.fhn_system(m, beta, gamma, xi), m0, m1)
                     mu_star = {"mu": res.mu_star, "is_hopf": res.is_hopf,
                                "equilibrium": res.equilibrium.tolist()}
                 except LocactError as exc:

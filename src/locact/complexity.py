@@ -155,15 +155,15 @@ def _real_poly_from_roots(roots, lead):
     return np.real(c) * float(lead)
 
 
-def _reduced(num, den, nroots, droots, cluster_tol):
+def _reduced(num, den, nroots, droots):
     """``num / den`` (lists) less the common root pairs within
-    ``cluster_tol``."""
+    ``CLUSTER_TOL``."""
     cancelled = []
     kept_d = []
     for dr in droots:
         hit = None
         for i, nr in enumerate(nroots):
-            if abs(nr - dr) <= cluster_tol * max(1.0, abs(dr)):
+            if abs(nr - dr) <= CLUSTER_TOL * max(1.0, abs(dr)):
                 hit = i
                 break
         if hit is None:
@@ -177,12 +177,11 @@ def _reduced(num, den, nroots, droots, cluster_tol):
     return RationalFunction(num=tuple(num), den=tuple(den), cancelled=tuple(cancelled))
 
 
-def make_rational(num, den, coeff_tol: float = COEFF_TOL,
-                  cluster_tol: float = CLUSTER_TOL):
+def make_rational(num, den):
     """Construct a reduced rational function from ascending coefficients.
 
-    Trailing coefficients within ``coeff_tol`` of the largest are dropped,
-    and common numerator/denominator roots within ``cluster_tol`` of each
+    Trailing coefficients within ``COEFF_TOL`` of the largest are dropped,
+    and common numerator/denominator roots within ``CLUSTER_TOL`` of each
     other are cancelled pairwise and recorded in ``cancelled``.  A
     non-finite coefficient raises ``NonFiniteEntry``, an identically zero
     denominator ``ValueError``.
@@ -208,7 +207,7 @@ def make_rational(num, den, coeff_tol: float = COEFF_TOL,
         w = max(np.size(num[i]), np.size(den[i]))  # padded as the row alone
         raise NonFiniteEntry(f"coefficients must be finite, got num={c[i, :w].tolist()}, "
                              f"den={c[k + i, :w].tolist()}")
-    length = _lengths(~(a <= coeff_tol * scale))
+    length = _lengths(~(a <= COEFF_TOL * scale))
     rows = [r[:n] for r, n in zip(c.tolist(), length.tolist())]
     if [0.0] in rows[k:]:
         raise ValueError("denominator is identically zero")
@@ -218,7 +217,7 @@ def make_rational(num, den, coeff_tol: float = COEFF_TOL,
     for i, r in zip(pick, _roots(c[pick], length[pick])):
         roots[i] = r.tolist()
     # a zero numerator is +0, whatever its sign
-    out = [_reduced([0.0] if n == [0.0] else n, d, roots[i], roots[k + i], cluster_tol)
+    out = [_reduced([0.0] if n == [0.0] else n, d, roots[i], roots[k + i])
            for i, (n, d) in enumerate(zip(rows[:k], rows[k:]))]
     return out[0] if single else out
 

@@ -41,22 +41,6 @@ class SmoothingTooWide(LocactError):
 
 # -- energy / witness construction ----------------------------------------
 
-class NotDiagonalizable(LocactError):
-    pass
-
-
-class ZeroEigenvalue(LocactError):
-    pass
-
-
-class PulseOverlap(LocactError):
-    pass
-
-
-class ConjugateAsymmetry(LocactError):
-    pass
-
-
 class EigpairMismatch(LocactError):
     pass
 

@@ -103,16 +103,16 @@ def make_system(A, P, proj_tol: float = PROJ_TOL) -> LinearPortSystem:
     return LinearPortSystem(A=_frozen(A), P=_frozen(P), n=A.shape[0])
 
 
-def spectrum(A, spec_tol: float = SPEC_TOL) -> Spectrum:
+def spectrum(A) -> Spectrum:
     """Eigendecomposition with deterministic ordering and a gap-based
     diagonalizability flag.
 
     Never fails on repeated eigenvalues: when the minimum pairwise gap is at
-    most ``spec_tol`` the flag is False and G, H come from a pseudo-inverse
+    most ``SPEC_TOL`` the flag is False and G, H come from a pseudo-inverse
     fallback.  This is :func:`spectra` on the stack of one.
     """
     A = _as_square_matrix(A, "A")
-    return spectra(A[None], spec_tol)[0].at(0)
+    return spectra(A[None])[0].at(0)
 
 
 class SpectrumStack(NamedTuple):
@@ -142,7 +142,7 @@ class SpectrumStack(NamedTuple):
         )
 
 
-def spectra(A, spec_tol: float = SPEC_TOL) -> list:
+def spectra(A) -> list:
     """:func:`spectrum` of every slice of a (k, n, n) stack of finite real
     matrices, as at most two :class:`SpectrumStack` groups: the slices with a
     real spectrum, then those with a complex one.
@@ -162,12 +162,12 @@ def spectra(A, spec_tol: float = SPEC_TOL) -> list:
     complex_ = lam.imag.any(axis=1) if lam.dtype.kind == "c" else None
     count = 0 if complex_ is None else np.count_nonzero(complex_)
     if count == len(A):
-        return [_decompose(whole, A, lam, G, spec_tol)]
+        return [_decompose(whole, A, lam, G)]
     if count == 0:
-        return [_decompose(whole, A, lam.real, G.real, spec_tol)]
+        return [_decompose(whole, A, lam.real, G.real)]
     r, c = np.flatnonzero(~complex_), np.flatnonzero(complex_)
-    return [_decompose(r, A[r], lam[r].real, G[r].real, spec_tol),
-            _decompose(c, A[c], lam[c], G[c], spec_tol)]
+    return [_decompose(r, A[r], lam[r].real, G[r].real),
+            _decompose(c, A[c], lam[c], G[c])]
 
 
 def _row_norms(X):
@@ -178,7 +178,7 @@ def _row_norms(X):
     return np.sqrt(np.vecdot(X, X))
 
 
-def _decompose(index, A, lam, G, spec_tol):
+def _decompose(index, A, lam, G):
     """The steps of :func:`spectra` after ``eig``, vectorised over a group of
     slices that share one dtype."""
     k, n = lam.shape
@@ -217,7 +217,7 @@ def _decompose(index, A, lam, G, spec_tol):
     min_gap = gaps[:, :-1].reshape(k, n - 1, n + 1)[:, :, 1:].min(
         axis=(1, 2), initial=np.inf)
 
-    diagonalizable = min_gap > spec_tol
+    diagonalizable = min_gap > SPEC_TOL
     H = np.empty_like(G)
     count = np.count_nonzero(diagonalizable)
     if count:
@@ -239,7 +239,7 @@ def _decompose(index, A, lam, G, spec_tol):
         with np.errstate(over="ignore"):  # an infinite norm is the value meant
             recon = _row_norms((Gd @ D @ Hd).reshape(-1, n * n) - Ad)
             scale = np.maximum(1.0, _row_norms(Ad))
-        diagonalizable[d] = recon <= spec_tol * scale
+        diagonalizable[d] = recon <= SPEC_TOL * scale
         count = np.count_nonzero(diagonalizable)
     if count < k:
         for i in (~diagonalizable).nonzero()[0]:

@@ -10,6 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from locact import activity  # noqa: E402
 from locact.signals import _Family, _frozen  # noqa: E402
 
 
@@ -96,6 +97,22 @@ def random_member_of_M(rng, n, min_abscissa=None, max_tries=200):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def two_pulse_energy_closed_form(spec, port_row_G, port_col_H, a, b, k, T) -> float:
+    """Exact energy of the two-pulse ``(a X_[0,1/k] + b X_[T-1/k,T]) e1`` in
+    port coordinates, the eigenvalue sum of ``activity._two_pulse_sums`` at
+    the one horizon T: valid for a diagonalizable spectrum without a zero
+    eigenvalue and non-overlapping pulses (``k >= 2/T``).  The imaginary
+    residue of a conjugate-symmetric sum vanishes; its real part is
+    returned."""
+    lam = np.asarray(spec.eigenvalues)
+    g = np.asarray(port_row_G).ravel()
+    h = np.asarray(port_col_H).ravel()
+    const, osc = activity._two_pulse_sums(lam, g * h, a * a + b * b, k, [T])
+    W = complex(const + a * b * osc[0])
+    assert abs(W.imag) <= 1e-8 * (1.0 + abs(W.real)), W
+    return W.real
 
 
 def format_matrix_text(M) -> str:

@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import FunctionSignal, random_member_of_M
+from conftest import FunctionSignal, random_member_of_M, two_pulse_energy_closed_form
 from locact import activity, complexity, genericity, linsys, nonlinear, signals
 from locact.activity import (
     ACTIVE,
@@ -20,7 +20,6 @@ from locact.activity import (
     complex_eigen_signal,
     energy_integral,
     real_eigen_signal,
-    two_pulse_energy_closed_form,
     witness_two_pulse_generic,
 )
 
@@ -129,7 +128,7 @@ def test_criterion_05_generic_two_pulse_search():
         gw = witness_two_pulse_generic(sys)  # T_max defaults to 200 / max Re
         assert gw.closed_form_W < 0.0, f"trial {trial}: scan failed"
         assert gw.W < -gw.quadrature_error_estimate, f"trial {trial}: mollified W lost sign"
-        assert gw.a in (-1.0, 1.0) and gw.T >= 2.0
+        assert gw.signal.base.a in (-1.0, 1.0) and gw.T >= 2.0
     _report(5, "Theorem-7 constructive search, 50/50 verified witnesses")
 
 

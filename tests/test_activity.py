@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FunctionSignal, Sampled, random_member_of_M
+from conftest import (
+    FunctionSignal,
+    Sampled,
+    random_member_of_M,
+    two_pulse_energy_closed_form,
+)
 from locact import activity, genericity, linsys, signals
 from locact.activity import (
     ACTIVE,
@@ -19,19 +24,16 @@ from locact.activity import (
     energy_integral,
     passivity_certificate,
     real_eigen_signal,
-    two_pulse_energy_closed_form,
     witness_two_pulse_generic,
 )
 from locact.errors import (
+    EigpairMismatch,
     EigvecNotInImP,
     NonOrthogonalProjection,
     NonPositiveEigenvalue,
-    NotDiagonalizable,
     NoUnstableEigenvalue,
     OverflowRisk,
-    PulseOverlap,
     ScanExhausted,
-    ZeroEigenvalue,
 )
 from locact.signals import MollifierReal, MollifierTrajectory, TwoPulse
 
@@ -95,24 +97,6 @@ class TestClosedForm:
                        direction=np.eye(sys.n)[:, 0])
         W_q, _ = energy_integral(sys, sig, 5.0, 4000)
         assert W_cf == pytest.approx(W_q, rel=1e-6, abs=1e-9)
-
-    def test_rejects_zero_eigenvalue(self):
-        spec = linsys.spectrum(np.diag([0.0, 1.0]))
-        with pytest.raises(ZeroEigenvalue):
-            two_pulse_energy_closed_form(spec, spec.G[0, :], spec.H[:, 0],
-                                         1.0, 1.0, 1.0, 2.0)
-
-    def test_rejects_overlapping_pulses(self):
-        spec = linsys.spectrum([[1.0]])
-        with pytest.raises(PulseOverlap):
-            two_pulse_energy_closed_form(spec, spec.G[0, :], spec.H[:, 0],
-                                         1.0, 1.0, 0.4, 2.0)
-
-    def test_rejects_non_diagonalizable(self):
-        spec = linsys.spectrum([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(NotDiagonalizable):
-            two_pulse_energy_closed_form(spec, spec.G[0, :], spec.H[:, 0],
-                                         1.0, 1.0, 1.0, 2.0)
 
 
 class TestWitnessRealEigen:
@@ -215,7 +199,7 @@ class TestWitnessTwoPulseGeneric:
         gw = witness_two_pulse_generic(sys)
         assert 2.0 <= gw.T
         assert gw.W < 0.0 and gw.closed_form_W < 0.0
-        assert gw.a in (-1.0, 1.0)
+        assert gw.signal.base.a in (-1.0, 1.0)
 
     def test_structured_two_dimensional(self, rng):
         # diag(1, -3) plus a small generic perturbation, port on x1
@@ -259,7 +243,7 @@ class TestWitnessTwoPulseGeneric:
         except ScanExhausted as exc:
             assert str(exc) == want == "no negative closed-form energy up to T_max = 3.0"
         else:
-            assert (gw.a, gw.T, gw.closed_form_W, gw.W) == want
+            assert (gw.signal.base.a, gw.T, gw.closed_form_W, gw.W) == want
         assert got == sizes
 
     def test_sign_verified_witness_is_the_fallback(self, monkeypatch):
@@ -383,7 +367,7 @@ class TestSingleTwoPulseFormula:
         np.testing.assert_array_equal(const.real + osc.real, W_plus)
         with np.errstate(over="raise"):
             gw = witness_two_pulse_generic(sys)
-        assert (gw.a, gw.T, gw.closed_form_W) == choice
+        assert (gw.signal.base.a, gw.T, gw.closed_form_W) == choice
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), real=st.booleans(),
@@ -404,7 +388,7 @@ class TestSingleTwoPulseFormula:
         except ScanExhausted as exc:
             assert str(exc) == want
         else:
-            assert (gw.a, gw.T, gw.closed_form_W, gw.W) == want
+            assert (gw.signal.base.a, gw.T, gw.closed_form_W, gw.W) == want
 
     def test_real_spectra_are_covered(self):
         kinds = [genericity.in_generic_M(s).spectrum.eigenvalues.dtype.kind
@@ -417,7 +401,7 @@ class TestSingleTwoPulseFormula:
         spec = linsys.spectrum(Q @ sys.A @ Q.T)
         gw = witness_two_pulse_generic(sys)
         W = two_pulse_energy_closed_form(spec, spec.G[0, :], spec.H[:, 0],
-                                         gw.a, 1, 1, gw.T)
+                                         gw.signal.base.a, 1, 1, gw.T)
         assert W == gw.closed_form_W
 
     def test_genericity_report_keeps_transformed_spectrum(self, rng):
@@ -769,6 +753,19 @@ class TestNoOverflowWarnings:
             verdict = classify_activity(linsys.make_system(A, P))
         assert (verdict.status, verdict.notes) == (status, notes)
 
+    def test_eigenpair_check_decides_when_the_norm_of_A_overflows(self):
+        # ||A||_F is inf here: the check scales A and lambda by a power of two
+        # first, so the wrong pair (1, e1) fails as it does on A / 1e300, and
+        # the true pair (1e300, e1) of diag(1e300, -1e300) passes
+        wrong = linsys.make_system([[1e300, 1e300], [-1e300, 1e300]], np.eye(2))
+        right = linsys.make_system(np.diag([1e300, -1e300]), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigpairMismatch):
+                real_eigen_signal(wrong, 1.0, [1.0, 0.0], 1.0)
+            sig = real_eigen_signal(right, 1e300, [1.0, 0.0], 1e-300)
+        assert sig.lam == 1e300
+
 
 class TestTrajectoryWitness:
     """For P = I the witness input drives x = rho(2t/T - 1) w along the top
@@ -872,7 +869,7 @@ class TestVerdictSerialization:
     def test_json_shape(self):
         sys = linsys.make_system(np.diag([2.0, -1.0]), np.eye(2))
         verdict = classify_activity(sys)
-        obj = activity.verdict_to_json(verdict)
+        obj = verdict.to_json()
         assert obj["status"] == ACTIVE
         assert obj["witness"]["W"] < 0.0
         assert obj["certificate"] is None

@@ -170,7 +170,7 @@ class TestAnalyze:
         paths = (write_matrix(tmp_path / "A.json", A), write_matrix(tmp_path / "P.json", P))
         sys = linsys.make_system(A, P)
         expected = dumps_canonical({
-            "activity": activity.verdict_to_json(activity.classify_activity(sys)),
+            "activity": activity.classify_activity(sys).to_json(),
             "genericity": genericity.in_generic_M(sys).to_json(),
         }) + "\n"
         in_generic_M = genericity.in_generic_M

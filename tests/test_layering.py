@@ -1,6 +1,7 @@
 """The import layering of the package: every import sits at module level,
 and the rational-function module imports no model and no front end.  And
-its public surface: every public definition has a caller."""
+its public surface: every public definition has a caller, and every error
+class is raised."""
 
 import ast
 from pathlib import Path
@@ -44,7 +45,6 @@ def test_complexity_imports_no_model_and_no_front_end():
 ROOT = PACKAGE.parents[1]
 CALLER_DIRS = [PACKAGE, ROOT / "demos", ROOT / "tools", ROOT / "bench"]
 UNCALLED = {  # public names that no caller names, with the reason each stays
-    "two_pulse_energy_closed_form": "the closed form the tests compare against",
     "matrix_exponential": "named only as a string target in bench/tracing.py",
 }
 
@@ -83,3 +83,24 @@ def test_every_public_name_has_a_caller():
                 if all(ref == path and first <= line <= last
                        for ref, line in refs.get(name, []))}
     assert uncalled == set(UNCALLED)
+
+
+def test_every_error_class_is_raised():
+    # each LocactError subclass is named by a raise in the package, outside
+    # the definitions that UNCALLED keeps
+    subclasses = {"LocactError"}
+    for node in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and \
+                any(isinstance(b, ast.Name) and b.id in subclasses for b in node.bases):
+            subclasses.add(node.name)
+    kept = [(path, first, last) for path, name, first, last in _public_definitions()
+            if name in UNCALLED]
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None or any(
+                    path == p and first <= node.lineno <= last for p, first, last in kept):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert subclasses - {"LocactError"} - raised == set()

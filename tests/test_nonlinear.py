@@ -734,7 +734,7 @@ class TestPipeline:
             f=lambda x: A @ x, D=lambda x: np.zeros(2), P=P, n=2,
             jacobian_f=lambda x: A, jacobian_D=lambda x: np.zeros((2, 2)))
         lin = linsys.make_system(A, P)
-        expected = (activity.verdict_to_json(activity.classify_activity(lin)),
+        expected = (activity.classify_activity(lin).to_json(),
                     genericity.in_generic_M(lin).to_json())
         in_generic_M = genericity.in_generic_M
         calls = []

@@ -27,7 +27,7 @@ KEYS = {  # record class -> its JSON keys, in order
     "MollifierComplex": ["variant", "alpha", "beta", "v1", "v2", "t0", "eps", "T"],
 }
 NOT_JSON = {  # record class -> its fields that stay out of the JSON
-    "GenericTwoPulseWitness": {"a", "closed_form_W"},
+    "GenericTwoPulseWitness": {"closed_form_W"},
     "GenericityReport": {"Q", "spectrum"},
     "RationalFunction": {"cancelled"},
 }

@@ -22,7 +22,7 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
   and Inconclusive), of ``analyze`` on one input whose two-pulse scan finds
   no negative energy over several blocks of horizons, and of
   ``genericity --n 1..4``;
-- ``verdict_to_json`` of every request of the ``identity-ports`` and
+- the verdict JSON (``to_json``) of every request of the ``identity-ports`` and
   ``generic-ports`` streams of seeds 0-5.
 
 The inputs come from the generators of ``bench/workloads.py``, with the
@@ -197,7 +197,7 @@ def genericity_outputs(cli, workdir):
         yield " ".join(argv), digest(*cli_run(cli, argv, workdir))
 
 
-def verdict_outputs(activity, dumps_canonical, workloads, workdir):
+def verdict_outputs(dumps_canonical, workloads, workdir):
     for name in ("identity-ports", "generic-ports"):
         kind = workloads.WORKLOADS[name]
         for seed in range(6):
@@ -206,14 +206,14 @@ def verdict_outputs(activity, dumps_canonical, workloads, workdir):
             for k in range(load.count):
                 verdict = load.run(load.request(k))
                 yield f"{name}/seed{seed}/{k}", \
-                    digest(dumps_canonical(activity.verdict_to_json(verdict)))
+                    digest(dumps_canonical(verdict.to_json()))
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    from locact import activity, cli, linsys
+    from locact import cli, linsys
     from locact.serialize import dumps_canonical
     import workloads
 
@@ -224,7 +224,7 @@ def main(argv=None):
                    rd_cell_outputs(cli, workdir),
                    analyze_outputs(cli, linsys, workloads, workdir),
                    genericity_outputs(cli, workdir),
-                   verdict_outputs(activity, dumps_canonical, workloads, workdir)]
+                   verdict_outputs(dumps_canonical, workloads, workdir)]
         for stream in outputs:
             for name, value in stream:
                 print(value, name, flush=True)
