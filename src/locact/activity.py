@@ -37,6 +37,7 @@ SYM_A_CERT = "SymANegSemidef"
 SYM_PA_CERT = "SymPANegSemidef"
 
 MAX_QUAD_STEPS = 200_000
+_SCAN_ENTRIES = 1 << 18  # horizon x eigenvalue terms per block of the two-pulse scan, at most
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,9 @@ def _resolved_steps(sig, cfg) -> int:
     Narrow windows are resolved by the integrator's split grid (the window
     edges are signal breakpoints with a per-segment floor), so the budget
     only needs to taper on very long horizons where the input is dead most
-    of the time.
+    of the time; each family tapers its own (``step_budget``).
     """
-    T = sig.T
-    steps = default_quad_steps(T, cfg)
-    if isinstance(sig, signals.MollifierComplex):
-        steps = min(steps, 40_000)
-    elif isinstance(sig, signals.MollifiedTwoPulse) and T > 60.0:
-        steps = int(math.ceil(60.0 * cfg.quad_steps_per_unit_time + 96.0 * (T - 60.0)))
+    steps = sig.step_budget(default_quad_steps(sig.T, cfg), cfg.quad_steps_per_unit_time)
     return min(MAX_QUAD_STEPS, max(800, steps))
 
 
@@ -249,9 +245,7 @@ def complex_eigen_signal(sys: linsys.LinearPortSystem, alpha: float, beta: float
     # center the window on the longest run of positive slope so the witness
     # energy is well separated from quadrature noise
     best_lo, best_hi = _longest_run(q > 0.0)
-    mid = (best_lo + best_hi) // 2
-    idx = max(1, mid)
-    t0 = float(grid[idx])
+    t0 = float(grid[max(1, (best_lo + best_hi) // 2)])
     eps = 0.9 * min(t0 - grid[best_lo] if best_lo > 0 else t0,
                     grid[best_hi] - t0)
     if eps <= 0.0:
@@ -274,6 +268,11 @@ def complex_eigen_signal(sys: linsys.LinearPortSystem, alpha: float, beta: float
                                     v1=v1, v2=v2, t0=t0, eps=float(eps), T=T)
 
 
+def _identity_ports(sys) -> bool:
+    """Whether P is the identity, to within 1e-12 in each entry."""
+    return bool(np.allclose(sys.P, np.eye(sys.n), atol=1e-12))
+
+
 def passivity_certificate(sys: linsys.LinearPortSystem,
                           cert_tol: float = 1e-9) -> Optional[Certificate]:
     """Certificate that the system is locally passive: symmetric part of
@@ -289,9 +288,24 @@ def passivity_certificate(sys: linsys.LinearPortSystem,
         )
     m = linsys.max_sym_eigenvalue(P @ sys.A)
     if m <= cert_tol:
-        kind = SYM_A_CERT if np.allclose(P, np.eye(sys.n), atol=1e-12) else SYM_PA_CERT
+        kind = SYM_A_CERT if _identity_ports(sys) else SYM_PA_CERT
         return Certificate(kind=kind, max_eig=m)
     return None
+
+
+def _scan_horizons(T_max, step):
+    """The length of ``np.arange(2.0, T_max + step / 2, step)``, below 2**53
+    (else ``ScanExhausted``), and a function that gives its horizons lo to
+    hi - 1 bit for bit, ``2 + i d`` with arange's increment d."""
+    span = (T_max + 0.5 * step - 2.0) / step
+    if not span < 2.0**53:
+        raise ScanExhausted(f"the horizon grid up to T_max = {T_max} has 2**53 points or more")
+    count, d = math.ceil(span) if span > 0.0 else 0, (2.0 + step) - 2.0
+
+    def horizons(lo, hi):
+        return 2.0 + np.arange(lo, min(hi, count)) * d
+
+    return count, horizons
 
 
 def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
@@ -323,39 +337,45 @@ def witness_two_pulse_generic(sys: linsys.LinearPortSystem,
     # terminates far earlier when it is going to terminate at all
     T_max = min(200.0 / max(max_re, 0.1) if cfg.T_max is None else cfg.T_max,
                 500.0 / max_re)
-    Ts = np.arange(2.0, T_max + 0.5 * cfg.T_scan_step, cfg.T_scan_step)
+    count, horizons = _scan_horizons(T_max, cfg.T_scan_step)
     # mollification needs strictly separated smoothed pulses, so candidates
     # keep a small gap between the pulse ends (k = 1: T > 2)
-    mollifiable = Ts >= 2.0 + 0.04
-    if not mollifiable.any():
+    if count == 0 or horizons(count - 1, count)[0] < 2.0 + 0.04:
         raise ScanExhausted(
             f"no mollifiable horizon T >= 2.04 up to T_max = {T_max}"
         )
     gh = spec.G[0, :] * spec.H[:, 0]
+    cap = max(1, _SCAN_ENTRIES // lam.size)  # horizons per block
 
     def energies(ts):  # rows: a = -1, +1; no energy depends on another horizon
         const, osc = _two_pulse_sums(lam, gh, 2.0, 1.0, ts)
         return const.real, np.stack([const.real - osc.real, const.real + osc.real])
 
-    # blocks of 256 horizons, each next 4 times the last, up to the first hit
-    lo, size = 0, 256
-    while lo < Ts.size:
-        eta, cands = energies(Ts[lo:lo + size])
-        hits = (cands < -1e-13 * (1.0 + abs(eta))).any(axis=0) & mollifiable[lo:lo + size]
+    # blocks of 256 horizons, each next 4 times the last (at most cap), up to the first hit
+    lo, size = 0, min(256, cap)
+    while lo < count:
+        ts = horizons(lo, lo + size)
+        eta, cands = energies(ts)
+        hits = (cands < -1e-13 * (1.0 + abs(eta))).any(axis=0) & (ts >= 2.0 + 0.04)
         if hits.any():
             break
-        lo, size = lo + size, 4 * size
+        lo, size = lo + size, min(4 * size, cap)
     else:
         raise ScanExhausted(f"no negative closed-form energy up to T_max = {T_max}")
     # the first hit can be barely negative (the start of a negativity well);
     # a short lookahead picks the bottom of that well, which keeps the sign
     # robust under mollification
     hit = lo + int(np.argmax(hits))
-    _, window = energies(Ts[hit:hit + int(math.ceil(2.0 / cfg.T_scan_step)) + 1])
-    row, col = divmod(int(np.argmin(window)), window.shape[1])
-    a = (-1.0, 1.0)[row]
-    T = float(Ts[hit + col])
-    W_closed = float(window[row, col])
+    end = min(hit + int(math.ceil(2.0 / cfg.T_scan_step)) + 1, count)
+    values, cols = [], []  # each block's first minimum per a, and its horizon index
+    for start in range(hit, end, cap):
+        _, window = energies(horizons(start, min(start + cap, end)))
+        cols.append(start + np.argmin(window, axis=1))
+        values.append(window[(0, 1), cols[-1] - start])
+    # the first of these in (a, T) order is np.argmin's over the whole lookahead
+    row, block = divmod(int(np.argmin(np.transpose(values))), len(values))
+    a, idx, W_closed = (-1.0, 1.0)[row], int(cols[block][row]), float(values[block][row])
+    T = float(horizons(idx, idx + 1)[0])
 
     direction = report.Q.T[:, 0]
     base = signals.TwoPulse(a=a, b=1.0, k=1.0, T=T, direction=direction)
@@ -486,7 +506,7 @@ def classify_activity(sys: linsys.LinearPortSystem,
     except NonOrthogonalProjection:
         cert = None
         notes.append("P is not symmetric: passivity certificate not applicable")
-    identity = bool(np.allclose(sys.P, np.eye(sys.n), atol=1e-12))
+    identity = _identity_ports(sys)
     if cert is None and not identity:  # for P = I, sym(PA) was sym(A) already
         m = linsys.max_sym_eigenvalue(sys.A)
         if m <= cfg.cert_tol:

@@ -161,11 +161,8 @@ def _reduced(num, den, nroots, droots):
     cancelled = []
     kept_d = []
     for dr in droots:
-        hit = None
-        for i, nr in enumerate(nroots):
-            if abs(nr - dr) <= CLUSTER_TOL * max(1.0, abs(dr)):
-                hit = i
-                break
+        hit = next((i for i, nr in enumerate(nroots)
+                    if abs(nr - dr) <= CLUSTER_TOL * max(1.0, abs(dr))), None)
         if hit is None:
             kept_d.append(dr)
         else:

@@ -67,15 +67,12 @@ def _port_reflector(P):
     j = int(norms.argmax())
     if norms[j] <= 1e-14 * max(1.0, float(np.abs(P).max(initial=0.0))):
         raise ZeroProjection("P = 0 admits no port variable")
-    v = P[:, j] / norms[j]
-    n = P.shape[0]
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    w = v - e1
+    w = P[:, j] / norms[j]  # the port column, less e1
+    w[0] -= 1.0
     nw2 = float(w @ w)
     if nw2 <= 1e-28:
-        return np.eye(n)
-    return np.eye(n) - (2.0 / nw2) * np.outer(w, w)
+        return np.eye(len(P))
+    return np.eye(len(P)) - (2.0 / nw2) * np.outer(w, w)
 
 
 def port_transform(sys: linsys.LinearPortSystem):

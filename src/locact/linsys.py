@@ -27,7 +27,7 @@ from .errors import (
 from . import signals as _sig
 from .signals import _DOMAIN_SLACK, _frozen
 
-# Default tolerances; every operation accepts an override.
+# Tolerances; only make_system's proj_tol overrides one (PROJ_TOL).
 PROJ_TOL = 1e-10
 SPEC_TOL = 1e-8
 SYM_TOL = 1e-12
@@ -56,13 +56,15 @@ class LinearPortSystem:
 class Spectrum:
     """Eigendecomposition of a real matrix.
 
-    ``eigenvalues`` are sorted by descending real part, ties by descending
-    imaginary part, so conjugate pairs sit adjacent with the positive
-    imaginary member first.  ``G`` holds eigenvectors as columns and
-    ``H = G^{-1}``; both are populated even in the repeated-eigenvalue case
-    (via a pseudo-inverse fallback) but ``diagonalizable`` is only set when
-    the minimum eigenvalue gap exceeds the tolerance and the reconstruction
-    ``G diag(lambda) H`` matches the input.
+    ``eigenvalues`` are LAPACK's, sorted by descending real part, ties by
+    descending imaginary part; each non-real one has its exact conjugate,
+    with the conjugate eigenvector column, though an eigenvalue of the same
+    real part can sort between the two.  ``G`` holds eigenvectors as
+    columns and ``H = G^{-1}``; both are populated even in the
+    repeated-eigenvalue case (via a pseudo-inverse fallback) but
+    ``diagonalizable`` is only set when the minimum eigenvalue gap exceeds
+    the tolerance and the reconstruction ``G diag(lambda) H`` matches the
+    input.
     """
 
     eigenvalues: np.ndarray
@@ -183,35 +185,11 @@ def _decompose(index, A, lam, G):
     slices that share one dtype."""
     k, n = lam.shape
     rows = np.arange(k)[:, None]
-    # descending real part, then descending imaginary part: conjugate pairs
-    # become adjacent with the positive-imaginary member first
+    # descending real part, then descending imaginary part; LAPACK already
+    # gives each complex pair as exact conjugates with conjugate columns
     order = np.lexsort((-lam.imag, -lam.real))
     lam = lam[rows, order]
     G = np.ascontiguousarray(G.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1))
-
-    if lam.dtype.kind == "c":
-        # canonicalize conjugate pairs: the negative-imaginary member of a
-        # pair is stored as the exact conjugate of its first unused partner.
-        # A stored value is never compared again, so every comparison can
-        # read the values as eig gave them.
-        upper = lam.imag > 0.0
-        # close[:, i, j]: np.isclose(lam_j, conj(lam_i), rtol=atol=1e-12)
-        target = np.conj(lam)[:, :, None]
-        close = np.abs(lam[:, None, :] - target) <= 1e-12 + 1e-12 * np.abs(target)
-        used = np.zeros((k, n), dtype=bool)
-        for i in upper[:, :-1].any(axis=0).nonzero()[0]:
-            open_ = upper[:, i] & ~used[:, i]
-            free = close[:, i] & ~used
-            for j in range(i + 1, n):
-                hit = open_ & free[:, j]
-                if np.count_nonzero(hit):
-                    lam[:, j] = np.where(hit, np.conj(lam[:, i]), lam[:, j])
-                    G[:, :, j] = np.where(hit[:, None], np.conj(G[:, :, i]), G[:, :, j])
-                    used[:, j] |= hit
-                    open_ &= ~hit
-                    if not np.count_nonzero(open_):
-                        break
-
     # the off-diagonal pairs: drop every (n+1)-th entry of the flat n x n
     gaps = np.abs(lam[:, :, None] - lam[:, None, :]).reshape(k, n * n)
     min_gap = gaps[:, :-1].reshape(k, n - 1, n + 1)[:, :, 1:].min(

@@ -31,6 +31,7 @@ from .errors import (
 from .signals import _frozen
 
 NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 100
 STAB_TOL = 1e-9
 FD_STEP = 1e-6
 
@@ -69,21 +70,20 @@ class EquilibriumReport:
         return _stability_label(self.eigenvalues_full)
 
 
-def jacobian_fd(f: Callable, x, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian, column i = (f(x + h e_i) - f(x - h e_i)) / (2h)."""
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
+def jacobian_fd(f: Callable, x) -> np.ndarray:
+    """Central-difference Jacobian, column i = (f(x + h e_i) - f(x - h e_i)) / (2h)
+    with ``h = FD_STEP``."""
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
     cols = []
     for i in range(n):
         e = np.zeros(n)
-        e[i] = h
+        e[i] = FD_STEP
         fp = np.asarray(f(x + e), dtype=float).ravel()
         fm = np.asarray(f(x - e), dtype=float).ravel()
         if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise NonFiniteEvaluation(f"f is non-finite near coordinate {i}")
-        cols.append((fp - fm) / (2.0 * h))
+        cols.append((fp - fm) / (2.0 * FD_STEP))
     return np.column_stack(cols)
 
 
@@ -132,9 +132,8 @@ def _ill_conditioned(J) -> bool:
     return np.linalg.cond(J) > 1e14
 
 
-def find_equilibrium(sys: NonlinearPortSystem, x_guess,
-                     max_iter: int = 100) -> EquilibriumReport:
-    """Damped Newton for ``f(x) - P D(x) = 0``.
+def find_equilibrium(sys: NonlinearPortSystem, x_guess) -> EquilibriumReport:
+    """Damped Newton for ``f(x) - P D(x) = 0``, at most ``NEWTON_MAX_ITER`` steps.
 
     Armijo backtracking with halving (up to 30 halvings per step); a singular
     Jacobian switches to a pseudo-inverse step and is flagged in the report
@@ -154,7 +153,7 @@ def find_equilibrium(sys: NonlinearPortSystem, x_guess,
         J, J_kin = jacobians(sys, x)
         res = _norm(g)
         best_x, best_res, best_J, best_J_kin = x, res, J, J_kin
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if res <= NEWTON_TOL:
                 break
             try:
@@ -275,11 +274,8 @@ def fhn_equilibrium_guesses(mu: float, beta: float, gamma: float, xi: float):
     if xi != 0.0 and beta != 0.0:
         coeffs = [1.0, 0.0, -3.0 * (1.0 - mu - 1.0 / beta), 3.0 * gamma / beta]
         roots = np.roots(coeffs) if all(map(math.isfinite, coeffs)) else []
-        guesses = []
-        for r in roots:
-            if abs(r.imag) < 1e-9:
-                x = float(r.real)
-                guesses.append(np.array([x, (x + gamma) / beta]))
+        guesses = [np.array([x, (x + gamma) / beta])
+                   for x in (float(r.real) for r in roots if abs(r.imag) < 1e-9)]
         if guesses:
             return guesses
     return [np.array([-1.0, -0.6]), np.zeros(2)]

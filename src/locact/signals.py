@@ -174,6 +174,10 @@ class _Family(Record):
         exactly 0; their ends are knots, so an integration can skip them."""
         return ()
 
+    def step_budget(self, steps, per_unit):
+        """The steps of a witness integration, from the default ``steps``."""
+        return steps
+
     def to_json(self) -> dict:
         """Tagged-union dict representation, ``{"variant": ..., fields...}``."""
         return {"variant": type(self).__name__, **super().to_json()}
@@ -288,6 +292,9 @@ class MollifierComplex(_Family):
         lo, hi = self.breakpoints()
         return ((0.0, lo), (hi, self.T))
 
+    def step_budget(self, steps, per_unit):
+        return min(steps, 40_000)
+
     def evaluate(self, t):
         hprime = mollifier_derivative((t - self.t0) / self.eps) / self.eps
         amp = hprime * np.exp(self.alpha * t)
@@ -329,6 +336,10 @@ class MollifiedTwoPulse(_Family):
         # between the smoothed pulses both windows are exactly 1 - 1 or 0 - 0
         knots = self.breakpoints()
         return ((knots[2], knots[3]),)
+
+    def step_budget(self, steps, per_unit):
+        # past T = 60 the input is mostly dead: 96 steps per unit there
+        return steps if self.T <= 60.0 else int(np.ceil(60.0 * per_unit + 96.0 * (self.T - 60.0)))
 
     def evaluate(self, t):
         b, e = self.base, self.eps_s

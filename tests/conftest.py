@@ -136,17 +136,6 @@ def spectrum_oracle(A, spec_tol=1e-8):
     order = np.lexsort((-eigenvalues.imag, -eigenvalues.real))
     eigenvalues = eigenvalues[order]
     G = G[:, order]
-    used = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if used[i] or eigenvalues[i].imag <= 0.0:
-            continue
-        target = np.conj(eigenvalues[i])
-        for j in range(i + 1, n):
-            if not used[j] and np.isclose(eigenvalues[j], target, rtol=1e-12, atol=1e-12):
-                eigenvalues[j] = target
-                G[:, j] = np.conj(G[:, i])
-                used[i] = used[j] = True
-                break
     if n > 1:
         diffs = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
         min_gap = float(diffs[~np.eye(n, dtype=bool)].min())

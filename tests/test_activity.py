@@ -35,6 +35,7 @@ from locact.errors import (
     OverflowRisk,
     ScanExhausted,
 )
+from locact.serialize import dumps_canonical
 from locact.signals import MollifierReal, MollifierTrajectory, TwoPulse
 
 
@@ -390,6 +391,56 @@ class TestSingleTwoPulseFormula:
         else:
             assert (gw.signal.base.a, gw.T, gw.closed_form_W, gw.W) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(T_max=st.floats(1.0, 2000.0),
+           T_scan_step=st.one_of(st.floats(0.01, 3.0), st.sampled_from(
+               [0.001, 0.01, 0.05, 0.1, 0.25, 0.3])))
+    @example(T_max=2.125, T_scan_step=0.25)
+    def test_horizon_blocks_are_arange_element_for_element(self, T_max, T_scan_step):
+        want = np.arange(2.0, T_max + 0.5 * T_scan_step, T_scan_step)
+        count, horizons = activity._scan_horizons(T_max, T_scan_step)
+        assert count == want.size
+        assert horizons(0, count + 5).tobytes() == want.tobytes()
+        for lo in range(0, count, 97):
+            assert horizons(lo, lo + 97).tobytes() == want[lo:lo + 97].tobytes()
+
+    @pytest.mark.parametrize("T_max", [1e308, 2.0**54 * 0.05])
+    def test_grid_of_2_53_horizons_or_more_is_exhausted(self, T_max):
+        with pytest.raises(ScanExhausted, match="2\\*\\*53 points or more"):
+            activity._scan_horizons(T_max, 0.05)
+        count, horizons = activity._scan_horizons(2.0**52 * 0.05, 0.05)
+        assert count > 2**52 - 100 and horizons(count - 1, count + 1).size == 1
+
+    @pytest.mark.parametrize("sys", SCAN_SYSTEMS)
+    def test_capped_blocks_find_the_whole_grids_witness(self, sys, monkeypatch):
+        # at most 64 horizon x eigenvalue terms per evaluation: the blocks
+        # and the 201-horizon lookahead are split into many
+        cfg = WitnessSearchConfig(T_scan_step=0.01)
+        want = _search_oracle(sys, cfg)
+        monkeypatch.setattr(activity, "_SCAN_ENTRIES", 64)
+        gw = witness_two_pulse_generic(sys, cfg)
+        assert (gw.signal.base.a, gw.T, gw.closed_form_W, gw.W) == want
+
+    @pytest.mark.parametrize("entries", [2, 6, 1 << 18])
+    def test_lookahead_keeps_argmins_a_then_T_rule(self, monkeypatch, entries):
+        # energies -2 -/+ osc with osc = 0, -1, 0, +1, ... from T = 2: the
+        # minimum -3 is first met at a = +1, T = 2.25 and at a = -1, T = 2.75;
+        # np.argmin over (a, T) takes a = -1 however the lookahead is split
+        sys = linsys.make_system([[0.1, 1.0], [-1.0, 0.1]], np.diag([1.0, 0.0]))
+
+        def sums(lam, gh, sq, k, Ts):
+            i = np.rint((np.asarray(Ts) - 2.0) / 0.25).astype(int)
+            return np.float64(-2.0), np.array([0.0, -1.0, 0.0, 1.0])[i % 4]
+
+        monkeypatch.setattr(activity, "_SCAN_ENTRIES", entries)
+        monkeypatch.setattr(activity, "_two_pulse_sums", sums)
+        monkeypatch.setattr(activity, "_verified_record", lambda sys, sig, steps:
+                            activity.WitnessRecord(signal=sig, T=sig.T, W=-3.0,
+                                                   quadrature_error_estimate=0.0))
+        gw = witness_two_pulse_generic(sys, WitnessSearchConfig(T_max=10.0,
+                                                                T_scan_step=0.25))
+        assert (gw.signal.base.a, gw.T, gw.closed_form_W) == (-1.0, 2.75, -3.0)
+
     def test_real_spectra_are_covered(self):
         kinds = [genericity.in_generic_M(s).spectrum.eigenvalues.dtype.kind
                  for s in SCAN_SYSTEMS]
@@ -508,6 +559,18 @@ class TestClassifyActivity:
         verdict = classify_activity(sys)
         assert verdict.status == PASSIVE
         assert verdict.certificate.kind == activity.SYM_PA_CERT
+
+    def test_real_eigenpair_beside_a_near_real_pair_is_a_witness(self):
+        # eig gives 0.5 + 1e-16i, 0.5 - 1e-16i and the real pair (0.5, e3),
+        # which sorts between the two; no value may overwrite it
+        A = [[0.5, 1e-16, 0.0], [-1e-16, 0.5, 0.0], [0.0, 0.0, 0.5]]
+        verdict = classify_activity(linsys.make_system(A, np.diag([0.0, 0.0, 1.0])))
+        assert verdict.status == ACTIVE
+        assert verdict.notes == "witness: real eigenpair lam=0.5"
+        assert dumps_canonical(verdict.witness.to_json()) == dumps_canonical({
+            "signal": {"variant": "MollifierReal", "lam": 0.5, "v": [0, 0, 1], "T": 1},
+            "T": 1, "W": -0.013911951370681314,
+            "quadrature_error_estimate": 1.5724929106352134e-15})
 
     def test_projected_active_via_real_eigenpair(self):
         sys = linsys.make_system(np.diag([2.0, -1.0]), np.diag([1.0, 0.0]))

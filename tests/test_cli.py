@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -260,6 +261,16 @@ class TestWitness:
         code, out = run_cli(capsys, "witness", A, P)
         assert code == 3
         assert json.loads(out)["status"] == "Passive"
+
+    def test_real_eigenpair_beside_a_near_real_pair_exits_0(self, tmp_path, capsys):
+        # the real eigenvalue 0.5 sorts between the members of 0.5 +/- 1e-16i
+        A = write_matrix(tmp_path / "A.json", np.array(
+            [[0.5, 1e-16, 0.0], [-1e-16, 0.5, 0.0], [0.0, 0.0, 0.5]]))
+        P = write_matrix(tmp_path / "P.json", np.diag([0.0, 0.0, 1.0]))
+        csv_path = tmp_path / "traj.csv"
+        code, out = run_cli(capsys, "witness", A, P, "--csv", str(csv_path))
+        assert code == 0
+        assert json.loads(out)["witness"]["W"] == -0.013911951370681314
 
     def test_large_spectral_abscissa_exits_3(self, large_abscissa_pair, capsys):
         code, out = run_cli(capsys, "witness", *large_abscissa_pair)
@@ -818,6 +829,37 @@ def test_closed_stdout_exits_2(paper_pair, command):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _analyze_in_2_gib(A, P, *options):
+    """``cli.main(["analyze", A, P, *options])`` in a child process whose
+    address space is limited to 2 GiB: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from locact import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "analyze", A, P, *options],
+        capture_output=True, timeout=300, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=str(_SRC), OPENBLAS_NUM_THREADS="1"))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("A, T_max, choice", [
+    ([[1e-5, 1.0], [-1.0, 1e-5]], "1e9", "a=+1, T=16.7"),
+    ([[1.0, 1.0], [-2.0, -0.9999999999]], "1e308", "a=-1, T=2.05")])
+def test_two_pulse_scan_never_allocates_its_whole_grid(tmp_path, A, T_max, choice):
+    # the whole horizon grid up to T_max would take 7.45 GiB and 1.42 PiB
+    # (about 1e9 and 2e14 horizons); the witness lies in the first block
+    A = write_matrix(tmp_path / "A.json", np.array(A))
+    P = write_matrix(tmp_path / "P.json", np.diag([1.0, 0.0]))
+    code, out, err = _analyze_in_2_gib(A, P, f"--tol.T_max={T_max}")
+    assert (code, err) == (0, b"")
+    assert json.loads(out)["activity"]["notes"] == \
+        f"witness: generic two-pulse scan ({choice})"
+    assert (code, out, err) == _analyze_in_2_gib(A, P)
 
 
 class TestToleranceKeysPerCommand:

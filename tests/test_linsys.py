@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -147,7 +147,56 @@ def _slice_spectrum(groups, i):
     raise AssertionError(f"slice {i} is in no group")
 
 
+# a complex pair 0.5 +/- 1e-16i beside the real eigenpair (0.5, e3): the
+# real eigenvalue sorts between the two members of the pair
+NEAR_REAL_PAIR_BESIDE_REAL = np.array([[0.5, 1e-16, 0.0], [-1e-16, 0.5, 0.0],
+                                       [0.0, 0.0, 0.5]])
+
+
+@st.composite
+def real_stacks(draw):
+    """Stacks of real n x n matrices, n <= 5: Gaussian, small-integer, or
+    block-diagonal rotations ``[[a, b], [-b, a]]`` beside a real eigenvalue
+    ``a`` of the same real part, in permuted coordinates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gaussian", "integer", "rotation"]))
+    if kind == "gaussian":
+        return rng.standard_normal((k, n, n))
+    if kind == "integer":
+        return rng.integers(-3, 4, (k, n, n)).astype(float)
+    stack = np.zeros((k, n, n))
+    for M in stack:
+        a = float(rng.integers(-2, 3)) if rng.random() < 0.5 else rng.standard_normal()
+        np.fill_diagonal(M, a)
+        for j in range(0, n - 1, 2):
+            b = rng.standard_normal() * 10.0 ** rng.uniform(-17.0, 1.0)
+            M[j, j + 1], M[j + 1, j] = b, -b
+        p = rng.permutation(n)
+        M[:] = M[p][:, p]
+    return stack
+
+
 class TestSpectra:
+    @settings(max_examples=200, deadline=None)
+    @given(real_stacks())
+    @example(NEAR_REAL_PAIR_BESIDE_REAL[None])
+    def test_eigenvalues_are_lapacks_in_order_with_exact_conjugates(self, A):
+        for i, g, pos in ((i, g, pos) for g in linsys.spectra(A)
+                          for pos, i in enumerate(g.index)):
+            spec = g.at(pos)
+            lam, G = spec.eigenvalues, spec.G
+            want = np.linalg.eig(A[i]).eigenvalues
+            assert lam.dtype == want.dtype
+            assert sorted(lam[j:j + 1].tobytes() for j in range(lam.size)) == \
+                sorted(want[j:j + 1].tobytes() for j in range(want.size))
+            for x, y in zip(lam[:-1], lam[1:]):
+                assert x.real > y.real or x.real == y.real and x.imag >= y.imag
+            for j in np.flatnonzero(lam.imag):
+                assert any(lam[m] == np.conj(lam[j])
+                           and np.array_equal(G[:, m], np.conj(G[:, j]))
+                           for m in range(lam.size)), (lam, j)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 300))
     def test_every_slice_equals_the_per_matrix_spectrum(self, seed, n, k):

@@ -19,7 +19,8 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
   ``analyze`` on the first ``identity-ports`` matrices of seed 0 with
   ``P = I``, ``e1 e1^T`` and an oblique ``P``, of ``analyze`` on one input
   per route of the activity decision (each witness route, the certificates
-  and Inconclusive), of ``analyze`` on one input whose two-pulse scan finds
+  and Inconclusive) and on a real eigenpair that sorts between the members
+  of a complex pair, of ``analyze`` on one input whose two-pulse scan finds
   no negative energy over several blocks of horizons, and of
   ``genericity --n 1..4``;
 - the verdict JSON (``to_json``) of every request of the ``identity-ports`` and
@@ -79,6 +80,10 @@ E1E1 = [[1.0, 0.0], [0.0, 0.0]]
 NEAR_REAL = [[0.5, 0.01], [-0.01, 0.5]]  # its complex pair is skipped
 ROUTE_INPUTS = [  # (name, A, P) for analyze, one per route of classify_activity
     ("real-eigenpair", [[1.0, 0.0], [0.0, -1.0]], E1E1),
+    # the real eigenvalue 0.5 sorts between the members of 0.5 +/- 1e-16i
+    ("real-eigenpair-beside-near-real-pair",
+     [[0.5, 1e-16, 0.0], [-1e-16, 0.5, 0.0], [0.0, 0.0, 0.5]],
+     [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
     ("complex-pair", [[1.0, 3.0], [-3.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
     ("trajectory-bump", NEAR_REAL, [[1.0, 0.0], [0.0, 1.0]]),
     ("trajectory-bump-retry", [[1e-14]], [[1.0]]),
