@@ -21,7 +21,6 @@ from .activity import (
     classify_activity,
     complex_eigen_signal,
     energy_integral,
-    passivity_certificate,
     real_eigen_signal,
     witness_two_pulse_generic,
 )

@@ -19,7 +19,6 @@ from . import genericity, linsys, signals
 from .errors import (
     EigpairMismatch,
     EigvecNotInImP,
-    NonOrthogonalProjection,
     NonPositiveEigenvalue,
     NoPositiveSlopeFound,
     NotInGenericSet,
@@ -183,7 +182,7 @@ def real_eigen_signal(sys: linsys.LinearPortSystem, lam: float, v, T: float,
 
 
 def _rotation_slope_factor(v1, v2, alpha, beta, t):
-    """w(t) = |sin(beta t) v1 + cos(beta t) v2|^2 and q = 2 alpha w + w'.
+    """q = 2 alpha w + w' with w(t) = |sin(beta t) v1 + cos(beta t) v2|^2.
 
     q has the sign of g' but carries no exponential, so the slope search is
     overflow-free.
@@ -195,7 +194,7 @@ def _rotation_slope_factor(v1, v2, alpha, beta, t):
     c = np.cos(2.0 * beta * t)
     w = 0.5 * (n1 + n2) - 0.5 * (n1 - n2) * c + cross * s
     wp = beta * ((n1 - n2) * s + 2.0 * cross * c)
-    return w, 2.0 * alpha * w + wp
+    return 2.0 * alpha * w + wp
 
 
 def _longest_run(mask):
@@ -237,7 +236,7 @@ def complex_eigen_signal(sys: linsys.LinearPortSystem, alpha: float, beta: float
     # exponential-free factor q = 2 alpha w + w'
     period = 2.0 * math.pi / abs(beta)
     grid = np.linspace(0.0, period, 8193)
-    _, q = _rotation_slope_factor(v1, v2, alpha, beta, grid)
+    q = _rotation_slope_factor(v1, v2, alpha, beta, grid)
     if float(q.max()) <= 0.0:
         raise NoPositiveSlopeFound(
             "no positive slope of g found; this indicates numerical degeneracy"
@@ -254,7 +253,7 @@ def complex_eigen_signal(sys: linsys.LinearPortSystem, alpha: float, beta: float
     # shrink until the slope is positive on a fine check grid in the window
     for _ in range(60):
         chk = np.linspace(t0 - eps, t0 + eps, 513)
-        _, qc = _rotation_slope_factor(v1, v2, alpha, beta, chk)
+        qc = _rotation_slope_factor(v1, v2, alpha, beta, chk)
         if np.all(qc > 0.0) and t0 - eps >= 0.0:
             break
         eps *= 0.8
@@ -273,23 +272,22 @@ def _identity_ports(sys) -> bool:
     return bool(np.allclose(sys.P, np.eye(sys.n), atol=1e-12))
 
 
-def passivity_certificate(sys: linsys.LinearPortSystem,
-                          cert_tol: float = 1e-9) -> Optional[Certificate]:
-    """Certificate that the system is locally passive: symmetric part of
-    ``P A`` negative semidefinite (for P = I this is dissipativity of A).
-
-    Requires an orthogonal projection (P symmetric); returns None when the
-    semidefiniteness test fails.
-    """
+def _certificate(sys, identity, cert_tol, notes) -> Optional[Certificate]:
+    """The passivity certificate of the system, or None: ``sym(PA) <= 0``
+    for a symmetric P (dissipativity of A when P = I), otherwise, when P !=
+    I, ``sym(A) <= 0``, which certifies any P.  A P that is not symmetric
+    gets a note in ``notes``."""
     P = sys.P
-    if np.linalg.norm(P - P.T) > linsys.SYM_TOL * max(1.0, np.linalg.norm(P)):
-        raise NonOrthogonalProjection(
-            "certificate requires an orthogonal projection (P symmetric)"
-        )
-    m = linsys.max_sym_eigenvalue(P @ sys.A)
-    if m <= cert_tol:
-        kind = SYM_A_CERT if _identity_ports(sys) else SYM_PA_CERT
-        return Certificate(kind=kind, max_eig=m)
+    if np.linalg.norm(P - P.T) <= linsys.SYM_TOL * max(1.0, np.linalg.norm(P)):
+        m = linsys.max_sym_eigenvalue(P @ sys.A)
+        if m <= cert_tol:
+            return Certificate(kind=SYM_A_CERT if identity else SYM_PA_CERT, max_eig=m)
+    else:
+        notes.append("P is not symmetric: passivity certificate not applicable")
+    if not identity:  # for P = I, sym(PA) was sym(A) already
+        m = linsys.max_sym_eigenvalue(sys.A)
+        if m <= cert_tol:
+            return Certificate(kind=SYM_A_CERT, max_eig=m)
     return None
 
 
@@ -501,16 +499,8 @@ def classify_activity(sys: linsys.LinearPortSystem,
     """
     cfg = cfg or WitnessSearchConfig()
     notes = []
-    try:
-        cert = passivity_certificate(sys, cert_tol=cfg.cert_tol)
-    except NonOrthogonalProjection:
-        cert = None
-        notes.append("P is not symmetric: passivity certificate not applicable")
     identity = _identity_ports(sys)
-    if cert is None and not identity:  # for P = I, sym(PA) was sym(A) already
-        m = linsys.max_sym_eigenvalue(sys.A)
-        if m <= cfg.cert_tol:
-            cert = Certificate(kind=SYM_A_CERT, max_eig=m)
+    cert = _certificate(sys, identity, cfg.cert_tol, notes)
     if cert is not None:
         sym_a = cert.kind == SYM_A_CERT
         label = "dissipativity of A" if sym_a else "sym(PA) <= 0"

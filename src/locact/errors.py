@@ -69,10 +69,6 @@ class ScanExhausted(LocactError):
     """Two-pulse horizon scan ran out of budget."""
 
 
-class NonOrthogonalProjection(LocactError):
-    pass
-
-
 class ZeroProjection(LocactError):
     pass
 

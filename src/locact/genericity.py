@@ -131,7 +131,8 @@ def _membership(B, tol):
         in_N = np.minimum(np.minimum(min_abs, S.min_gap), dominance) > tol
         # norms of the dominant right eigenvector and left eigenvector row
         k = len(lam)
-        norms = _row_norms(np.concatenate((S.G[:, :, 0], S.H[:, 0, :])))
+        with np.errstate(over="ignore"):  # an infinite norm gives margin 0 or NaN
+            norms = _row_norms(np.concatenate((S.G[:, :, 0], S.H[:, 0, :])))
         denom = norms[:k] * norms[k:]
         margin = modulus / np.where(denom > 0, denom, np.inf)  # 0 where denom is 0
         in_M = in_N & S.diagonalizable & (margin > tol)

@@ -493,7 +493,10 @@ def _forced(sys, u, T, steps, keep_states):
     if u.T < T * (1.0 - _DOMAIN_SLACK):
         raise SignalDomainError(f"signal horizon {float(u.T)} is shorter than T={T}")
     quiet = None if keep_states else u.quiet_spans()
-    return _rk4_forced(sys.A, sys.P, u, T, steps, quiet)
+    # a huge A overflows the states; W is then inf or NaN, and no caller
+    # accepts it (``W < -err`` is False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rk4_forced(sys.A, sys.P, u, T, steps, quiet)
 
 
 # -- matrix file ingestion ----------------------------------------------------

@@ -22,14 +22,12 @@ from locact.activity import (
     classify_activity,
     complex_eigen_signal,
     energy_integral,
-    passivity_certificate,
     real_eigen_signal,
     witness_two_pulse_generic,
 )
 from locact.errors import (
     EigpairMismatch,
     EigvecNotInImP,
-    NonOrthogonalProjection,
     NonPositiveEigenvalue,
     NoUnstableEigenvalue,
     OverflowRisk,
@@ -522,29 +520,6 @@ class TestLongestRun:
         assert max(starts) >= 1
 
 
-class TestPassivityCertificate:
-    def test_negative_identity(self):
-        cert = passivity_certificate(linsys.make_system(-np.eye(2), np.eye(2)))
-        assert cert is not None
-        assert cert.max_eig == pytest.approx(-1.0)
-        assert cert.kind == activity.SYM_A_CERT
-
-    def test_active_matrix_has_no_certificate(self):
-        sys = linsys.make_system([[-1.0, 10.0], [0.0, -2.0]], np.eye(2))
-        assert passivity_certificate(sys) is None
-
-    def test_skew_plus_negative_diagonal(self):
-        sys = linsys.make_system([[-1.0, 1.0], [-1.0, -1.0]], np.eye(2))
-        cert = passivity_certificate(sys)
-        assert cert is not None and cert.max_eig == pytest.approx(-1.0)
-
-    def test_non_orthogonal_projection_rejected(self):
-        P = np.array([[1.0, 0.5], [0.0, 0.0]])  # oblique projection, P^2 = P
-        sys = linsys.make_system(-np.eye(2), P)
-        with pytest.raises(NonOrthogonalProjection):
-            passivity_certificate(sys)
-
-
 class TestClassifyActivity:
     def test_stable_but_nondissipative_is_active(self):
         sys = linsys.make_system([[-1.0, 10.0], [0.0, -2.0]], np.eye(2))
@@ -602,6 +577,10 @@ class TestClassifyActivity:
         (-np.eye(2), [[1.0, 0.7], [0.0, 0.0]], -1.0),
         # orthogonal P with sym(PA) indefinite, lossless A
         ([[0.0, 1.0], [-1.0, 0.0]], np.diag([1.0, 0.0]), 0.0),
+        # orthogonal P with sym(PA) indefinite, dissipative A
+        ([[-1.0, 1.0], [-1.0, -1.0]], np.diag([1.0, 0.0]), -1.0),
+        # oblique P, P^2 = P
+        (-np.eye(2), [[1.0, 0.5], [0.0, 0.0]], -1.0),
     ])
     def test_dissipative_A_certifies_any_projection(self, A, P, max_eig):
         # W = |x(T)|^2 / 2 - int x^T sym(A) x dt >= 0 whatever P is
@@ -713,6 +692,28 @@ class TestClassifyActivity:
         assert verdict.status == PASSIVE
         assert verdict.notes == \
             f"passivity certificate via dissipativity of A (max eig {m:.6g})"
+
+    def test_negative_identity_is_certified_by_dissipativity(self):
+        verdict = classify_activity(linsys.make_system(-np.eye(2), np.eye(2)))
+        assert verdict.status == PASSIVE
+        assert verdict.certificate == activity.Certificate(activity.SYM_A_CERT, -1.0)
+
+    def test_active_matrix_has_no_certificate(self):
+        sys = linsys.make_system([[-1.0, 10.0], [0.0, -2.0]], np.eye(2))
+        verdict = classify_activity(sys)
+        assert verdict.status == ACTIVE and verdict.certificate is None
+
+    def test_skew_plus_negative_diagonal_is_certified(self):
+        sys = linsys.make_system([[-1.0, 1.0], [-1.0, -1.0]], np.eye(2))
+        cert = classify_activity(sys).certificate
+        assert cert is not None and cert.max_eig == pytest.approx(-1.0)
+
+    def test_non_orthogonal_projection_is_noted_not_raised(self):
+        P = np.array([[1.0, 0.5], [0.0, 0.0]])  # oblique projection, P^2 = P
+        verdict = classify_activity(linsys.make_system([[-1.0, 10.0], [0.0, -2.0]], P))
+        assert verdict.certificate is None
+        assert verdict.notes.startswith(
+            "P is not symmetric: passivity certificate not applicable; ")
 
     def test_certificate_notes(self):
         cases = [

@@ -924,6 +924,25 @@ class TestExitCodeContract:
             code, _ = run_cli(capsys, *argv)
             assert code == expected, argv
 
+    @pytest.mark.parametrize("A, family", [
+        ([[0.0, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1.0]], "MollifierTrajectory"),
+        ([[0.0, 1e200, 1e200], [0.0, 1e200, 1e200], [1e200, 0.0, 0.0]],
+         "MollifierTrajectory"),
+        ([[0.0, 1e200], [0.0, 1.0]], "MollifierReal"),
+    ], ids=["diagonal", "dense", "upper"])
+    def test_huge_entries_analyze_without_warnings(self, tmp_path, capsys, A, family):
+        # the integrator's states and the genericity norms overflow; a
+        # non-finite W is never accepted, an infinite norm fails membership
+        A_path = write_matrix(tmp_path / "A.json", np.array(A))
+        P = write_matrix(tmp_path / "P.json", np.eye(len(A)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, "analyze", A_path, P)
+        verdict = json.loads(out)["activity"]
+        assert code == 0
+        assert (verdict["status"], verdict["witness"]["signal"]["variant"]) == \
+            ("Active", family)
+
     def test_matrix_with_singular_eigenvectors_exits_0(self, tmp_path, capsys):
         # eig returns an exactly singular eigenvector matrix for this A
         A = write_matrix(tmp_path / "A.json", np.array(

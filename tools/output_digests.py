@@ -18,8 +18,9 @@ TREE is a checkout with ``src/locact``, ``bench/workloads.py`` and
   whose toroidal neighbours coincide, for each boundary), of
   ``analyze`` on the first ``identity-ports`` matrices of seed 0 with
   ``P = I``, ``e1 e1^T`` and an oblique ``P``, of ``analyze`` on one input
-  per route of the activity decision (each witness route, the certificates
-  and Inconclusive) and on a real eigenpair that sorts between the members
+  per route of the activity decision (each witness route, the certificates,
+  the ``sym(A)`` one under an orthogonal and under an oblique ``P``, and
+  Inconclusive) and on a real eigenpair that sorts between the members
   of a complex pair, of ``analyze`` on one input whose two-pulse scan finds
   no negative energy over several blocks of horizons, and of
   ``genericity --n 1..4``;
@@ -90,6 +91,8 @@ ROUTE_INPUTS = [  # (name, A, P) for analyze, one per route of classify_activity
     ("two-pulse", NEAR_REAL, E1E1),
     ("sym-PAP-bump", [[1e-10, 0.0], [0.0, -1.0]], E1E1),
     ("band-certificate", [[0.0, 1e-9], [-1e-9, 0.0]], E1E1),
+    # sym(PA) is indefinite under the orthogonal e1 e1^T, sym(A) = -I
+    ("sym-A-certificate-orthogonal", [[-1.0, 1.0], [-1.0, -1.0]], E1E1),
     ("sym-A-certificate-oblique", [[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.7], [0.0, 0.0]]),
     ("inconclusive-oblique", [[-1.0, 10.0], [0.0, -2.0]], [[1.0, 1.0], [0.0, 0.0]]),
 ]
